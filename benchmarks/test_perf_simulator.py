@@ -76,8 +76,7 @@ def test_perf_simulation_cycles_idle_16x16(benchmark):
     """Idle cycles at target scale: the headline for cycle skip-ahead.
 
     With nothing in flight the engine (repro.network.skip) jumps the clock
-    straight to the end of each chunk; the warm-up round keeps the one-time
-    lazy SoA compile out of the timings.
+    straight to the end of each chunk.
     """
     topo = HyperX((16, 16), 1)
     net = Network(topo, make_algorithm("DOR", topo), default_config())

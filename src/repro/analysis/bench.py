@@ -84,8 +84,7 @@ def _bench_cycles_loaded_16x16():
     """Loaded throughput at the ROADMAP's target scale (16x16 HyperX, 256
     routers).  Reported both as cycles/sec and delivered flits/sec: the
     steady-state flits-per-cycle rate is sampled once after warm-up, then
-    multiplied by the timed cycle rate (both engines deliver bit-identical
-    flit streams, so the product is the honest throughput number)."""
+    multiplied by the timed cycle rate."""
     sim = _loaded_sim(widths=(16, 16), tpr=1, algo="DimWAR", rate=0.3, warm=200)
     net = sim.network
     before = net.total_ejected_flits()
@@ -127,8 +126,7 @@ def _bench_cycles_idle_16x16():
     The headline scenario for cycle skip-ahead (:mod:`repro.network.skip`):
     with nothing in flight the engine jumps the clock straight to the end
     of each ``run(1000)`` chunk, so this measures the cost of *compressed*
-    time.  The warm-up round keeps the one-time lazy SoA compile out of
-    the timings."""
+    time."""
     from ..config import default_config
     from ..core.registry import make_algorithm
     from ..network.network import Network

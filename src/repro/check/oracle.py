@@ -185,41 +185,6 @@ def diff_kernel_on_off(
     return compare_sweeps("kernel-on-vs-off", on, off)
 
 
-def diff_soa_on_off(
-    widths=(4, 4),
-    terminals_per_router: int = 1,
-    algorithm: str = "OmniWAR",
-    pattern: str = "UR",
-    rates=(0.1, 0.3),
-    total_cycles: int = 1000,
-    seed: int = 1,
-) -> OracleReport:
-    """SoA datapath enabled vs the object reference engine, byte-identical.
-
-    The struct-of-arrays core (``RouterConfig.soa_core``,
-    :mod:`repro.network.soa`) replaces the per-component ``step()``
-    dispatch with fused per-stage kernels over the same shared state; the
-    object path is the reference implementation it is transliterated from.
-    Every ordering the kernels inherit — active-set insertion order,
-    jitter-stream consumption, route-cache eviction clocks, credit wakeups
-    — must match cycle-exactly, or downstream event order diverges and
-    this comparison catches it.  Uses an adaptive multi-candidate
-    algorithm so the congestion-state reads (credits, staged occupancy)
-    feed back into routing and any drift compounds instead of washing out.
-    """
-    cfg_on = default_config()
-    cfg_off = SimConfig(router=RouterConfig(soa_core=False)).validated()
-    t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    on = sweep_load(
-        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_on
-    )
-    t2, a2, p2 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    off = sweep_load(
-        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_off
-    )
-    return compare_sweeps("soa-on-vs-off", on, off)
-
-
 def diff_skip_on_off(
     widths=(4, 4),
     terminals_per_router: int = 1,
@@ -487,7 +452,6 @@ def run_all_oracles(
         ),
         diff_cache_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_kernel_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
-        diff_soa_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_skip_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_pristine_empty_faultset(
             widths=widths, rates=rates, total_cycles=total_cycles
@@ -508,17 +472,13 @@ def run_all_oracles(
     ]
     # The successor-paper algorithms (FTHX's escape subnetwork, VCFree's
     # up*/down* order) must survive the same replay comparisons as the
-    # paper's own: their candidate lists are memoised, SoA-compiled,
-    # skip-compressed, and pickled across workers like everyone else's.
+    # paper's own: their candidate lists are memoised, skip-compressed,
+    # and pickled across workers like everyone else's.
     for algo in ("FTHX", "VCFree"):
         reports += [
             _tagged(diff_serial_parallel(
                 widths=widths, rates=rates, total_cycles=total_cycles,
                 workers=workers, algorithm=algo, faults=faults,
-            ), algo),
-            _tagged(diff_soa_on_off(
-                widths=widths, rates=rates, total_cycles=total_cycles,
-                algorithm=algo,
             ), algo),
             _tagged(diff_skip_on_off(
                 widths=widths, rates=rates, total_cycles=total_cycles,

@@ -45,14 +45,6 @@ class RouterConfig:
     #: call chain.  Purely an optimisation — byte-identical results, verified
     #: by the repro.check kernel-on/off differential oracle.
     scoring_kernel: bool = True
-    #: Run eligible simulations through the struct-of-arrays datapath
-    #: (:mod:`repro.network.soa`): fused per-stage kernels over the same
-    #: shared flat state, with the object path kept as the reference
-    #: implementation.  Purely an optimisation — byte-identical results,
-    #: verified by the repro.check soa-on/off differential oracle.  Runs
-    #: with observers attached (sanitizer process, tracer hooks) fall back
-    #: to the object path automatically regardless of this flag.
-    soa_core: bool = True
     #: Compress runs of quiescent cycles: when no terminal is active, jump
     #: the clock straight to the earliest cycle at which anything can happen
     #: (:mod:`repro.network.skip`).  Purely an optimisation — byte-identical

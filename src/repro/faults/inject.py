@@ -52,12 +52,6 @@ class FaultInjector:
     ``fault_state``); construction raises otherwise.
     """
 
-    #: Compatible with the SoA datapath (repro.network.soa): every mutation
-    #: it makes — fault-state flips, route-cache invalidation,
-    #: revoke_unstarted_routes, channel min_gap rewrites — targets state the
-    #: fused kernels share with the object facade, so both engines observe
-    #: an injected fault identically from the same cycle on.
-    soa_safe = True
     #: Compatible with cycle skip-ahead (repro.network.skip): the schedule
     #: is sorted, so :meth:`next_wakeup` bounds the next mutation exactly.
     skip_safe = True

@@ -10,7 +10,7 @@ the free slots the upstream side believes exist in a downstream
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .types import Flit
 
@@ -22,21 +22,12 @@ class VcRoute:
     ``deroute`` records whether the chosen candidate was a deroute, so a
     revoked-before-started route (fault injection) can un-count the packet's
     ``hops``/``deroutes`` telemetry exactly.
-
-    ``stream`` is scratch for the SoA core (:mod:`repro.network.soa`): a
-    lazily-built tuple pre-resolving the fixed output-side references the
-    fused input kernel touches per forwarded flit (tracker, credit array,
-    staging queue, ...).  It is bound to this route's wormhole — the route
-    object dies with the tail flit (or a fault revocation), taking the
-    stream with it — and the object-path reference implementation ignores
-    it entirely.
     """
 
     out_port: int
     out_vc: int
     packet_id: int
     deroute: bool = False
-    stream: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class VcState:

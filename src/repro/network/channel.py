@@ -31,7 +31,7 @@ class Channel:
     per cycle (``limit_rate=False``).
     """
 
-    __slots__ = ("latency", "name", "limit_rate", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready", "_soa_rec")
+    __slots__ = ("latency", "name", "limit_rate", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready")
 
     def __init__(
         self,
@@ -66,12 +66,6 @@ class Channel:
         #: activity registry (dict used as an ordered set) shared with the
         #: owning network; None for standalone channels driven directly.
         self._active_set: dict["Channel", None] | None = None
-        #: typed delivery record compiled by the SoA core
-        #: (:mod:`repro.network.soa`): the link-traversal kernel dispatches
-        #: on it instead of calling ``_sink`` per item.  None until (and
-        #: unless) an SoA core is compiled for the owning simulator; the
-        #: object path always uses ``_sink``.
-        self._soa_rec: tuple | None = None
 
     def push(self, cycle: int, item: Any) -> None:
         """Send ``item`` down the channel at ``cycle``."""

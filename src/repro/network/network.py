@@ -184,8 +184,7 @@ class Network:
         self.boundary_out: dict[tuple, Channel] = {}
         self.boundary_in: dict[tuple, Channel] = {}
         #: import key -> (owned router id, port) the import terminates at;
-        #: used by the SoA core to compile delivery records for boundary
-        #: imports and by the tracer to label cross-shard link events.
+        #: used by the tracer to label cross-shard link events.
         self._boundary_in_dst: dict[tuple, tuple[int, int]] = {}
         self._wire()
         self._ports_of = []  # construction scratch; drop the peer objects

@@ -179,10 +179,6 @@ class Router:
         self._budget_touched: list[int] = []
         self._commit_touched: list[int] = []
 
-        # port -> (fifos, keys, ents) captured by make_flit_sink; the SoA
-        # core's delivery records alias these instead of rebuilding them.
-        self._sink_refs: dict[int, tuple[list, list, list]] = {}
-
         # Pre-drawn tie-break jitter: one generator call per 4096 draws
         # instead of one rng.random() per candidate scored.  Drawn lazily on
         # the first routing decision — the router's rng feeds nothing else,
@@ -334,10 +330,6 @@ class Router:
             self._in_ents[keys[v]] = ents[v]
 
         fifos = [vcs[v].fifo for v in range(self.num_vcs)]
-        # Shared with the SoA core's per-channel delivery record
-        # (repro.network.soa), which would otherwise rebuild all three
-        # lists per incoming channel — ~1.4 KB each, megabytes at scale.
-        self._sink_refs[port] = (fifos, keys, ents)
 
         def sink(item: tuple[int, Flit]) -> None:
             # InputUnit.receive inlined (per-flit hot path).
@@ -545,7 +537,7 @@ class Router:
                 pipe.append((ready, vc))
             if forward_hook is not None:
                 forward_hook(cycle, self, port, vc, out_port, out_vc, flit)
-            if flit.index == flit.packet.size - 1:  # tail flit
+            if flit.tail:
                 self.out_vc_owner[out_port][out_vc] = None
                 state.route = None
             if not fifo:
@@ -834,7 +826,7 @@ class Router:
         best_out_vc = -1
         best_w = best_j = 0.0
         for cand in cands:
-            out_vc = self._allocate_vc(cand.out_port, cand.vc_class, packet.pid)
+            out_vc = self._allocate_vc(cand.out_port, cand.vc_class)
             if out_vc is None:
                 if scored is not None:
                     scored.append((cand, None, None))
@@ -932,7 +924,7 @@ class Router:
                 revoked += 1
         return revoked
 
-    def _allocate_vc(self, out_port: int, vc_class: int, pid: int) -> int | None:
+    def _allocate_vc(self, out_port: int, vc_class: int) -> int | None:
         """Pick a free, credited VC in the class group; None when infeasible."""
         credits = self.credit_trackers[out_port].credits
         owner = self.out_vc_owner[out_port]
@@ -959,15 +951,13 @@ class Router:
                 f"{self.router_id}, which does not host it"
             )
         # Any free VC with credit; the ejection channel has no deadlock cycle.
-        best_vc = self._allocate_vc(out_port, 0, packet.pid)
+        best_vc = self._allocate_vc(out_port, 0)
         if best_vc is None and self.vc_map.num_classes > 1:
             for klass in range(1, self.vc_map.num_classes):
-                best_vc = self._allocate_vc(out_port, klass, packet.pid)
+                best_vc = self._allocate_vc(out_port, klass)
                 if best_vc is not None:
                     break
         if best_vc is None:
             return None
         self.out_vc_owner[out_port][best_vc] = packet.pid
-        if self.cfg.network.track_vc_trace and packet.vc_trace is not None:
-            pass  # ejection hop not part of the router-to-router VC trace
         return VcRoute(out_port, best_vc, packet.pid)

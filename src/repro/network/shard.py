@@ -1,11 +1,11 @@
 """Sharded multi-process simulation engine.
 
 Large HyperX instances (16x16x16 = 4096 routers, 64k terminals at 16
-terminals/router) are too much work for one Python process: even with the
-SoA datapath the per-cycle compute is serial.  This module partitions the
-routers of one simulation across worker processes — one *shard* each — and
-advances the shards in lock-stepped bounded-cycle chunks, exchanging the
-flits and credits that cross shard boundaries over pipes.
+terminals/router) are too much work for one Python process: the per-cycle
+compute is serial.  This module partitions the routers of one simulation
+across worker processes — one *shard* each — and advances the shards in
+lock-stepped bounded-cycle chunks, exchanging the flits and credits that
+cross shard boundaries over pipes.
 
 **Partitioning.**  :class:`ShardPlan` slices the topology along its widest
 dimension into contiguous coordinate blocks, one per shard; a shard owns
@@ -561,7 +561,7 @@ def merged_trace(reports: list) -> tuple[list, int]:
 def shard_fallback_reason(spec: "PointSpec") -> str | None:
     """Why this spec cannot run sharded, or None when it can.
 
-    Mirrors the SoA/skip ``fallback_reason`` convention: a non-None reason
+    Mirrors the ``skip_fallback_reason`` convention: a non-None reason
     routes the point to the single-process path, and results are identical
     either way — sharding only changes wall-clock and memory.
     """

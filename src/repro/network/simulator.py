@@ -34,14 +34,14 @@ pair has completed, so cross-component invariants (flit conservation,
 credit reconciliation) hold exactly.  An unregistered hook costs nothing —
 the run loop touches only the registered list.
 
-On top of the activity sets, both engines *compress* runs of inert cycles:
-when no terminal is active and every process can bound its next wakeup
-(:mod:`repro.network.skip`), the clock jumps straight to the earliest cycle
-at which anything can happen instead of iterating the gap.  Eligibility is
-re-checked per ``run()`` and recorded in ``skip_active`` /
-``skip_fallback_reason``, mirroring the SoA dispatch; results are
-byte-identical either way (the skip-on-vs-off oracle in ``repro.check``
-proves it), so compression is invisible except in wall-clock time.
+On top of the activity sets, the run loop *compresses* runs of inert
+cycles: when no terminal is active and every process can bound its next
+wakeup (:mod:`repro.network.skip`), the clock jumps straight to the
+earliest cycle at which anything can happen instead of iterating the gap.
+Eligibility is re-checked per ``run()`` and recorded in ``skip_active`` /
+``skip_fallback_reason``; results are byte-identical either way (the
+skip-on-vs-off oracle in ``repro.check`` proves it), so compression is
+invisible except in wall-clock time.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .skip import next_event_bound, skip_fallback_reason
-from .soa import SoACore, fallback_reason
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
@@ -63,21 +62,22 @@ _HORIZON = 1 << 62
 class Simulator:
     """Drives a :class:`~repro.network.network.Network` cycle by cycle."""
 
+    #: Vestigial constants: the struct-of-arrays twin engine was removed
+    #: (no end-to-end win, see docs/PERFORMANCE.md).  Kept only because the
+    #: frozen end-to-end harness (benchmarks/e2e) reads them; branch on
+    #: neither.
+    soa_active = False
+    soa_fallback_reason = "engine removed: the object datapath is the only one"
+
     def __init__(self, network: "Network"):
         self.network = network
         self.cycle = 0
         #: callables invoked at the start of every compute phase with
         #: ``(cycle)``; traffic generators and the application engine hook here
         self.processes: list[Callable[[int], None]] = []
-        # SoA dispatch state: the compiled core (built lazily on the first
-        # eligible run), which engine the last run() used, and — when the
-        # object path was taken — why (diagnostics / tests).
-        self._soa: SoACore | None = None
-        self.soa_active = False
-        self.soa_fallback_reason: str | None = None
-        # Cycle skip-ahead dispatch state (repro.network.skip), mirroring
-        # the SoA pair above: whether the last run() was allowed to
-        # compress inert cycles, and if not, why.
+        # Cycle skip-ahead dispatch state (repro.network.skip): whether
+        # the last run() was allowed to compress inert cycles, and if not,
+        # why (diagnostics / tests).
         self.skip_active = False
         self.skip_fallback_reason: str | None = None
 
@@ -105,34 +105,15 @@ class Simulator:
     def run(self, cycles: int) -> None:
         """Advance the simulation by ``cycles`` cycles.
 
-        Dispatches to the struct-of-arrays core (:mod:`repro.network.soa`)
-        when eligible — the default for plain runs — and otherwise takes
-        the object path below, the reference implementation.  Both engines
-        mutate the same shared state, so the choice may differ between
-        consecutive ``run()`` calls (e.g. a sanitizer attached mid-stream)
-        without affecting results; the soa-vs-object differential oracle
-        in repro.check certifies bit-identical behaviour.
-
-        Orthogonally, either engine may compress inert cycles
-        (:mod:`repro.network.skip`) when every registered process supports
-        it — checked per call the same way and recorded in
-        ``skip_active`` / ``skip_fallback_reason``.
+        Inert cycles are compressed (:mod:`repro.network.skip`) when
+        every registered process supports it — checked per call, so an
+        observer attached mid-stream takes effect on the next ``run()``,
+        and recorded in ``skip_active`` / ``skip_fallback_reason``.
         """
         skip_reason = skip_fallback_reason(self)
         skip = skip_reason is None
         self.skip_active = skip
         self.skip_fallback_reason = skip_reason
-        reason = fallback_reason(self)
-        if reason is None:
-            core = self._soa
-            if core is None:
-                core = self._soa = SoACore(self)
-            self.soa_active = True
-            self.soa_fallback_reason = None
-            core.run(cycles, skip)
-            return
-        self.soa_active = False
-        self.soa_fallback_reason = reason
         network = self.network
         active_channels = network._active_channels
         active_terminals = network._active_terminals

@@ -37,7 +37,6 @@ stepping:
   skipped over) so ``Network.quiescent`` flips on the same cycle under
   both modes.
 
-Eligibility mirrors the SoA pattern (:func:`repro.network.soa.fallback_reason`):
 :func:`skip_fallback_reason` is re-checked on every ``run()`` call, and any
 process not marked ``skip_safe`` — the runtime sanitizer, the application
 engine — routes the run through plain per-cycle stepping, with the reason

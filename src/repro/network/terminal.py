@@ -103,8 +103,6 @@ class Terminal:
         rx_live = self._rx_live
 
         fifos = [vcs[v].fifo for v in range(self.num_vcs)]
-        # Aliased by the SoA core's delivery record (repro.network.soa).
-        self._sink_fifos = fifos
 
         def sink(item: tuple[int, Flit]) -> None:
             # InputUnit.receive inlined (per-flit hot path).

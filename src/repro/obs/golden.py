@@ -14,6 +14,14 @@ The fault-capable successor algorithms (FTHX, VCFree) pin the *same*
 scenario on a statically degraded topology instead — two pinned link
 faults — so their fault-masking candidate paths are byte-pinned too.
 
+One further stream pins *mid-run* fault handling
+(``trace_midrun_fault_DimWAR.jsonl``): DimWAR on the pristine 4×4 with a
+:class:`~repro.faults.model.FaultSchedule` that degrades a loaded link,
+fails a second one mid-injection (route-cache invalidation and
+``Router.revoke_unstarted_routes``) and then restores the first — so the
+``min_gap`` output-stage path and the re-route after a failure are in the
+byte-compared stream.
+
 The same runs back the CLI (``python -m repro trace --golden DimWAR``,
 ``--golden FTHX``) and the CI trace smoke job.  Determinism rests on the simulator's seeded
 RNG streams (NumPy ``default_rng`` bit streams are stable) and on the
@@ -43,6 +51,11 @@ GOLDEN_ALGORITHMS = ("DOR", "DimWAR", "OmniWAR")
 #: the pristine corpus never exercises.
 GOLDEN_FAULT_ALGORITHMS = ("FTHX", "VCFree")
 
+#: Scenarios with a pinned *mid-run* fault stream
+#: (tests/golden/trace_<scenario>.jsonl): the pristine run of the named
+#: algorithm with ``GOLDEN_MIDRUN_EVENTS`` applied by a FaultInjector.
+GOLDEN_MIDRUN_FAULT_SCENARIOS = ("midrun_fault_DimWAR",)
+
 #: The pinned scenario (do not change without regenerating the corpus).
 GOLDEN_WIDTHS = (4, 4)
 GOLDEN_TPR = 1
@@ -57,6 +70,16 @@ GOLDEN_OPTIONS = TraceOptions(sample_every=4, capacity=1 << 16)
 GOLDEN_FAULT_LINKS = 2
 GOLDEN_FAULT_SEED = 1
 
+#: The mid-run corpus' pinned schedule as (cycle, kind, router, port,
+#: factor): both links carry sampled packets over cycles 60-160 of the
+#: pristine run; the degrade brackets the failure and is lifted (factor 1)
+#: while traffic is still being injected.
+GOLDEN_MIDRUN_EVENTS = (
+    (60, "degrade", 12, 0, 3),
+    (100, "link", 11, 3, None),
+    (130, "degrade", 12, 0, 1),
+)
+
 
 def golden_filename(algorithm: str) -> str:
     if algorithm in GOLDEN_FAULT_ALGORITHMS:
@@ -70,13 +93,18 @@ def golden_tracer(algorithm: str) -> Tracer:
 
     ``GOLDEN_ALGORITHMS`` run on the pristine 4x4; the fault-capable
     ``GOLDEN_FAULT_ALGORITHMS`` run the same traffic on the statically
-    degraded pinned topology.
+    degraded pinned topology; a ``GOLDEN_MIDRUN_FAULT_SCENARIOS`` name runs
+    its algorithm on the pristine 4x4 under ``GOLDEN_MIDRUN_EVENTS``.
     """
+    from ..faults.degraded import DegradedTopology
     from ..topology.hyperx import HyperX
 
     topo = HyperX(GOLDEN_WIDTHS, GOLDEN_TPR)
-    if algorithm in GOLDEN_FAULT_ALGORITHMS:
-        from ..faults.degraded import DegradedTopology
+    midrun = algorithm in GOLDEN_MIDRUN_FAULT_SCENARIOS
+    if midrun:
+        algorithm = algorithm.removeprefix("midrun_fault_")
+        topo = DegradedTopology(topo)
+    elif algorithm in GOLDEN_FAULT_ALGORITHMS:
         from ..faults.model import random_link_faults
 
         fset = random_link_faults(
@@ -86,10 +114,21 @@ def golden_tracer(algorithm: str) -> Tracer:
     elif algorithm not in GOLDEN_ALGORITHMS:
         raise ValueError(
             f"no golden scenario for {algorithm!r}; pick one of "
-            f"{', '.join(GOLDEN_ALGORITHMS + GOLDEN_FAULT_ALGORITHMS)}"
+            + ", ".join(
+                GOLDEN_ALGORITHMS
+                + GOLDEN_FAULT_ALGORITHMS
+                + GOLDEN_MIDRUN_FAULT_SCENARIOS
+            )
         )
     net = Network(topo, make_algorithm(algorithm, topo), default_config())
     sim = Simulator(net)
+    if midrun:
+        from ..faults.inject import FaultInjector
+        from ..faults.model import FaultEvent, FaultSchedule
+
+        sim.add_process(FaultInjector(net, FaultSchedule(
+            [FaultEvent(*ev) for ev in GOLDEN_MIDRUN_EVENTS]
+        )))
     traffic = SyntheticTraffic(
         net, pattern_by_name("UR", topo), GOLDEN_RATE, seed=GOLDEN_SEED
     )

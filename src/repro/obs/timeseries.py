@@ -110,8 +110,7 @@ class _SamplerProc:
 
     #: Compatible with cycle skip-ahead (repro.network.skip): windows close
     #: on exact boundaries because next_wakeup names the boundary cycle, so
-    #: the engine always lands on it.  Deliberately *not* soa_safe — a
-    #: sampled run keeps taking the reference object path, as before.
+    #: the engine always lands on it.
     skip_safe = True
 
     def __init__(self, sampler: "TimeSeriesSampler"):

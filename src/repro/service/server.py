@@ -54,6 +54,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: Buffered, so headers and body leave in ONE socket write (the flush
+    #: at the end of ``handle_one_request``): as two small segments on a
+    #: keep-alive connection, Nagle holds the second until the client's
+    #: delayed ACK — a ~40 ms stall per reply.  64 KiB holds any job
+    #: snapshot and every realistic result curve.
+    wbufsize = 1 << 16
 
     # -- plumbing ------------------------------------------------------
 

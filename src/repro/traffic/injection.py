@@ -55,9 +55,6 @@ class _ScanningTraffic:
     pre-scan code: its first block is drawn for its first observed cycle.
     """
 
-    #: Compatible with the SoA datapath (repro.network.soa): only calls
-    #: Terminal.offer(), which both engines handle identically.
-    soa_safe = True
     #: Compatible with cycle skip-ahead (repro.network.skip): next_wakeup
     #: bounds the next injection by scanning the Bernoulli stream forward.
     skip_safe = True

@@ -38,6 +38,7 @@ from repro.topology.hyperx import HyperX
 from repro.topology.torus import Torus
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
+from repro.traffic.sizes import UniformSize
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +376,26 @@ def test_degraded_bandwidth_schedule_sets_min_gap_and_drains():
     assert topo.faults.events_applied == 1
 
 
-def test_revoke_unstarted_routes_direct():
-    base = HyperX((2, 2), 1)
-    topo = DegradedTopology(base)
-    net = Network(topo, make_algorithm("DimWAR", topo), SimConfig())
-    r = net.routers[0]
-    # A committed-but-unstarted route: head flit still first in the FIFO.
-    pkt = Packet(0, 3, size=2, create_cycle=0)
+def _craft_unstarted_route(r, create_cycle=0):
+    """A committed-but-unstarted route on router ``r``: a 2-flit packet for
+    terminal 3 whose head is still first in input (0, 0), routed to output
+    (1, 0)."""
+    pkt = Packet(0, 3, size=2, create_cycle=create_cycle)
     pkt.hops = 1
     state = r.inputs[0].vcs[0]
     state.fifo.append(Flit(pkt, 0))
     state.fifo.append(Flit(pkt, 1))
     state.route = VcRoute(1, 0, pkt.pid)
     r.out_vc_owner[1][0] = pkt.pid
+    return pkt, state
+
+
+def test_revoke_unstarted_routes_direct():
+    base = HyperX((2, 2), 1)
+    topo = DegradedTopology(base)
+    net = Network(topo, make_algorithm("DimWAR", topo), SimConfig())
+    r = net.routers[0]
+    pkt, state = _craft_unstarted_route(r)
 
     assert r.revoke_unstarted_routes({1}) == 1
     assert state.route is None
@@ -404,6 +412,78 @@ def test_revoke_unstarted_routes_direct():
     assert r.revoke_unstarted_routes({1}) == 0
     assert state2.route is not None
     assert pkt2.hops == 1
+
+
+def test_revoked_route_recovers_credit_exact():
+    """A revoked route recovers through a live simulation, credit-exactly.
+
+    Route commit requires a free output VC with at least one credit, so the
+    head flit always forwards in the same pass and committed-but-unstarted
+    routes never persist to a cycle boundary on their own — like the direct
+    test above this crafts one by hand, then lets the run loop recover: the
+    re-woken input recomputes (the revoked VcRoute is gone, so nothing of
+    the dead wormhole can be reused), the packet delivers, and every credit
+    tracker returns to full depth."""
+    base = HyperX((2, 2), 1)
+    topo = DegradedTopology(base)
+    net = Network(topo, make_algorithm("DimWAR", topo), SimConfig())
+    sim = Simulator(net)
+    sim.run(20)
+    r = net.routers[0]
+    pkt, state = _craft_unstarted_route(r, create_cycle=sim.cycle)
+    # consume the upstream credits the crafted flits logically hold, so the
+    # credit returns emitted during recovery balance exactly
+    upstream = next(rec for rec in net.links if rec.downstream is r.inputs[0])
+    upstream.tracker.consume(0)
+    upstream.tracker.consume(0)
+
+    assert r.revoke_unstarted_routes({1}) == 1
+    assert state.route is None and r.out_vc_owner[1][0] is None
+    assert (0, 0) in r.active_input_keys()
+
+    dst = net.terminals[3]
+    before = dst.flits_ejected
+    sim.run(300)
+    assert dst.flits_ejected == before + 2
+    assert pkt.eject_cycle is not None
+    for rr in net.routers:
+        for tracker in rr.credit_trackers:
+            if tracker is not None:
+                assert tracker.consistent() and tracker.occupied_total == 0
+    assert upstream.tracker.occupied_total == 0
+
+
+def test_fault_revocation_credit_exact_after_drain():
+    """Mid-run failures and a degrade under load must leave no phantom
+    credits: after traffic stops and the (degraded but connected) network
+    drains, every tracker is back to full depth and internally consistent."""
+    topo = DegradedTopology(HyperX((4, 4), 1))
+    net = Network(topo, make_algorithm("OmniWAR", topo), SimConfig())
+    sim = Simulator(net)
+    traffic = SyntheticTraffic(
+        net, UniformRandom(topo.num_terminals), 0.35, UniformSize(1, 8), seed=1
+    )
+    sim.add_process(traffic)
+    events = [
+        FaultEvent(120, "link", 0, port=1),
+        FaultEvent(180, "degrade", 2, port=0, factor=6),
+        FaultEvent(250, "link", 4, port=2),
+    ]
+    sim.add_process(FaultInjector(net, FaultSchedule(events)))
+    sim.run(500)
+    assert topo.faults.events_applied == len(events)
+    traffic.stop()
+    assert sim.drain(max_cycles=100_000)
+    assert net.total_injected_flits() == net.total_ejected_flits()
+    assert net.flits_in_flight() == 0
+    for r in net.routers:
+        for tracker in r.credit_trackers:
+            if tracker is not None:
+                assert tracker.consistent()
+                assert tracker.occupied_total == 0
+    for t in net.terminals:
+        assert t.inject_credits.consistent()
+        assert t.inject_credits.occupied_total == 0
 
 
 # ---------------------------------------------------------------------------

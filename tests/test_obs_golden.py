@@ -6,7 +6,9 @@ stream of one tiny pinned run (4x4 HyperX, 1 terminal/router, UR at rate
 one routing algorithm.  The fault-capable successor algorithms (FTHX,
 VCFree) pin the same run on a statically degraded topology — two pinned
 link faults — as ``trace_fault_<name>.jsonl``, covering the fault-masking
-candidate paths the pristine corpus never takes.  The tests regenerate the same run from the current
+candidate paths the pristine corpus never takes; one more stream
+(``trace_midrun_fault_DimWAR.jsonl``) pins DimWAR through a mid-run
+degrade / link-failure / restore schedule.  The tests regenerate the same run from the current
 code and compare **bytes** — any change to routing order, rng consumption,
 event schema, or JSON canonicalization shows up as a diff against the
 pinned stream, which is exactly the point: the trace pins the simulator's
@@ -27,6 +29,7 @@ import pytest
 from repro.obs.golden import (
     GOLDEN_ALGORITHMS,
     GOLDEN_FAULT_ALGORITHMS,
+    GOLDEN_MIDRUN_FAULT_SCENARIOS,
     GOLDEN_OPTIONS,
     golden_filename,
     golden_jsonl,
@@ -34,8 +37,11 @@ from repro.obs.golden import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-#: every pinned stream: pristine baselines + faulted successor schemes
-ALL_GOLDEN = GOLDEN_ALGORITHMS + GOLDEN_FAULT_ALGORITHMS
+#: every pinned stream: pristine baselines, faulted successor schemes,
+#: and the mid-run fault schedule
+ALL_GOLDEN = (
+    GOLDEN_ALGORITHMS + GOLDEN_FAULT_ALGORITHMS + GOLDEN_MIDRUN_FAULT_SCENARIOS
+)
 
 
 def _pinned_path(algorithm):

@@ -61,7 +61,7 @@ def test_vc_allocation_prefers_most_credits():
     tracker.consume(0)
     tracker.consume(0)
     tracker.consume(1)
-    vc = r0._allocate_vc(port, 0, pid=1)
+    vc = r0._allocate_vc(port, 0)
     group = net.vc_map.vcs_of(0)
     assert vc in group
     assert tracker.available(vc) == max(tracker.available(v) for v in group)
@@ -74,12 +74,12 @@ def test_vc_allocation_skips_busy_and_uncredited():
     group = net.vc_map.vcs_of(0)
     for v in group:
         r0.out_vc_owner[port][v] = 999  # all busy
-    assert r0._allocate_vc(port, 0, pid=1) is None
+    assert r0._allocate_vc(port, 0) is None
     r0.out_vc_owner[port][group[0]] = None
     tracker = r0.credit_trackers[port]
     for _ in range(tracker.available(group[0])):
         tracker.consume(group[0])  # free but no credits
-    assert r0._allocate_vc(port, 0, pid=1) is None
+    assert r0._allocate_vc(port, 0) is None
 
 
 def test_ejection_uses_terminal_port():

@@ -8,7 +8,10 @@ contract (400/404/409/413/429/503), per-client rate limiting, the bounded
 queue, cancellation, and the memo-warm restart path.
 """
 
+import http.client
+import io
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -17,6 +20,7 @@ import pytest
 
 from repro.analysis.sweep import sweep_load
 from repro.service import ExperimentService, RateLimiter, TokenBucket
+from repro.service.server import ServiceHandler
 from repro.service.spec import build_request, build_scenario, request_key
 
 BASE_REQ = {"widths": [2, 2], "rates": [0.1, 0.2], "total_cycles": 400,
@@ -123,6 +127,72 @@ def test_resubmission_is_a_pure_cache_hit(tmp_path):
 
         _, _, stats = _call(svc, "GET", "/stats")
         assert json.loads(stats)["jobs_deduped"] == 1
+    finally:
+        svc.shutdown()
+
+
+class _CountingSocket:
+    """Server-side connection proxy recording every write that reaches the
+    socket, whether from the handler's unbuffered writer (``sendall``) or
+    a buffered ``makefile`` writer (``send``)."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self._writes = writes
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def send(self, data, *flags):
+        self._writes.append(len(data))
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *flags)
+
+    def makefile(self, mode="r", buffering=None, **kw):
+        if "w" not in mode:
+            return self._sock.makefile(mode, buffering, **kw)
+        return io.BufferedWriter(socket.SocketIO(self, "w"), buffering)
+
+
+def test_warm_replies_reach_the_socket_as_one_write(tmp_path, monkeypatch):
+    """Headers and body of a keep-alive reply leave in a single socket
+    write: two small segments make Nagle hold the second until the
+    client's delayed ACK (~40 ms per warm poll)."""
+    writes = []
+    connections = []
+    real_setup = ServiceHandler.setup
+
+    def setup(handler):
+        connections.append(handler.client_address)
+        handler.request = _CountingSocket(handler.request, writes)
+        real_setup(handler)
+
+    monkeypatch.setattr(ServiceHandler, "setup", setup)
+    svc = _service(tmp_path, workers=1).start()
+    try:
+        status, _, body = _call(svc, "POST", "/jobs", BASE_REQ)
+        assert status == 202
+        job_id = json.loads(body)["job_id"]
+        _wait_done(svc, job_id)
+        conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=60)
+        accepted = len(connections)
+        try:
+            for _ in range(12):
+                before = len(writes)
+                conn.request("GET", f"/jobs/{job_id}")
+                resp = conn.getresponse()
+                payload = resp.read()
+                assert resp.status == 200
+                assert json.loads(payload)["state"] == "done"
+                # the reply is fully read, so its writes are all recorded
+                assert len(writes) - before == 1
+                assert writes[-1] > len(payload)  # headers + body together
+            assert len(connections) == accepted + 1  # one keep-alive socket
+        finally:
+            conn.close()
     finally:
         svc.shutdown()
 

@@ -166,7 +166,7 @@ def test_sanitizer_falls_back():
 
 def test_fallback_rechecked_per_run():
     """Attaching/detaching an incompatible process flips the mode between
-    run() calls, exactly like the SoA dispatch."""
+    run() calls."""
     sim = _build()
     sim.run(10)
     assert sim.skip_active
@@ -179,7 +179,7 @@ def test_fallback_rechecked_per_run():
 
 
 def test_tracer_hooks_do_not_force_skip_fallback():
-    """The tracer attaches router hooks (SoA falls back) but registers no
+    """The tracer attaches router hooks but registers no
     process, so compressed runs keep ticking it — proven byte-identical by
     test_golden_trace_identical_under_skip below."""
     from repro.obs import TraceOptions
@@ -188,8 +188,7 @@ def test_tracer_hooks_do_not_force_skip_fallback():
     sim = _build()
     Tracer(sim, TraceOptions(sample_every=1)).attach()
     sim.run(50)
-    assert not sim.soa_active  # hooks force the object path ...
-    assert sim.skip_active  # ... but compression stays eligible
+    assert sim.skip_active  # hooks leave compression eligible
 
 
 # ---------------------------------------------------------------------------
