@@ -10,8 +10,8 @@ and cost nothing when not attached.  Two halves:
   on a configurable cycle cadence (see :mod:`repro.check.sanitizer`);
 * the differential oracles (:mod:`repro.check.oracle`) — replay one spec
   through independently-optimised execution paths (serial vs parallel
-  workers, route cache on vs off, pristine topology vs empty fault set) and
-  assert byte-identical results.
+  workers, compressed vs per-cycle stepping, pristine topology vs empty
+  fault set) and assert byte-identical results.
 
 ``python -m repro check`` runs the package self-test
 (:func:`repro.check.selftest.run_selftest`), which includes *mutation
@@ -22,7 +22,6 @@ catch — the checkers are themselves tested, not just trusted.
 
 from .oracle import (
     OracleReport,
-    diff_cache_on_off,
     diff_pristine_empty_faultset,
     diff_serial_parallel,
     run_all_oracles,
@@ -35,7 +34,6 @@ __all__ = [
     "SanitizerError",
     "OracleReport",
     "diff_serial_parallel",
-    "diff_cache_on_off",
     "diff_pristine_empty_faultset",
     "run_all_oracles",
     "run_selftest",

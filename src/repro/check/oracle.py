@@ -2,9 +2,8 @@
 
 The simulator has independently-optimised execution paths that must not be
 able to change results: the parallel sweep engine (worker processes rebuild
-every object from a picklable spec), the per-router route cache (memoised
-candidate lists for stateless algorithms), the router's scoring kernel (the
-batched fast weight pass vs the reference scoring loop), the sharded
+every object from a picklable spec), cycle skip-ahead (compressed vs
+per-cycle stepping, :mod:`repro.network.skip`), the sharded
 multi-process engine (:mod:`repro.network.shard` — router slices in forked
 workers, exchanged boundary flits/credits), and the fault
 layer's :class:`~repro.faults.degraded.DegradedTopology` wrapper (which,
@@ -23,8 +22,8 @@ self-test can tabulate all of them; ``report.ok`` is the verdict and
 
 Example::
 
-    >>> from repro.check.oracle import diff_cache_on_off
-    >>> diff_cache_on_off(widths=(2, 2), rates=(0.1,), total_cycles=300).ok
+    >>> from repro.check.oracle import diff_skip_on_off
+    >>> diff_skip_on_off(widths=(2, 2), rates=(0.1,), total_cycles=300).ok
     True
 """
 
@@ -34,7 +33,6 @@ import json
 from dataclasses import dataclass
 
 from ..analysis.sweep import SweepResult, sweep_load
-from ..config import RouterConfig, SimConfig, default_config
 from ..core.registry import make_algorithm
 from ..faults.degraded import DegradedTopology
 from ..faults.model import FaultSet
@@ -122,69 +120,6 @@ def diff_serial_parallel(
     return compare_sweeps(f"serial-vs-parallel{suffix}", serial, parallel)
 
 
-def diff_cache_on_off(
-    widths=(4, 4),
-    terminals_per_router: int = 1,
-    algorithm: str = "DOR",
-    pattern: str = "UR",
-    rates=(0.1, 0.3),
-    total_cycles: int = 1000,
-    seed: int = 1,
-) -> OracleReport:
-    """Route cache enabled vs disabled, byte-identical.
-
-    The memoised candidate lists (``RouterConfig.route_cache``) are a pure
-    optimisation; this oracle is the proof.  Uses a cacheable algorithm —
-    one whose ``cache_key`` is non-None — or the comparison is vacuous.
-    """
-    cfg_on = default_config()
-    cfg_off = SimConfig(router=RouterConfig(route_cache=False)).validated()
-    t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    on = sweep_load(
-        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_on
-    )
-    t2, a2, p2 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    off = sweep_load(
-        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_off
-    )
-    return compare_sweeps("cache-on-vs-off", on, off)
-
-
-def diff_kernel_on_off(
-    widths=(4, 4),
-    terminals_per_router: int = 1,
-    algorithm: str = "OmniWAR",
-    pattern: str = "UR",
-    rates=(0.1, 0.3),
-    total_cycles: int = 1000,
-    seed: int = 1,
-) -> OracleReport:
-    """Scoring kernel enabled vs the reference scoring loop, byte-identical.
-
-    The router's fast scoring path (``RouterConfig.scoring_kernel``) batches
-    per-candidate congestion reads over the cached candidate skeleton; the
-    reference path is the straightforward ``_allocate_vc`` /
-    ``port_congestion`` / ``route_weight`` call chain.  They must agree on
-    every routing decision — same VC allocation, bit-identical float
-    weights (the kernel keeps the reference's integer denominator and
-    operation order), same tie-break jitter consumption — or downstream
-    event order diverges and this comparison catches it.  Uses an adaptive
-    multi-candidate algorithm so the weight comparison actually
-    discriminates (DOR's single candidate would make it near-vacuous).
-    """
-    cfg_on = default_config()
-    cfg_off = SimConfig(router=RouterConfig(scoring_kernel=False)).validated()
-    t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    on = sweep_load(
-        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_on
-    )
-    t2, a2, p2 = _fresh(widths, terminals_per_router, algorithm, pattern)
-    off = sweep_load(
-        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_off
-    )
-    return compare_sweeps("kernel-on-vs-off", on, off)
-
-
 def diff_skip_on_off(
     widths=(4, 4),
     terminals_per_router: int = 1,
@@ -194,29 +129,32 @@ def diff_skip_on_off(
     total_cycles: int = 1000,
     seed: int = 1,
 ) -> OracleReport:
-    """Cycle skip-ahead enabled vs per-cycle stepping, byte-identical.
+    """Compressed stepping vs per-cycle, invariant-audited stepping,
+    byte-identical.
 
-    The event-compressing engine (``RouterConfig.cycle_skip``,
-    :mod:`repro.network.skip`) advances the clock past provably inert
-    cycles instead of executing them, and the traffic processes scan their
-    Bernoulli streams ahead to bound their next injection.  Nothing about
-    the measured sweep may move: the scan must consume the RNG in exact
-    per-cycle order, every fault event and sampler window boundary must
-    land on its scheduled cycle, and every skipped cycle must truly have
-    been inert — any violation shifts injections or deliveries and this
-    comparison catches it.  The low rate point matters most here: sparser
-    traffic means longer inert gaps, so the compressed path does real
-    jumping while the loaded point exercises the veto rules.
+    The event-compressing engine (:mod:`repro.network.skip`) advances the
+    clock past provably inert cycles instead of executing them, and the
+    traffic processes scan their Bernoulli streams ahead to bound their
+    next injection.  No switch turns that off; the per-cycle arm is the
+    same sweep with ``check=True``, because the sanitizer is a process
+    without ``skip_safe`` and so forces every cycle to execute (and audits
+    each window while it is there).  Nothing about the measured sweep may
+    move: the scan must consume the RNG in exact per-cycle order, every
+    fault event and sampler window boundary must land on its scheduled
+    cycle, and every skipped cycle must truly have been inert — any
+    violation shifts injections or deliveries and this comparison catches
+    it.  The low rate point matters most here: sparser traffic means
+    longer inert gaps, so the compressed path does real jumping while the
+    loaded point exercises the veto rules.
     """
-    cfg_on = default_config()
-    cfg_off = SimConfig(router=RouterConfig(cycle_skip=False)).validated()
     t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern)
     on = sweep_load(
-        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_on
+        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed
     )
     t2, a2, p2 = _fresh(widths, terminals_per_router, algorithm, pattern)
     off = sweep_load(
-        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed, cfg=cfg_off
+        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed,
+        check=True,
     )
     return compare_sweeps("skip-on-vs-off", on, off)
 
@@ -450,8 +388,6 @@ def run_all_oracles(
             widths=widths, rates=rates, total_cycles=total_cycles,
             workers=workers, faults=faults,
         ),
-        diff_cache_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
-        diff_kernel_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_skip_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_pristine_empty_faultset(
             widths=widths, rates=rates, total_cycles=total_cycles

@@ -35,24 +35,6 @@ class RouterConfig:
     #: Architecturally infeasible in high-radix routers — the paper (and our
     #: default) evaluates without it; enabling it is an ablation.
     sequential_allocation: bool = False
-    #: Memoise per-router candidate lists for stateless algorithms.  Purely
-    #: an optimisation — results must be identical either way, which the
-    #: repro.check differential oracle verifies by replaying runs with this
-    #: switched off.
-    route_cache: bool = True
-    #: Score cached candidate skeletons with the router's inlined weight
-    #: kernel instead of the reference _allocate_vc/congestion/route_weight
-    #: call chain.  Purely an optimisation — byte-identical results, verified
-    #: by the repro.check kernel-on/off differential oracle.
-    scoring_kernel: bool = True
-    #: Compress runs of quiescent cycles: when no terminal is active, jump
-    #: the clock straight to the earliest cycle at which anything can happen
-    #: (:mod:`repro.network.skip`).  Purely an optimisation — byte-identical
-    #: results, verified by the repro.check skip-on/off differential oracle.
-    #: Runs with a process that must observe every cycle (anything not
-    #: marked ``skip_safe``, e.g. the sanitizer) fall back to per-cycle
-    #: stepping automatically regardless of this flag.
-    cycle_skip: bool = True
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.base import NoRouteError, RouteCandidate, RouteContext
-from ..core.weights import get_estimator, route_weight
+from ..core.weights import get_estimator
 from .buffers import CreditTracker, InputUnit, VcRoute
 from .channel import Channel
 from .types import Flit
@@ -195,22 +195,18 @@ class Router:
         # congestion x precomputed-hops without re-deriving any of it.
         # Bounded so paper-scale runs stay bounded; on overflow the oldest
         # key is evicted in insertion (clock) order, O(1) and with zero
-        # bookkeeping on the hit path.  A cap of 0 (cfg.router.route_cache
-        # = False) disables memoisation entirely — the differential oracle
-        # in repro.check replays runs cache-on vs cache-off and asserts
-        # identical results.
+        # bookkeeping on the hit path.  Algorithms whose cache_key is None
+        # build a throwaway skeleton per decision and touch neither the
+        # cache nor its counters.
         self._route_cache: dict = {}
-        self._route_cache_cap = 8192 if rc.route_cache else 0
+        self._route_cache_cap = 8192
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self.route_cache_evictions = 0
 
-        # Scoring fast path (cfg.router.scoring_kernel): score cached
-        # skeletons with an inlined weight pass instead of the reference
-        # _allocate_vc/port_congestion/route_weight call chain.  Both paths
-        # are algebraically identical; `python -m repro check` proves them
-        # byte-identical by replaying sweeps kernel-on vs kernel-off.
-        self._scoring_kernel = rc.scoring_kernel
+        # Scoring-loop hoists (see _choose): the default credit_queue
+        # estimator is inlined, keeping its integer (group * depth)
+        # denominator so the float matches the estimator call bit-for-bit.
         self._est_inline = rc.congestion_mode == "credit_queue"
         self._port_denom = self.num_vcs * rc.buffer_depth
 
@@ -669,21 +665,12 @@ class Router:
             from_terminal=from_terminal,
         )
         algorithm = self.algorithm
+        # A None key (stateful algorithm) is never stored, so it always
+        # misses: those algorithms score a fresh, un-memoised skeleton.
         ck = algorithm.cache_key(ctx, dest_router)
-        if ck is None:
-            # Stateful (uncacheable) algorithm: no skeleton to amortise, so
-            # score straight off the candidate list with the reference loop.
-            cands = algorithm.candidates(ctx)
-            if not cands:
-                raise NoRouteError(
-                    f"{algorithm.name} returned no candidates at router "
-                    f"{self.router_id} for packet {packet.pid}"
-                )
-            return self._choose_reference(cycle, port, vc, ctx, cands)
         cache = self._route_cache
         skel = cache.get(ck)
         if skel is None:
-            self.route_cache_misses += 1
             cands = algorithm.candidates(ctx)
             if not cands:
                 raise NoRouteError(
@@ -691,23 +678,23 @@ class Router:
                     f"{self.router_id} for packet {packet.pid}"
                 )
             skel = self._build_skeleton(cands)
-            if self._route_cache_cap:
+            if ck is not None:
+                self.route_cache_misses += 1
                 if len(cache) >= self._route_cache_cap:
                     del cache[next(iter(cache))]
                     self.route_cache_evictions += 1
                 cache[ck] = skel
         else:
             self.route_cache_hits += 1
-        if self._scoring_kernel:
-            return self._choose_fast(cycle, port, vc, ctx, skel)
-        return self._choose_reference(cycle, port, vc, ctx, [e[0] for e in skel])
+        return self._choose(cycle, port, vc, ctx, skel)
 
     def _build_skeleton(self, cands: list[RouteCandidate]) -> list[tuple]:
         """Pre-resolve everything the scoring loop reads per candidate.
 
-        Built once per cache fill; the referenced trackers / owner lists /
-        staged queues are the router's own long-lived mutable objects, so a
-        cached skeleton always observes current congestion state.
+        Built once per cache fill (once per decision for an algorithm with
+        no cache key); the referenced trackers / owner lists / staged queues
+        are the router's own long-lived mutable objects, so a cached
+        skeleton always observes current congestion state.
         """
         vcs_of = self._vcs_of
         trackers = self.credit_trackers
@@ -726,16 +713,20 @@ class Router:
             for c in cands
         ]
 
-    def _choose_fast(self, cycle: int, port: int, vc: int, ctx: RouteContext,
-                     skel: list[tuple]) -> VcRoute | None:
-        """Scoring kernel: one batched weight pass over a skeleton.
+    def _choose(self, cycle: int, port: int, vc: int, ctx: RouteContext,
+                skel: list[tuple]) -> VcRoute | None:
+        """The scoring loop: weight every feasible candidate of a skeleton
+        and commit the minimum (Sec 5.1 step 3, Sec 5.2 step 4).
 
-        Algebraically identical to _choose_reference — same VC allocation
-        scan, the same (occ + stg) / (group * depth) congestion estimate
-        with the same integer denominator (so the floats match bit-for-bit),
-        the same (congestion + bias) * hops weight, and the same jitter
-        consumption (one draw per *feasible* candidate) — with every
-        attribute chain and function call hoisted out of the loop.
+        Per candidate this is :meth:`_allocate_vc`, then
+        :meth:`port_congestion` / :meth:`class_congestion`, then
+        :func:`repro.core.weights.route_weight`, with every attribute chain
+        and call hoisted out of the loop: the same VC scan, the same
+        (occ + stg) / (group * depth) estimate with the same integer
+        denominator, the same (congestion + 1.0) * hops weight, one jitter
+        draw per *feasible* candidate.  The reference model in the test
+        tree re-scores every decision through those methods and demands
+        bit-equal weights, so keep the two in step.
         """
         port_scope = self._port_scope
         seq = self._sequential
@@ -802,79 +793,27 @@ class Router:
         self._jitter_idx = jidx
         if best_cand is None:
             return None
-        return self._commit_choice(cycle, port, vc, ctx, best_cand,
-                                   best_out_vc, scored)
-
-    def _choose_reference(self, cycle: int, port: int, vc: int,
-                          ctx: RouteContext,
-                          cands: list[RouteCandidate]) -> VcRoute | None:
-        """Reference scoring loop (scoring_kernel = False and uncacheable
-        algorithms): the straightforward _allocate_vc / port_congestion /
-        route_weight call chain the kernel is checked against."""
+        # Commit: algorithm state, VC ownership, telemetry, observers.
         packet = ctx.packet
-        port_scope = self._port_scope
-        jitter = self._jitter
-        if jitter is None:
-            jitter = self._jitter = self.rng.random(4096).tolist()
-        jidx = self._jitter_idx
-        hook = self._route_hook
-        # Candidate record for observers, built only when a hook is attached
-        # so the tracer never re-runs candidates()/scoring (which would
-        # perturb fault counters and the jitter stream).
-        scored: list | None = [] if hook is not None else None
-        best_cand: RouteCandidate | None = None
-        best_out_vc = -1
-        best_w = best_j = 0.0
-        for cand in cands:
-            out_vc = self._allocate_vc(cand.out_port, cand.vc_class)
-            if out_vc is None:
-                if scored is not None:
-                    scored.append((cand, None, None))
-                continue
-            if port_scope:
-                congestion = self.port_congestion(cand.out_port)
-            else:
-                congestion = self.class_congestion(cand.out_port, cand.vc_class)
-            w = route_weight(congestion, cand.hops)
-            j = jitter[jidx]
-            jidx = (jidx + 1) & 4095
-            if scored is not None:
-                scored.append((cand, out_vc, w))
-            if best_cand is None or w < best_w or (w == best_w and j < best_j):
-                best_cand = cand
-                best_out_vc = out_vc
-                best_w = w
-                best_j = j
-        self._jitter_idx = jidx
-        if best_cand is None:
-            return None
-        return self._commit_choice(cycle, port, vc, ctx, best_cand,
-                                   best_out_vc, scored)
-
-    def _commit_choice(self, cycle: int, port: int, vc: int,
-                       ctx: RouteContext, cand: RouteCandidate, out_vc: int,
-                       scored: list | None) -> VcRoute:
-        """Shared dispatch tail: commit, ownership, telemetry, hooks."""
-        packet = ctx.packet
-        self.algorithm.commit(ctx, cand)
-        self.out_vc_owner[cand.out_port][out_vc] = packet.pid
-        if self._sequential:
-            if self._pending_commit[cand.out_port] == 0:
-                self._commit_touched.append(cand.out_port)
-            self._pending_commit[cand.out_port] += packet.size
+        out_port = best_cand.out_port
+        self.algorithm.commit(ctx, best_cand)
+        self.out_vc_owner[out_port][best_out_vc] = packet.pid
+        if seq:
+            if pending[out_port] == 0:
+                self._commit_touched.append(out_port)
+            pending[out_port] += packet.size
         packet.hops += 1
-        if cand.deroute:
+        if best_cand.deroute:
             packet.deroutes += 1
         if self._track_vc_trace:
             if packet.vc_trace is None:
                 packet.vc_trace = []
                 packet.port_trace = []
-            packet.vc_trace.append(out_vc)
-            packet.port_trace.append(cand.out_port)
-        hook = self._route_hook
+            packet.vc_trace.append(best_out_vc)
+            packet.port_trace.append(out_port)
         if hook is not None:
-            hook(cycle, self, port, vc, ctx, cand, out_vc, scored)
-        return VcRoute(cand.out_port, out_vc, packet.pid, cand.deroute)
+            hook(cycle, self, port, vc, ctx, best_cand, best_out_vc, scored)
+        return VcRoute(out_port, best_out_vc, packet.pid, best_cand.deroute)
 
     def revoke_unstarted_routes(self, ports: set[int]) -> int:
         """Un-commit routes through ``ports`` whose wormhole has not started.

@@ -38,7 +38,8 @@ On top of the activity sets, the run loop *compresses* runs of inert
 cycles: when no terminal is active and every process can bound its next
 wakeup (:mod:`repro.network.skip`), the clock jumps straight to the
 earliest cycle at which anything can happen instead of iterating the gap.
-Eligibility is re-checked per ``run()`` and recorded in ``skip_active`` /
+Eligibility is decided by the registered processes alone (no configuration
+switch), re-checked per ``run()`` and recorded in ``skip_active`` /
 ``skip_fallback_reason``; results are byte-identical either way (the
 skip-on-vs-off oracle in ``repro.check`` proves it), so compression is
 invisible except in wall-clock time.
@@ -191,11 +192,10 @@ class Simulator:
         simulation can change state, or None when no bound is computable.
 
         Computed from simulator state and the process ``next_wakeup``
-        protocol alone — deliberately independent of the
-        ``RouterConfig.cycle_skip`` flag, so event-aware stepping (see
-        :meth:`run_until`) visits identical cycle boundaries whether or
-        not the engine is allowed to compress, which is what the
-        skip-on-vs-off differential oracle relies on.
+        protocol alone — deliberately independent of ``skip_safe``, so
+        event-aware stepping (see :meth:`run_until`) visits identical
+        cycle boundaries whether or not ``run()`` may compress, which is
+        what the skip-on-vs-off differential oracle relies on.
 
         None means either "unknown" (a registered process does not expose
         ``next_wakeup``) or "nothing scheduled" (a fully idle simulation);
@@ -245,8 +245,8 @@ class Simulator:
         128
 
         The evaluation schedule depends only on simulator state, never on
-        whether compression is enabled, so runs are byte-identical with
-        ``cycle_skip`` on or off.
+        whether ``run()`` compresses, so runs are byte-identical under
+        compressed and per-cycle stepping.
         """
         deadline = self.cycle + max_cycles
         if max_cycles <= 0:

@@ -40,9 +40,10 @@ stepping:
 :func:`skip_fallback_reason` is re-checked on every ``run()`` call, and any
 process not marked ``skip_safe`` — the runtime sanitizer, the application
 engine — routes the run through plain per-cycle stepping, with the reason
-recorded in ``Simulator.skip_fallback_reason``.  The ``skip-on-vs-off``
-differential oracle in ``python -m repro check`` replays a sweep under both
-modes and demands byte-identical curves.
+recorded in ``Simulator.skip_fallback_reason``.  Nothing else selects the
+stepping: there is no configuration switch.  The ``skip-on-vs-off``
+differential oracle in ``python -m repro check`` replays a sweep plain
+(compressed) and sanitized (per-cycle) and demands byte-identical curves.
 """
 
 from __future__ import annotations
@@ -58,20 +59,31 @@ def skip_fallback_reason(sim: "Simulator") -> str | None:
     """Why this ``run()`` call must step every cycle; None when skip-ahead
     applies.
 
-    Checked per ``run()`` call (one flag read plus one scan over the
-    registered processes) so observers attached or detached between runs
-    take effect immediately.  A process opts in by exposing
-    ``skip_safe = True`` *and* implementing ``next_wakeup`` — the bundled
-    traffic generators, the fault injector, and the time-series sampler
-    do; the runtime sanitizer deliberately does not, which keeps checked
-    runs on the per-cycle reference path the oracle compares against.
+    Checked per ``run()`` call (one scan over the registered processes) so
+    observers attached or detached between runs take effect immediately.
+    A process opts in by exposing ``skip_safe = True`` *and* implementing
+    ``next_wakeup`` — the bundled traffic generators, the fault injector,
+    and the time-series sampler do; the runtime sanitizer deliberately does
+    not, which keeps checked runs on per-cycle stepping, the arm the
+    skip oracle compares against.  The marker without the method is a
+    named fallback, not an ``AttributeError`` from :func:`next_event_bound`
+    in the middle of the run.
     """
-    if not sim.network.cfg.router.cycle_skip:
-        return "RouterConfig.cycle_skip is off"
     for proc in sim.processes:
         if not getattr(proc, "skip_safe", False):
-            return f"process {type(proc).__name__} is not marked skip_safe"
+            return f"process {_name(proc)} is not marked skip_safe"
+        if not callable(getattr(proc, "next_wakeup", None)):
+            return (
+                f"process {_name(proc)} is marked skip_safe but has no "
+                "next_wakeup()"
+            )
     return None
+
+
+def _name(proc) -> str:
+    """Functions, lambdas and bound methods carry a ``__qualname__``;
+    callable instances are named by their class."""
+    return getattr(proc, "__qualname__", type(proc).__name__)
 
 
 def next_event_bound(

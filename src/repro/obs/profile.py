@@ -4,7 +4,10 @@
 link delivery, registered processes, terminal inject/eject, and within the
 router step: route computation, VC allocation, and switch allocation /
 output arbitration (the remainder of the router step is reported as
-``router_other``: input bookkeeping and crossbar staging).
+``router_other``: input bookkeeping and crossbar staging).  ``vc_alloc``
+times ``Router._allocate_vc``, i.e. ejection-port VC allocation only: the
+per-candidate VC scan of a routing decision is inlined in the router's
+scoring loop and lands in ``route``, for every algorithm.
 
 It works by (a) running its own copy of the two-phase cycle loop with
 ``perf_counter`` brackets around each phase, and (b) temporarily shadowing

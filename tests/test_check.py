@@ -18,6 +18,7 @@ from repro.check import Sanitizer, SanitizerError
 from repro.check.oracle import (
     compare_sweeps,
     diff_pristine_empty_faultset,
+    diff_skip_on_off,
 )
 from repro.check.selftest import CANARIES, _build_sim
 from repro.config import default_config
@@ -167,6 +168,24 @@ def test_pristine_empty_oracle_small():
         widths=(2, 2), rates=(0.1,), total_cycles=300
     )
     assert report.ok, report.detail
+
+
+def test_skip_oracle_arms_take_different_steppings(monkeypatch):
+    """No flag selects the stepping any more, so pin that the oracle's two
+    arms really differ: plain sweep compressed, check=True sweep per-cycle.
+    Were the sanitizer ever marked skip_safe the oracle would go vacuous."""
+    steppings = []
+    run = Simulator.run
+
+    def recording_run(self, cycles):
+        run(self, cycles)
+        steppings.append(self.skip_active)
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    report = diff_skip_on_off(widths=(2, 2), rates=(0.05,), total_cycles=300)
+    assert report.ok, report.detail
+    # measure_point calls run() twice per point; one point per arm.
+    assert steppings == [True, True, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,31 @@
-"""Tests for the router's scoring fast path and the route-cache eviction.
+"""Reference-model test for the router's scoring loop, plus route-cache
+eviction and telemetry.
 
-The scoring kernel (``RouterConfig.scoring_kernel``) re-implements the
-reference ``_allocate_vc`` / ``port_congestion`` / ``route_weight`` chain as
-one batched pass over the cached candidate skeleton.  It is only allowed to
-exist because it is *provably* identical: the property test here replays
-loaded simulations kernel-on vs kernel-off across the HyperX algorithms and
-random router states, and demands the full per-decision record — chosen
-candidate, allocated VC, and the bit-exact float weight of every candidate
-scored — match between the two paths.  (The ``repro.check`` oracle then
-proves the end-to-end sweep JSON identical; this test localises a future
-divergence to the exact routing decision.)
+``Router._choose`` is the one loop every routing decision goes through.  It
+inlines, per candidate, what the router's public surface spells out:
+``_allocate_vc`` picks the output VC, ``port_congestion`` /
+``class_congestion`` (the ``RouterView`` protocol) estimate congestion, and
+``repro.core.weights.route_weight`` turns that into the paper's
+``congestion x hopcount`` weight; ties break on a pre-drawn jitter stream.
+:class:`ReferenceModel` below re-scores **every** decision of a loaded run
+through exactly those calls, from its own copy of each router's jitter
+stream, and demands the record the route hook delivers — chosen candidate,
+allocated VC, and the bit-exact float weight of every candidate — match.
+A divergence is localised to the routing decision that produced it.
 
 The route cache's clock eviction is tested the same way: a capacity small
 enough to thrash must bound the cache, count its evictions, and change
 nothing about simulation results.
 """
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig, SimConfig
 from repro.core.registry import make_algorithm
+from repro.core.weights import estimator_modes, route_weight
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.telemetry import TelemetryProbe
@@ -28,96 +33,126 @@ from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
 
-#: HyperX algorithms with a non-None ``cache_key`` — the ones the skeleton
-#: cache (and therefore the scoring kernel) applies to.
+#: HyperX algorithms with a non-None ``cache_key`` (memoised skeletons) ...
 CACHEABLE_ALGOS = ["DOR", "MIN-AD", "DimWAR", "OmniWAR"]
+#: ... and those without one (a fresh skeleton per decision).
+STATEFUL_ALGOS = ["VAL", "UGAL", "UGAL+", "ROMM", "O1Turn"]
 
 
-def _decision_stream(algo_name, widths, tpr, rate, seed, cycles, kernel):
-    """Run a loaded sim and record every routing decision via the route
-    hook: (cycle, router, input, packet, chosen candidate, out VC, and the
-    (candidate, vc, weight) list of everything scored)."""
-    cfg = SimConfig(router=RouterConfig(scoring_kernel=kernel)).validated()
+class ReferenceModel:
+    """Route hook that re-derives each decision from the RouterView surface.
+
+    Attach before the first cycle: the tie-break jitter is replayed from a
+    copy of each router's generator (one block of 4096 draws, consumed one
+    per *feasible* candidate, wrapping), so the model must see every
+    decision a router makes.
+    """
+
+    def __init__(self, net):
+        self.decisions = 0
+        self.contested = 0  # decisions with >= 2 distinct feasible weights
+        self._jitter = {}
+        self._jidx = {}
+        for r in net.routers:
+            self._jitter[r.router_id] = copy.deepcopy(r.rng).random(4096).tolist()
+            self._jidx[r.router_id] = 0
+            r.add_route_hook(self)
+
+    def __call__(self, cycle, router, in_port, in_vc, ctx, cand, out_vc, scored):
+        rc = router.cfg.router
+        packet = ctx.packet
+        # The hook fires after the commit; rewind its two effects on what
+        # the scorer reads (VC ownership, sequential-allocation pending
+        # flits) so the model sees the state the decision was made in.
+        owner = router.out_vc_owner[cand.out_port]
+        assert owner[out_vc] == packet.pid
+        owner[out_vc] = None
+        if rc.sequential_allocation:
+            router._pending_commit[cand.out_port] -= packet.size
+        try:
+            jitter = self._jitter[router.router_id]
+            jidx = self._jidx[router.router_id]
+            expected = []
+            best = None
+            for c, _, _ in scored:
+                v = router._allocate_vc(c.out_port, c.vc_class)
+                if v is None:
+                    expected.append((c, None, None))
+                    continue
+                if rc.congestion_scope == "port":
+                    congestion = router.port_congestion(c.out_port)
+                else:
+                    congestion = router.class_congestion(c.out_port, c.vc_class)
+                w = route_weight(congestion, c.hops)
+                j = jitter[jidx]
+                jidx = (jidx + 1) % 4096
+                expected.append((c, v, w))
+                if best is None or (w, j) < best[:2]:
+                    best = (w, j, c, v)
+            self._jidx[router.router_id] = jidx
+        finally:
+            owner[out_vc] = packet.pid
+            if rc.sequential_allocation:
+                router._pending_commit[cand.out_port] += packet.size
+        where = f"cycle {cycle} router {router.router_id} packet {packet.pid}"
+        # == on floats is the point: weights must match bit for bit.
+        assert scored == expected, where
+        assert best is not None and best[2] is cand and best[3] == out_vc, where
+        self.decisions += 1
+        if len({w for _, _, w in expected if w is not None}) > 1:
+            self.contested += 1
+
+
+def _audited_run(algo_name, widths, tpr, rate, seed, cycles, **router):
+    """Run a loaded sim with the reference model attached to every router."""
+    cfg = SimConfig(router=RouterConfig(**router)).validated()
     topo = HyperX(widths, tpr)
-    algo = make_algorithm(algo_name, topo)
-    net = Network(topo, algo, cfg)
+    net = Network(topo, make_algorithm(algo_name, topo), cfg)
     sim = Simulator(net)
+    model = ReferenceModel(net)
     sim.processes.append(
         SyntheticTraffic(net, UniformRandom(topo.num_terminals), rate, seed=seed)
     )
-    stream = []
-
-    def hook(cycle, router, in_port, in_vc, ctx, cand, out_vc, scored):
-        # Identify the packet by (src, dst, birth) rather than pid: pids come
-        # from a process-global counter, so run #2 of a pair is offset.
-        stream.append((
-            cycle,
-            router.router_id,
-            in_port,
-            in_vc,
-            (ctx.packet.src_terminal, ctx.packet.dst_terminal,
-             ctx.packet.create_cycle),
-            (cand.out_port, cand.vc_class, cand.hops, cand.deroute),
-            out_vc,
-            tuple(
-                ((c.out_port, c.vc_class, c.hops, c.deroute), v, w)
-                for c, v, w in scored
-            ),
-        ))
-
-    for r in net.routers:
-        r.add_route_hook(hook)
     sim.run(cycles)
-    return stream
+    return model
 
 
-@settings(max_examples=20)
+@settings(max_examples=60)
 @given(
-    algo=st.sampled_from(CACHEABLE_ALGOS),
+    algo=st.sampled_from(CACHEABLE_ALGOS + STATEFUL_ALGOS),
     widths=st.sampled_from([(2, 2), (3, 2), (3, 3), (2, 2, 2)]),
     tpr=st.integers(min_value=1, max_value=2),
     rate=st.sampled_from([0.15, 0.3, 0.45, 0.6]),
     seed=st.integers(min_value=0, max_value=2**16),
+    scope=st.sampled_from(["port", "class"]),
+    sequential=st.booleans(),
+    mode=st.sampled_from(estimator_modes()),
 )
-def test_kernel_weights_equal_reference(algo, widths, tpr, rate, seed):
-    """Fast-path weights == reference congestion x hops weights, bit-exact,
-    for random router states across the HyperX algorithms."""
-    fast = _decision_stream(algo, widths, tpr, rate, seed, 250, kernel=True)
-    ref = _decision_stream(algo, widths, tpr, rate, seed, 250, kernel=False)
-    assert fast, "loaded run made no routing decisions — vacuous property"
-    assert fast == ref
+def test_kernel_weights_equal_reference(
+    algo, widths, tpr, rate, seed, scope, sequential, mode
+):
+    """Scoring-loop record == reference congestion x hops weights, bit-exact,
+    for random router states across cacheable and stateful algorithms, both
+    congestion scopes, sequential allocation and every estimator."""
+    model = _audited_run(
+        algo, widths, tpr, rate, seed, 250, congestion_scope=scope,
+        sequential_allocation=sequential, congestion_mode=mode,
+    )
+    assert model.decisions, "loaded run made no routing decisions — vacuous"
 
 
 def test_kernel_weights_match_under_class_scope():
-    """The kernel's class-scope branch (congestion over the candidate's own
-    VC group) must match the reference too; the default config only
-    exercises port scope."""
-    for kernel in (True, False):
-        cfg = SimConfig(
-            router=RouterConfig(scoring_kernel=kernel, congestion_scope="class")
-        ).validated()
-        topo = HyperX((3, 3), 2)
-        net = Network(topo, make_algorithm("OmniWAR", topo), cfg)
-        sim = Simulator(net)
-        sim.processes.append(
-            SyntheticTraffic(net, UniformRandom(topo.num_terminals), 0.4, seed=7)
-        )
-        stream = []
-
-        def hook(cycle, router, in_port, in_vc, ctx, cand, out_vc, scored,
-                 stream=stream):
-            stream.append(
-                (cycle, router.router_id, ctx.packet.dst_terminal,
-                 cand.out_port, out_vc, tuple(w for _, _, w in scored))
+    """A fixed, loaded pin of the branches the default config never takes:
+    class-scope congestion (over the candidate's own VC group) with and
+    without sequential allocation, for a memoised and an un-memoised
+    algorithm — and a check that the weights actually discriminated."""
+    for algo in ("OmniWAR", "UGAL+"):
+        for sequential in (False, True):
+            model = _audited_run(
+                algo, (3, 3), 2, 0.4, 7, 300, congestion_scope="class",
+                sequential_allocation=sequential,
             )
-
-        for r in net.routers:
-            r.add_route_hook(hook)
-        sim.run(300)
-        if kernel:
-            fast = stream
-        else:
-            assert stream == fast
+            assert model.contested > 50, (algo, sequential, model.contested)
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +196,6 @@ def test_route_cache_eviction_does_not_change_results():
         and sum(r.flits_forwarded for r in full.routers)
         == sum(r.flits_forwarded for r in tiny.routers)
     )
-
-
-def test_route_cache_disabled_stays_empty():
-    topo = HyperX((2, 2), 1)
-    cfg = SimConfig(router=RouterConfig(route_cache=False)).validated()
-    net = Network(topo, make_algorithm("DimWAR", topo), cfg)
-    sim = Simulator(net)
-    sim.processes.append(SyntheticTraffic(net, UniformRandom(4), 0.3, seed=1))
-    sim.run(300)
-    for r in net.routers:
-        assert len(r._route_cache) == 0
-        assert r.route_cache_hits == 0
-        # Misses still count lookups, so the telemetry hit-rate is honest
-        # about the cache being off.
-    assert sum(r.route_cache_misses for r in net.routers) > 0
 
 
 def test_telemetry_aggregates_route_cache_counters():

@@ -5,26 +5,27 @@ inert cycles, and nothing measurable may move.  These tests pin that
 contract:
 
 * engine selection — compression is on by default, and every fallback
-  trigger (flag off, a process without ``skip_safe``, the sanitizer)
-  cleanly reverts to per-cycle stepping with a human-readable reason;
+  trigger (a process without ``skip_safe``, one with the marker but no
+  ``next_wakeup``, the sanitizer) cleanly reverts to per-cycle stepping
+  with a human-readable reason;
 * compression — an idle simulation really does execute a handful of
   cycles per ``run()`` chunk (counted via a skip-safe probe process);
 * equivalence — fixed scenarios, Hypothesis-drawn topologies/loads/fault
   schedules, drains, sampler windows, and the golden-trace scenario all
-  fingerprint identically with ``cycle_skip`` on vs off;
+  fingerprint identically compressed vs per-cycle (no switch selects the
+  stepping, so the per-cycle arm registers a no-op process without
+  ``skip_safe`` — the same mechanism the sanitizer triggers);
 * ``next_event_cycle()`` — idempotent, never behind the clock, and exact
   for scheduled fault events;
 * ``run_until`` — the event-aware evaluation schedule is identical under
   both modes (the documented predicate contract).
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import RouterConfig, SimConfig, default_config
+from repro.config import default_config
 from repro.core.registry import make_algorithm
 from repro.faults import DegradedTopology
 from repro.faults.inject import FaultInjector
@@ -38,9 +39,17 @@ from repro.traffic.patterns import UniformRandom
 from repro.traffic.sizes import UniformSize
 
 
-def _config(skip: bool) -> SimConfig:
-    cfg = default_config(seed=0)
-    return replace(cfg, router=replace(cfg.router, cycle_skip=skip)).validated()
+class _EveryCycle:
+    """No-op process without ``skip_safe``: registering it is what puts a
+    ``run()`` on per-cycle stepping.  It still answers ``next_wakeup`` so
+    ``next_event_cycle`` / ``run_until`` keep the schedule of the
+    compressed arm."""
+
+    def __call__(self, cycle):
+        pass
+
+    def next_wakeup(self, cycle):
+        return None
 
 
 def _build(
@@ -56,13 +65,15 @@ def _build(
     topo = HyperX(widths, tpr)
     if degraded:
         topo = DegradedTopology(topo)
-    net = Network(topo, make_algorithm(algo, topo), _config(skip))
+    net = Network(topo, make_algorithm(algo, topo), default_config(seed=0))
     sim = Simulator(net)
     cls = BurstyTraffic if bursty else SyntheticTraffic
     kwargs = {} if bursty else {"size_dist": UniformSize(1, 8)}
     sim.processes.append(
         cls(net, UniformRandom(topo.num_terminals), rate, seed=seed, **kwargs)
     )
+    if not skip:
+        sim.add_process(_EveryCycle())
     return sim
 
 
@@ -135,13 +146,6 @@ def test_skip_active_by_default():
     assert sim.skip_fallback_reason is None
 
 
-def test_flag_off_falls_back():
-    sim = _build(skip=False)
-    sim.run(50)
-    assert not sim.skip_active
-    assert "cycle_skip" in sim.skip_fallback_reason
-
-
 def test_unsafe_process_falls_back():
     class Watcher:  # no skip_safe attribute -> per-cycle stepping
         def __call__(self, cycle):
@@ -152,6 +156,38 @@ def test_unsafe_process_falls_back():
     sim.run(50)
     assert not sim.skip_active
     assert "Watcher" in sim.skip_fallback_reason
+
+
+def test_skip_safe_without_next_wakeup_falls_back():
+    """The marker alone is not the protocol: without next_wakeup the run
+    steps per cycle instead of dying inside next_event_bound."""
+
+    class HalfSafe:
+        skip_safe = True
+
+        def __call__(self, cycle):
+            pass
+
+    sim = _build(rate=0.01)
+    sim.add_process(HalfSafe())
+    sim.run(200)  # sparse traffic: a compressed run would have jumped
+    assert not sim.skip_active
+    assert "HalfSafe" in sim.skip_fallback_reason
+    assert "next_wakeup" in sim.skip_fallback_reason
+
+
+def test_fallback_reason_names_functions_by_qualname():
+    def watch_every_cycle(cycle):
+        pass
+
+    sim = _build()
+    sim.add_process(watch_every_cycle)
+    sim.run(10)
+    assert "watch_every_cycle" in sim.skip_fallback_reason
+    sim.remove_process(watch_every_cycle)
+    sim.add_process(lambda cycle: None)
+    sim.run(10)
+    assert "<lambda>" in sim.skip_fallback_reason
 
 
 def test_sanitizer_falls_back():
@@ -198,7 +234,7 @@ def test_tracer_hooks_do_not_force_skip_fallback():
 
 def test_idle_network_executes_almost_no_cycles():
     topo = HyperX((4, 4), 2)
-    net = Network(topo, make_algorithm("DOR", topo), _config(True))
+    net = Network(topo, make_algorithm("DOR", topo), default_config(seed=0))
     sim = Simulator(net)
     probe = sim.add_process(_CycleProbe())
     sim.run(10_000)
@@ -253,14 +289,18 @@ def test_drain_identical_under_skip():
 
 
 def test_mode_alternation_mid_stream():
-    """Flipping cycle_skip between run() calls must not perturb the stream."""
+    """Attaching / detaching a per-cycle observer between run() calls must
+    not perturb the stream."""
     alternating = _build(rate=0.05, skip=True)
     reference = _build(rate=0.05, skip=False)
-    rc = alternating.network.cfg.router
+    every_cycle = _EveryCycle()
     for chunk in range(6):
-        rc.cycle_skip = chunk % 2 == 0
+        if chunk % 2:
+            alternating.add_process(every_cycle)
         alternating.run(100)
         assert alternating.skip_active == (chunk % 2 == 0)
+        if chunk % 2:
+            alternating.remove_process(every_cycle)
     reference.run(600)
     assert _fingerprint(alternating) == _fingerprint(reference)
 
@@ -376,14 +416,16 @@ def test_golden_trace_identical_under_skip(monkeypatch):
 
     on = golden.golden_jsonl("DimWAR")
 
-    orig = golden.default_config
-    monkeypatch.setattr(
-        golden,
-        "default_config",
-        lambda **kw: replace(
-            orig(**kw), router=replace(orig(**kw).router, cycle_skip=False)
-        ).validated(),
-    )
+    class PerCycleSimulator(Simulator):
+        def __init__(self, network):
+            super().__init__(network)
+            self.add_process(_EveryCycle())
+
+        def run(self, cycles):
+            super().run(cycles)
+            assert not self.skip_active
+
+    monkeypatch.setattr(golden, "Simulator", PerCycleSimulator)
     off = golden.golden_jsonl("DimWAR")
     assert on == off
 
@@ -418,7 +460,7 @@ def test_next_event_cycle_monotone_while_inert():
 
 def test_next_event_cycle_sees_scheduled_faults():
     topo = DegradedTopology(HyperX((3, 3), 1))
-    net = Network(topo, make_algorithm("DimWAR", topo), _config(True))
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config(seed=0))
     sim = Simulator(net)
     sim.add_process(
         FaultInjector(
@@ -440,8 +482,9 @@ def test_next_event_cycle_unknown_process_returns_none():
 
 
 def test_next_event_cycle_flag_independent():
-    """The bound is computed from state + protocol, never the config flag —
-    the property the mode-independent run_until schedule rests on."""
+    """The bound is computed from state + the next_wakeup protocol, never
+    from whether run() may compress — the property the mode-independent
+    run_until schedule rests on."""
     a = _build(widths=(3, 3), rate=0.01, skip=True)
     b = _build(widths=(3, 3), rate=0.01, skip=False)
     for _ in range(20):
@@ -461,12 +504,16 @@ def test_run_until_evaluates_on_advanced_boundaries():
     cycles = []
     for skip in (True, False):
         topo = DegradedTopology(HyperX((3, 3), 1))
-        net = Network(topo, make_algorithm("DimWAR", topo), _config(skip))
+        net = Network(
+            topo, make_algorithm("DimWAR", topo), default_config(seed=0)
+        )
         sim = Simulator(net)
         inj = FaultInjector(
             net, FaultSchedule([FaultEvent(150, "degrade", 0, port=0, factor=4)])
         )
         sim.add_process(inj)
+        if not skip:
+            sim.add_process(_EveryCycle())
         assert sim.run_until(lambda: inj.done, max_cycles=10_000)
         cycles.append(sim.cycle)
     # One stretched chunk to the event at 150, then one 64-cycle chunk in
