@@ -3,47 +3,24 @@
 The repro.obs hook seams are designed to cost nothing when no observer is
 attached (a ``None`` field check on the router fast path, an empty listener
 list on the terminals, unwrapped channel sinks).  This script measures the
-loaded microbenchmark configuration from ``test_perf_simulator.py`` two
+loaded microbenchmark scenario (``repro.analysis.bench._loaded_sim``) two
 ways — tracing never attached vs attached once and detached again — with
 interleaved best-of-N rounds, and **fails (exit 1) if the detached-tracer
 run is more than 3% slower**.  A regression here means detach left residue
 on a hook seam or the fast path grew a real branch.
 
-It also prints an advisory comparison against the pinned seed numbers in
-``BENCH_sim.json`` (different machines differ, so that check never fails
-the job).
-
 Run:  PYTHONPATH=src python benchmarks/check_trace_overhead.py
 """
 
-import json
-import os
 import sys
 import time
 
-from repro.config import default_config
-from repro.core.registry import make_algorithm
-from repro.network.network import Network
-from repro.network.simulator import Simulator
+from repro.analysis.bench import _loaded_sim
 from repro.obs import TraceOptions, Tracer
-from repro.topology.hyperx import HyperX
-from repro.traffic.injection import SyntheticTraffic
-from repro.traffic.patterns import UniformRandom
 
 THRESHOLD = 0.03  # acceptance criterion: <3% overhead, tracing detached
 ROUNDS = 8
 CYCLES = 2000
-
-
-def _loaded_sim(widths=(4, 4), tpr=2, algo="DimWAR", rate=0.4, warm=300):
-    """The loaded benchmark scenario from test_perf_simulator.py."""
-    topo = HyperX(widths, tpr)
-    net = Network(topo, make_algorithm(algo, topo), default_config())
-    sim = Simulator(net)
-    traffic = SyntheticTraffic(net, UniformRandom(topo.num_terminals), rate, seed=1)
-    sim.processes.append(traffic)
-    sim.run(warm)
-    return sim
 
 
 def _timed_run(attach_then_detach: bool) -> float:
@@ -72,18 +49,6 @@ def main() -> int:
     print(f"detached-tracer overhead                 : {overhead:+8.2%} "
           f"(limit {THRESHOLD:.0%})")
     print(f"cycles/second (baseline)                 : {cps:8.0f}")
-
-    bench_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_sim.json")
-    if os.path.exists(bench_path):
-        with open(bench_path) as f:
-            data = json.load(f)
-        pinned = {b["name"]: b for b in data.get("benchmarks", [])}
-        loaded = pinned.get("test_perf_simulation_cycles_loaded")
-        if loaded:
-            # The pinned run times 100-cycle chunks; normalize to cycles/s.
-            pinned_cps = loaded.get("cycles_per_chunk", 100) / loaded["min_s"]
-            print(f"cycles/second (BENCH_sim.json pin)       : {pinned_cps:8.0f} "
-                  "(advisory: machines differ)")
 
     if overhead >= THRESHOLD:
         print(f"FAIL: detached tracing costs {overhead:.2%} >= {THRESHOLD:.0%} "

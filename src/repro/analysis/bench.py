@@ -1,38 +1,32 @@
-"""Perf microbenchmark harness behind ``python -m repro bench``.
+"""Perf microbenchmark probes behind ``python -m repro bench``.
 
-Runs the same eight simulator microbenchmarks as
-``benchmarks/test_perf_simulator.py`` (network construction, loaded and
-idle simulation cycles — both at small and at 16x16 target scale — a
+Eight simulator microbenchmarks (network construction, loaded and idle
+simulation cycles — both at small and at 16x16 target scale — a
 fault-injection settling transient, traffic generation, one adaptive
-routing decision)
-without the pytest-benchmark machinery, and regenerates the repo's recorded
-``BENCH_sim.json`` in its ``repro-perf-summary/1`` schema.  The
-``seed_min_s`` baselines (the very first commit's timings) are carried over
-from the existing file so the ``speedup_vs_seed`` trajectory survives
-regeneration.
+routing decision) plus three 16x16x16 target-scale scenarios (``--xl``),
+defined once, here.  They are *probes*: the command times them and prints
+one table, and nothing records, compares or gates on the numbers — a
+single-shot timing on a shared box cannot tell a regression from the
+neighbours.  The pass/fail on performance is the end-to-end pair protocol
+(``benchmarks/e2e/run.py`` + ``compare.py``, see docs/PERFORMANCE.md).
 
-``--compare`` mode times the current tree and prints per-benchmark speedup
-against the recorded mins without touching the file — the manual version of
-the CI perf ratchet (``benchmarks/check_perf_ratchet.py``).
-
-Timings are wall-clock minima over several rounds: the min is the noise
-floor estimator (any round can only be *slowed* by interference), which is
-also what pytest-benchmark's history and the CI ratchet key on.
+Timings are wall-clock over several rounds; the table shows the min (the
+noise-floor estimator: interference can only *slow* a round) and the
+median, and the cycles/s and flits/s columns are taken at the min.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import statistics
 import time
-from datetime import datetime, timezone
 from platform import python_version
 
-SCHEMA = "repro-perf-summary/1"
+from .report import format_table
 
 
 # ----------------------------------------------------------------------
-# Scenarios (mirrors benchmarks/test_perf_simulator.py)
+# Scenarios
 # ----------------------------------------------------------------------
 
 def _loaded_sim(widths=(4, 4), tpr=2, algo="DimWAR", rate=0.4, warm=300):
@@ -310,12 +304,11 @@ def _bench_cycles_loaded_16x16x16_sharded():
     return run_chunk, {
         "rounds": 3, "iterations": 1, "cycles_per_chunk": 16,
         "flits_per_cycle": round(flits_per_cycle, 3),
-        "shards": 2,
     }
 
 
 #: name -> zero-arg factory returning (callable, options); declaration order
-#: is execution order and matches the recorded file's sort order.
+#: is execution order.
 SCENARIOS = {
     "test_perf_network_construction": _bench_network_construction,
     "test_perf_routing_decision": _bench_routing_decision,
@@ -329,9 +322,7 @@ SCENARIOS = {
 
 #: Target-scale scenarios behind ``repro bench --xl``: a 16x16x16 build is
 #: tens of seconds and a loaded run holds gigabytes of state, far too heavy
-#: for the default command (and for the tier-1 CLI test that runs it).
-#: ``--only`` can name them without ``--xl``.  Recorded entries survive a
-#: default-tier regeneration untouched (see :func:`merge_seed_baselines`).
+#: for the default command.  ``--only`` can name them without ``--xl``.
 SCENARIOS_XL = {
     "test_perf_network_construction_16x16x16":
         _bench_network_construction_16x16x16,
@@ -347,8 +338,8 @@ SCENARIOS_XL = {
 # ----------------------------------------------------------------------
 
 def _time_scenario(fn, rounds: int, iterations: int, warmup_rounds: int = 0):
-    """Per-round seconds-per-iteration, pytest-benchmark pedantic style:
-    shared state across rounds, warm-up rounds discarded."""
+    """Per-round seconds-per-iteration: state is shared across rounds and
+    warm-up rounds are discarded."""
     timer = time.perf_counter
     for _ in range(warmup_rounds):
         for _ in range(iterations):
@@ -362,14 +353,13 @@ def _time_scenario(fn, rounds: int, iterations: int, warmup_rounds: int = 0):
     return samples
 
 
-def run_benchmarks(names=None, xl=False) -> dict:
-    """Run the microbenchmarks; returns the ``repro-perf-summary/1`` dict.
+def run_benchmarks(names=None, xl=False) -> list[dict]:
+    """Run the probes; one ``{name, min_s, median_s[, cycles_per_s
+    [, flits_per_s]]}`` row each, in execution order.
 
-    ``names`` restricts to a subset (unknown names raise ValueError) and may
-    name ``SCENARIOS_XL`` entries directly; ``xl=True`` appends the whole XL
-    tier to a default run.  ``seed_min_s``/``speedup_vs_seed`` are left for
-    the caller to graft from the previously recorded file
-    (:func:`merge_seed_baselines`).
+    ``names`` restricts to a subset (unknown names raise ValueError before
+    anything runs) and may name ``SCENARIOS_XL`` entries directly;
+    ``xl=True`` appends the whole XL tier to a default run.
     """
     scenarios = {**SCENARIOS, **SCENARIOS_XL}
     if names is None:
@@ -379,7 +369,7 @@ def run_benchmarks(names=None, xl=False) -> dict:
     unknown = [n for n in selected if n not in scenarios]
     if unknown:
         raise ValueError(f"unknown benchmark(s): {', '.join(unknown)}")
-    out = []
+    rows = []
     for name in selected:
         fn, opts = scenarios[name]()
         samples = _time_scenario(
@@ -388,101 +378,33 @@ def run_benchmarks(names=None, xl=False) -> dict:
             iterations=opts["iterations"],
             warmup_rounds=opts.get("warmup_rounds", 0),
         )
-        entry = {
+        row = {
             "name": name,
             "min_s": min(samples),
             "median_s": statistics.median(samples),
-            "mean_s": statistics.fmean(samples),
-            "rounds": len(samples),
         }
         cycles = opts.get("cycles_per_chunk")
         if cycles:
-            entry["cycles_per_chunk"] = cycles
-            entry["cycles_per_sec_min"] = int(cycles / entry["min_s"])
+            row["cycles_per_s"] = int(cycles / row["min_s"])
             fpc = opts.get("flits_per_cycle")
             if fpc is not None:
-                entry["flits_per_cycle"] = fpc
-                entry["flits_per_sec_min"] = int(fpc * cycles / entry["min_s"])
-        if "shards" in opts:
-            entry["shards"] = opts["shards"]
-        out.append(entry)
-    return {
-        "schema": SCHEMA,
-        "source": "python -m repro bench (src/repro/analysis/bench.py)",
-        "python": python_version(),
-        "datetime": datetime.now(timezone.utc).isoformat(),
-        "benchmarks": sorted(out, key=lambda b: b["name"]),
-    }
+                row["flits_per_s"] = int(fpc * cycles / row["min_s"])
+        rows.append(row)
+    return rows
 
 
-def merge_seed_baselines(summary: dict, recorded: dict | None) -> dict:
-    """Graft ``seed_min_s`` (and recompute ``speedup_vs_seed``) from the
-    previously recorded summary so regeneration preserves the trajectory.
+def format_summary(rows: list[dict]) -> str:
+    def count(value):
+        return f"{value:,}" if value is not None else "—"
 
-    Recorded XL-tier entries that the fresh run skipped (the default
-    ``repro bench`` omits ``SCENARIOS_XL``) are carried over verbatim, so a
-    default-tier regeneration never silently drops the target-scale
-    numbers.  The perf ratchet likewise SKIPs names absent from a fresh
-    run, so carried entries are informational, not load-bearing, in CI.
-    """
-    if not recorded:
-        return summary
-    seeds = {
-        b["name"]: b.get("seed_min_s")
-        for b in recorded.get("benchmarks", [])
-    }
-    for b in summary["benchmarks"]:
-        seed = seeds.get(b["name"])
-        if seed is not None:
-            b["seed_min_s"] = seed
-            b["speedup_vs_seed"] = round(seed / b["min_s"], 2)
-    fresh = {b["name"] for b in summary["benchmarks"]}
-    for b in recorded.get("benchmarks", []):
-        if b["name"] in SCENARIOS_XL and b["name"] not in fresh:
-            summary["benchmarks"].append(dict(b))
-    summary["benchmarks"].sort(key=lambda b: b["name"])
-    return summary
-
-
-def format_comparison(summary: dict, recorded: dict) -> str:
-    """Per-benchmark table of fresh min vs the recorded file's min."""
-    rec = {b["name"]: b for b in recorded.get("benchmarks", [])}
-    lines = [
-        f"{'benchmark':<42} {'recorded':>12} {'fresh':>12} {'speedup':>8}"
-    ]
-    for b in summary["benchmarks"]:
-        old = rec.get(b["name"])
-        if old is None:
-            lines.append(f"{b['name']:<42} {'—':>12} {b['min_s']:>12.3e} {'new':>8}")
-            continue
-        ratio = old["min_s"] / b["min_s"]
-        lines.append(
-            f"{b['name']:<42} {old['min_s']:>12.3e} {b['min_s']:>12.3e} "
-            f"{ratio:>7.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def format_summary(summary: dict) -> str:
-    lines = [f"{'benchmark':<42} {'min':>12} {'median':>12} {'vs seed':>8}"]
-    for b in summary["benchmarks"]:
-        speedup = b.get("speedup_vs_seed")
-        lines.append(
-            f"{b['name']:<42} {b['min_s']:>12.3e} {b['median_s']:>12.3e} "
-            + (f"{speedup:>7.2f}x" if speedup is not None else f"{'—':>8}")
-        )
-    return "\n".join(lines)
-
-
-def load_summary(path: str) -> dict | None:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def write_summary(summary: dict, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    return format_table(
+        ["benchmark", "min (s)", "median (s)", "cycles/s", "flits/s"],
+        [
+            [
+                r["name"], f"{r['min_s']:.3e}", f"{r['median_s']:.3e}",
+                count(r.get("cycles_per_s")), count(r.get("flits_per_s")),
+            ]
+            for r in rows
+        ],
+        title=f"repro bench: nproc={os.cpu_count()} python={python_version()}",
+    )

@@ -122,7 +122,10 @@ class SweepMemo:
     several workers race to memoise the same key (the shared-cache path of
     the sweep-farm service), exactly one hardlink lands and every loser
     degrades to a collision — the spec is deterministic, so the winner's
-    bytes are the losers' bytes.  Hit/miss/write/collision counters make
+    bytes are the losers' bytes.  A ``put`` the filesystem refuses (full or
+    read-only ``root``) is counted in ``write_errors`` and otherwise
+    ignored: the memo is a cache, and the finished point it could not save
+    is still the caller's.  Hit/miss/write/collision counters make
     warm-start tests (and curious users) precise about what was actually
     simulated.
     """
@@ -135,6 +138,7 @@ class SweepMemo:
         self.misses = 0
         self.writes = 0
         self.collisions = 0
+        self.write_errors = 0
 
     # ------------------------------------------------------------------
 
@@ -184,7 +188,8 @@ class SweepMemo:
             pass
 
     def put(self, spec: "PointSpec", result: "PointResult") -> str | None:
-        """Persist ``result`` under ``spec``'s key; returns the path."""
+        """Persist ``result`` under ``spec``'s key; returns the path, or
+        None when the write failed (counted in ``write_errors``)."""
         if not memoisable(spec):
             return None
         key = point_key(spec, self.salt)
@@ -199,10 +204,10 @@ class SweepMemo:
             "spec": canonical_spec(spec),
             "result": payload,
         }
-        os.makedirs(self.root, exist_ok=True)
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
+            os.makedirs(self.root, exist_ok=True)
             with open(tmp, "w") as f:
                 json.dump(data, f, indent=2, allow_nan=True)
             try:
@@ -220,6 +225,9 @@ class SweepMemo:
             except OSError:  # pragma: no cover - no-hardlink filesystems
                 os.replace(tmp, path)
             self.writes += 1
+        except OSError:
+            self.write_errors += 1
+            return None
         finally:
             try:
                 os.unlink(tmp)

@@ -187,8 +187,6 @@ def measure_point(
     for t in net.terminals:
         t.delivery_listeners.append(stats.on_delivery)
 
-    measure_start = int(total_cycles * 0.3)
-    measure_end = int(total_cycles * 0.7)
     half = total_cycles // 2
 
     sim.run(half)
@@ -308,8 +306,8 @@ def sweep_load(
     described by picklable specs and each gets a freshly reconstructed
     topology/algorithm/pattern, so results are bit-identical for every
     worker count (``workers=1`` runs the same spec path serially).
-    ``progress`` (spec path only) is called as ``(index, total, point)``
-    after each point completes, in rate order.
+    ``progress`` is called as ``(index, total, point)`` after each point
+    completes, in rate order, on either path.
 
     ``memo`` (a :class:`~repro.analysis.memo.SweepMemo`) replays previously
     measured points from disk and persists fresh ones.  The memo rides on

@@ -8,7 +8,7 @@ Commands
 ``faults``    mid-run fault-injection transient (see docs/FAULTS.md)
 ``trace``     flit/packet lifecycle tracing + time series (docs/OBSERVABILITY.md)
 ``check``     runtime-sanitizer self-test + differential oracles (docs/TESTING.md)
-``bench``     simulator perf microbenchmarks; regenerates BENCH_sim.json
+``bench``     time the simulator microbenchmark probes and print one table
 ``serve``     sweep-farm HTTP experiment service (docs/SERVICE.md)
 ``list``      available algorithms, patterns, figures, and scales
 
@@ -30,7 +30,7 @@ Examples::
     python -m repro trace --algorithm OmniWAR --rate 0.3 --window 200 --heatmap vc
     python -m repro trace --golden DimWAR --jsonl /tmp/dimwar.jsonl
     python -m repro check
-    python -m repro bench --compare
+    python -m repro bench --only test_perf_simulation_cycles_loaded
     python -m repro serve --port 8035 --workers 4
 """
 
@@ -226,14 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the simulator perf microbenchmarks and regenerate "
-        "the recorded summary (docs/SIMULATOR.md, performance notes)",
+        help="time the simulator microbenchmark probes and print one table "
+        "(reports only; the perf gate is benchmarks/e2e, docs/PERFORMANCE.md)",
     )
-    p.add_argument("--out", default="BENCH_sim.json", metavar="FILE",
-                   help="summary file to regenerate (default: BENCH_sim.json)")
-    p.add_argument("--compare", action="store_true",
-                   help="print speedup vs the recorded file instead of "
-                   "rewriting it")
     p.add_argument("--only", nargs="+", default=None, metavar="NAME",
                    help="run a subset of the benchmarks by name")
     p.add_argument("--xl", action="store_true",
@@ -464,32 +459,9 @@ def _cmd_trace(args) -> str:
 
 
 def _cmd_bench(args) -> str:
-    from .analysis.bench import (
-        format_comparison,
-        format_summary,
-        load_summary,
-        merge_seed_baselines,
-        run_benchmarks,
-        write_summary,
-    )
+    from .analysis.bench import format_summary, run_benchmarks
 
-    recorded = load_summary(args.out)
-    summary = merge_seed_baselines(
-        run_benchmarks(args.only, xl=args.xl), recorded
-    )
-    if args.compare:
-        if recorded is None:
-            raise ValueError(
-                f"--compare needs a recorded summary at {args.out!r}"
-            )
-        return format_comparison(summary, recorded)
-    if args.only is not None:
-        raise ValueError(
-            "--only times a subset and cannot regenerate the full summary; "
-            "combine it with --compare"
-        )
-    write_summary(summary, args.out)
-    return f"{format_summary(summary)}\n\nwrote {args.out}"
+    return format_summary(run_benchmarks(args.only, xl=args.xl))
 
 
 def _cmd_serve(args) -> int:

@@ -80,6 +80,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: boundary-channel key: ("d" | "c", pushing_router, pushing_port)
 BoundaryKey = tuple
 
+#: Longest the coordinator waits for one worker reply before it declares the
+#: worker hung.  Generous on purpose: the handshake reply follows a whole
+#: partition build (tens of seconds at 16x16x16); every later reply follows
+#: one chunk.
+_REPLY_DEADLINE_S = 600.0
+
 
 class ShardPlan:
     """Partition of a topology's routers into contiguous dimension slices.
@@ -399,7 +405,7 @@ class ShardEngine:
         import_owner: dict[BoundaryKey, int] = {}
         export_keys: list[list[BoundaryKey]] = []
         for s in range(shards):
-            imports, exports = self._recv(s)
+            imports, exports = self._recv(s, "handshake")
             for key in imports:
                 import_owner[key] = s
             export_keys.append(exports)
@@ -423,9 +429,18 @@ class ShardEngine:
 
     # -- plumbing ------------------------------------------------------
 
-    def _recv(self, shard: int):
+    def _recv(self, shard: int, op: str):
+        """Worker ``shard``'s reply to ``op``.  A dead worker reads as EOF;
+        a hung one is only caught by the deadline."""
+        conn = self._conns[shard]
+        if not conn.poll(_REPLY_DEADLINE_S):
+            self._terminate()
+            raise RuntimeError(
+                f"shard worker {shard} did not answer {op!r} within "
+                f"{_REPLY_DEADLINE_S:g} s; every worker was terminated"
+            )
         try:
-            msg = self._conns[shard].recv()
+            msg = conn.recv()
         except EOFError:
             raise RuntimeError(
                 f"shard worker {shard} died without reporting an error"
@@ -472,7 +487,7 @@ class ShardEngine:
                 pending[s] = []
             bounds: list[int | None] = []
             for s in range(len(conns)):
-                exports, b = self._recv(s)
+                exports, b = self._recv(s, "chunk")
                 bounds.append(b)
                 dst = export_dst[s]
                 for key, items in exports:
@@ -500,13 +515,13 @@ class ShardEngine:
         """Flits consumed at terminals so far, summed across shards."""
         for conn in self._conns:
             conn.send(("ejected",))
-        return sum(self._recv(s) for s in range(self.shards))
+        return sum(self._recv(s, "ejected") for s in range(self.shards))
 
     def finish(self) -> list[dict[str, Any]]:
         """Collect every shard's end-of-run report (in shard order)."""
         for conn in self._conns:
             conn.send(("finish",))
-        return [self._recv(s) for s in range(self.shards)]
+        return [self._recv(s, "finish") for s in range(self.shards)]
 
     def close(self) -> None:
         for conn in self._conns:
@@ -516,12 +531,17 @@ class ShardEngine:
                 pass
         for proc in self._procs:
             proc.join(timeout=10)
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - crash cleanup
-                proc.terminate()
-                proc.join(timeout=10)
+        self._terminate()
         for conn in self._conns:
             conn.close()
+
+    def _terminate(self) -> None:
+        """Kill whatever is still alive (a clean ``stop`` leaves nothing)."""
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self._procs:
+            proc.join(timeout=10)
 
     def __enter__(self) -> "ShardEngine":
         return self

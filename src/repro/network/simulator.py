@@ -207,7 +207,7 @@ class Simulator:
             return cycle
         processes = self.processes
         for proc in processes:
-            if getattr(proc, "next_wakeup", None) is None:
+            if not callable(getattr(proc, "next_wakeup", None)):
                 return None
         far = cycle + _HORIZON
         bound = next_event_bound(network, processes, cycle, far)

@@ -239,6 +239,7 @@ class ExperimentService:
                 "misses": self.memo.misses,
                 "writes": self.memo.writes,
                 "collisions": self.memo.collisions,
+                "write_errors": self.memo.write_errors,
             },
         }
 

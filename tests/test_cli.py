@@ -200,73 +200,14 @@ def test_faults_compare_smoke(capsys):
     assert "aturation" not in out  # table suppressed by --no-saturation
 
 
-def _fake_recorded(path, name="test_perf_simulation_cycles_idle", min_s=1.0):
-    import json
-
-    summary = {
-        "schema": "repro-perf-summary/1",
-        "benchmarks": [{
-            "name": name, "min_s": min_s, "median_s": min_s, "mean_s": min_s,
-            "rounds": 5, "seed_min_s": min_s,
-        }],
-    }
-    with open(path, "w") as f:
-        json.dump(summary, f)
-    return path
-
-
-def test_bench_compare_only_prints_speedup_table(tmp_path, capsys):
-    recorded = _fake_recorded(str(tmp_path / "rec.json"))
-    rc = main([
-        "bench", "--out", recorded, "--compare",
-        "--only", "test_perf_simulation_cycles_idle",
-    ])
+def test_bench_only_prints_one_row(capsys):
+    rc = main(["bench", "--only", "test_perf_simulation_cycles_idle"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "test_perf_simulation_cycles_idle" in out
-    assert "recorded" in out and "fresh" in out and "x" in out
-    # --compare must never rewrite the recorded file.
-    with open(recorded) as f:
-        assert "rounds" in f.read()
-
-
-def test_bench_regenerates_summary(tmp_path, capsys):
-    import json
-
-    out = str(tmp_path / "BENCH.json")
-    rc = main(["bench", "--out", out])
-    assert rc == 0
-    assert f"wrote {out}" in capsys.readouterr().out
-    with open(out) as f:
-        summary = json.load(f)
-    assert summary["schema"] == "repro-perf-summary/1"
-    names = [b["name"] for b in summary["benchmarks"]]
-    assert names == sorted(names) and len(names) == 8
-    assert all(b["min_s"] > 0 for b in summary["benchmarks"])
-
-
-def test_bench_default_regen_carries_recorded_xl_entries():
-    """A default-tier regeneration must not drop the recorded 16x16x16
-    numbers: they only refresh under ``--xl`` (or an explicit ``--only``),
-    and the CI ratchet SKIPs names absent from a fresh run."""
-    from repro.analysis.bench import SCENARIOS_XL, merge_seed_baselines
-
-    xl_name = next(iter(SCENARIOS_XL))
-    recorded = {
-        "benchmarks": [
-            {"name": xl_name, "min_s": 9.0, "median_s": 9.0, "mean_s": 9.0,
-             "rounds": 1},
-            {"name": "zz_gone_scenario", "min_s": 1.0},
-        ],
-    }
-    fresh = {"benchmarks": [
-        {"name": "test_perf_network_construction", "min_s": 0.5},
-    ]}
-    merged = merge_seed_baselines(fresh, recorded)
-    names = [b["name"] for b in merged["benchmarks"]]
-    assert names == sorted(names)
-    assert xl_name in names  # carried over verbatim
-    assert "zz_gone_scenario" not in names  # only XL entries are carried
+    out = capsys.readouterr().out.splitlines()
+    assert "nproc=" in out[0] and "python=" in out[0]
+    rows = [line for line in out if line.startswith("test_perf_")]
+    assert len(rows) == 1 and len(out) == 4  # title, header, rule, row
+    assert rows[0].split()[0] == "test_perf_simulation_cycles_idle"
 
 
 def test_bench_unknown_xl_name_still_rejected():
@@ -276,30 +217,19 @@ def test_bench_unknown_xl_name_still_rejected():
         run_benchmarks(["test_perf_network_construction_32x32x32"])
 
 
-def test_bench_only_without_compare_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--only", "test_perf_simulation_cycles_idle"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and "bench:" in err and "--compare" in err
-
-
-def test_bench_compare_without_recorded_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "bench", "--compare", "--out", str(tmp_path / "missing.json"),
-            "--only", "test_perf_simulation_cycles_idle",
-        ])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "bench:" in err and "recorded summary" in err
-
-
 def test_bench_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--compare", "--only", "no_such_benchmark"])
+        main(["bench", "--only", "no_such_benchmark"])
     assert exc.value.code == 2
     assert "unknown benchmark" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--out", "x.json"], ["--compare"]])
+def test_bench_recorded_file_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

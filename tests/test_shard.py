@@ -20,6 +20,7 @@ tests pin that contract:
 
 import dataclasses
 import multiprocessing
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,29 @@ def test_fallback_reasons():
     # dispatch in run_point consults the reason before building a plan.
     fell_back = run_point(dataclasses.replace(ok, shards=5))
     assert _no_clock(fell_back) == _no_clock(run_point(SPEC))
+
+
+def _hung_worker(conn, spec, owned, schedule, trace=None):
+    """Handshakes like a real shard worker, then never answers again."""
+    conn.send(("ok", ([], [])))
+    time.sleep(120)
+
+
+def test_hung_worker_raises_named_error_in_bounded_time(monkeypatch):
+    from repro.network import shard
+
+    # Workers are forked, so they inherit both patches.
+    monkeypatch.setattr(shard, "_REPLY_DEADLINE_S", 0.3)
+    monkeypatch.setattr(shard, "_shard_worker", _hung_worker)
+    engine = ShardEngine(SPEC, 2)
+    try:
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"shard worker 0 .*'chunk'"):
+            engine.run(4)
+        assert time.monotonic() - started < 30
+        assert not any(proc.is_alive() for proc in engine._procs)
+    finally:
+        engine.close()
 
 
 def test_cli_sweep_shards_flag(capsys):

@@ -253,6 +253,22 @@ def test_run_points_parallel_consumes_memo_hits(tmp_path, monkeypatch):
     assert _strip(pooled) == _strip(serial)
 
 
+def test_failed_memo_write_keeps_the_sweep_alive(tmp_path):
+    # A memo root that is a regular file makes every put fail in makedirs,
+    # as a full or read-only directory would: the finished points must
+    # still come back, and the failures must be counted.
+    topo, algo, patt = _scenario()
+    blocked = tmp_path / "not_a_dir"
+    blocked.write_text("")
+    memo = SweepMemo(root=str(blocked))
+    rates = [0.1, 0.2]
+    plain = sweep_load(topo, algo, patt, rates, total_cycles=1000, workers=1)
+    kept = sweep_load(topo, algo, patt, rates, total_cycles=1000, memo=memo)
+    assert kept.to_json() == plain.to_json()
+    assert memo.write_errors == len(kept.points) == 2
+    assert memo.writes == 0 and os.listdir(tmp_path) == ["not_a_dir"]
+
+
 # ---------------------------------------------------------------------------
 # End to end against the real simulator (one small grid, run twice)
 # ---------------------------------------------------------------------------
