@@ -66,26 +66,9 @@ def quick_simulation(
     network -> traffic -> measurement); see ``examples/quickstart.py`` for
     the expanded form.
     """
-    from .analysis.sweep import measure_point
-    from .traffic import patterns as P
+    from .analysis.parallel import PointSpec, run_point
 
-    topo = HyperX(widths, terminals_per_router)
-    algo = make_algorithm(algorithm, topo)
-    lookup = {
-        "UR": lambda: P.UniformRandom(topo.num_terminals),
-        "BC": lambda: P.BitComplement(topo.num_terminals),
-        "URBx": lambda: P.UniformRandomBisection(topo, 0),
-        "URBy": lambda: P.UniformRandomBisection(topo, 1),
-        "S2": lambda: P.Swap2(topo),
-        "DCR": lambda: P.DimensionComplementReverse(topo),
-    }
-    if pattern not in lookup:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    return measure_point(
-        topo,
-        algo,
-        lookup[pattern](),
-        rate,
-        total_cycles=cycles,
-        seed=seed,
-    )
+    return run_point(PointSpec(
+        tuple(widths), terminals_per_router, algorithm, pattern, rate,
+        total_cycles=cycles, seed=seed,
+    ))

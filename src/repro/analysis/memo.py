@@ -43,6 +43,7 @@ import os
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Sequence
 
+from ..faults.model import faults_to_json
 from ..traffic.sizes import UniformSize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +69,8 @@ def canonical_spec(spec: "PointSpec") -> dict:
     (so ``None`` and an explicitly passed default differ only if the
     defaults differ), the size distribution is normalized to its
     parameter-encoding name (``None`` means the ``measure_point`` default,
-    ``uniform1-16``), and faults become ``[class-name, field-dict]`` pairs.
+    ``uniform1-16``), and faults take their one JSON form
+    (:func:`repro.faults.model.faults_to_json`).
     """
     from ..config import default_config
 
@@ -85,7 +87,7 @@ def canonical_spec(spec: "PointSpec") -> dict:
         "seed": spec.seed,
         "cfg": asdict(cfg),
         "size_dist": size.name,
-        "faults": [[type(f).__name__, asdict(f)] for f in spec.faults],
+        "faults": faults_to_json(spec.faults),
     }
 
 

@@ -5,9 +5,10 @@ Every figure of the paper is a grid of independent
 runs such grids on a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * a :class:`PointSpec` is a *picklable* description of one point — topology
-  parameters, algorithm name (+ kwargs), pattern name, rate, cycle budget,
-  config, and seed — reconstructed into live objects inside the worker
-  process by :func:`run_point`;
+  parameters, algorithm name (+ kwargs), pattern name, fault list, rate,
+  cycle budget, config, and seed.  :meth:`PointSpec.build` is the one place
+  those names become live objects (:func:`point_specs` is its inverse), and
+  :func:`run_point` measures what it built, inside the worker process;
 * :func:`run_points` dispatches specs in order with a bounded speculative
   window, collects results *in submission order*, and — when asked to stop
   at the first unstable point (``sweep_load``'s ``stop_after_unstable``) —
@@ -55,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: progress callback: (index, total, result) — invoked in submission order.
 ProgressFn = Callable[[int, int, "PointResult"], None]
 
+#: fewest rates :func:`run_points` dispatches past the newest confirmed-stable one
+MIN_SPECULATION = 2
+
 
 @dataclass(frozen=True)
 class PointSpec:
@@ -92,11 +96,34 @@ class PointSpec:
     #: it), so this field is excluded from the memo key.
     shards: int = 0
 
+    def build(
+        self, mid_run_faults: bool = False
+    ) -> "tuple[Topology, RoutingAlgorithm, TrafficPattern]":
+        """Fresh live ``(topology, algorithm, pattern)`` from the names.
+
+        Pool workers, shard workers, the service, the CLI and
+        :func:`repro.quick_simulation` all come through here.
+        ``mid_run_faults`` wraps even a fault-free topology in an (empty)
+        :class:`~repro.faults.degraded.DegradedTopology`: a
+        :class:`~repro.faults.model.FaultSchedule` needs one to mutate.
+        """
+        from ..core.registry import make_algorithm
+        from ..traffic.patterns import pattern_by_name
+
+        topo: "Topology" = HyperX(tuple(self.widths), self.terminals_per_router)
+        if self.faults or mid_run_faults:
+            from ..faults.degraded import DegradedTopology
+            from ..faults.model import FaultSet
+
+            topo = DegradedTopology(topo, FaultSet(list(self.faults)))
+        algorithm = make_algorithm(
+            self.algorithm, topo, **dict(self.algorithm_kwargs)
+        )
+        return topo, algorithm, pattern_by_name(self.pattern, topo)
+
 
 def run_point(spec: PointSpec) -> "PointResult":
     """Reconstruct one point from its spec and measure it (worker entry)."""
-    from ..core.registry import make_algorithm
-    from ..traffic.patterns import pattern_by_name
     from .sweep import measure_point
 
     if spec.shards:
@@ -105,18 +132,8 @@ def run_point(spec: PointSpec) -> "PointResult":
         if shard_fallback_reason(spec) is None:
             return run_point_sharded(spec)
 
-    topo: "Topology" = HyperX(tuple(spec.widths), spec.terminals_per_router)
-    if spec.faults:
-        from ..faults.degraded import DegradedTopology
-        from ..faults.model import FaultSet
-
-        topo = DegradedTopology(topo, FaultSet(list(spec.faults)))
-    algorithm = make_algorithm(spec.algorithm, topo, **dict(spec.algorithm_kwargs))
-    pattern = pattern_by_name(spec.pattern, topo)
     return measure_point(
-        topo,
-        algorithm,
-        pattern,
+        *spec.build(),
         spec.rate,
         total_cycles=spec.total_cycles,
         cfg=spec.cfg,
@@ -211,7 +228,6 @@ def run_points(
     specs: Sequence[PointSpec],
     workers: int = 1,
     stop_on_unstable: bool = False,
-    speculation: int | None = None,
     progress: ProgressFn | None = None,
     memo: "SweepMemo | None" = None,
 ) -> list["PointResult"]:
@@ -219,11 +235,11 @@ def run_points(
 
     With ``stop_on_unstable`` the returned list ends at the first unstable
     point, exactly like the serial sweep.  In parallel mode the runner keeps
-    ``workers + speculation`` futures outstanding (speculatively dispatching
-    rates past the newest confirmed-stable one) and cancels everything not
-    yet started once the first unstable point is known; results for
-    cancelled or discarded rates are never returned, so output is identical
-    for any worker count.
+    ``workers + max(workers, MIN_SPECULATION)`` futures outstanding
+    (speculatively dispatching rates past the newest confirmed-stable one)
+    and cancels everything not yet started once the first unstable point is
+    known; results for cancelled or discarded rates are never returned, so
+    output is identical for any worker count.
 
     ``memo`` (a :class:`~repro.analysis.memo.SweepMemo`) replays memoised
     points from disk and persists freshly simulated ones.  A spec determines
@@ -237,8 +253,6 @@ def run_points(
     n = len(specs)
     if n == 0:
         return []
-    if speculation is None:
-        speculation = max(workers, 2)
 
     results: list["PointResult"] = []
     if workers == 1:
@@ -255,7 +269,7 @@ def run_points(
                 break
         return results
 
-    window = workers + speculation
+    window = workers + max(workers, MIN_SPECULATION)
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
         def submit(i: int):

@@ -3,7 +3,9 @@
 The paper's methodology: warm the network up until latency stabilizes, then
 measure; injection continues while measurements complete; a load where latency
 never stabilizes is *saturated* and not plotted.  :func:`measure_point`
-implements one load point of that procedure; :func:`sweep_load` produces a
+implements one load point of that procedure — :class:`PointRun` assembles it,
+:func:`run_half_half` schedules it, :func:`finalize_point` classifies it, and
+the sharded engine reuses all three; :func:`sweep_load` produces a
 Figure-6-style load-vs-latency curve; :func:`saturation_throughput` finds the
 achieved throughput bar of Figure 6g by sweeping at fixed granularity (the
 paper uses 2%) until the first saturated point.
@@ -22,10 +24,11 @@ from ..network.network import Network
 from ..network.simulator import Simulator
 from ..network.stats import LatencyMonitor, PacketStats
 from ..traffic.injection import SyntheticTraffic
-from ..traffic.sizes import SizeDistribution, UniformSize
+from ..traffic.sizes import SizeDistribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.base import RoutingAlgorithm
+    from ..faults.model import FaultSchedule
     from ..obs import TraceOptions
     from ..topology.base import Topology
     from ..traffic.base import TrafficPattern
@@ -131,6 +134,115 @@ def nearest_rank_p99(values: list[float]) -> float:
     return float(sorted(values)[idx])
 
 
+class PointRun:
+    """One load point, assembled and ready to step.
+
+    Network, Simulator, observers, an optional mid-run
+    :class:`~repro.faults.inject.FaultInjector` (registered *before* the
+    traffic, so fault flips land ahead of the cycle's injections),
+    :class:`~repro.traffic.injection.SyntheticTraffic`, and a
+    :class:`~repro.network.stats.PacketStats` on every owned terminal.
+    ``owned_routers`` is all that separates :func:`measure_point`'s whole
+    network from one worker of :mod:`repro.network.shard`; :meth:`run`,
+    :meth:`total_ejected` and :meth:`finish` are what :func:`run_half_half`
+    drives, here and on a :class:`~repro.network.shard.ShardEngine`.
+
+    ``check`` attaches the :class:`repro.check.Sanitizer` (periodic audits
+    plus :meth:`close`'s final one); ``trace`` (a
+    :class:`repro.obs.TraceOptions`) the lifecycle
+    :class:`~repro.obs.Tracer`, plus a :class:`~repro.obs.TimeSeriesSampler`
+    when ``trace.window`` > 0.  All three only observe: a run measures the
+    same bytes with or without them (``repro.check.oracle``'s
+    ``diff_skip_on_off`` / ``diff_trace_on_off``).
+    """
+
+    def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",
+                 pattern: "TrafficPattern", rate: float,
+                 cfg: SimConfig | None = None,
+                 size_dist: SizeDistribution | None = None, seed: int = 1,
+                 check: bool = False, trace: "TraceOptions | None" = None,
+                 owned_routers: "frozenset[int] | None" = None,
+                 schedule: "FaultSchedule | None" = None,
+                 sources: "list[int] | None" = None):
+        self.net = Network(
+            topology, algorithm, cfg or default_config(), owned_routers=owned_routers
+        )
+        self.sim = sim = Simulator(self.net)
+        self.trace = trace
+        # Observers first: an audit precedes its cycle's injections.
+        self.sanitizer = self.tracer = self.sampler = None
+        if check:
+            from ..check.sanitizer import Sanitizer
+
+            self.sanitizer = Sanitizer(sim).attach()
+        if trace is not None:
+            from ..obs import TimeSeriesSampler, Tracer
+
+            self.tracer = Tracer(sim, trace).attach()
+            if trace.window:
+                self.sampler = TimeSeriesSampler(sim, window=trace.window).attach()
+        if schedule is not None:
+            from ..faults.inject import FaultInjector
+
+            sim.processes.append(FaultInjector(self.net, schedule))
+        self.traffic = SyntheticTraffic(
+            self.net, pattern, rate, size_dist, seed=seed, sources=sources
+        )
+        sim.processes.append(self.traffic)
+        self.stats = PacketStats()
+        for t in self.net.terminals:
+            if t is not None:
+                t.delivery_listeners.append(self.stats.on_delivery)
+
+    def run(self, cycles: int) -> None:
+        self.sim.run(cycles)
+
+    def total_ejected(self) -> int:
+        return self.net.total_ejected_flits()
+
+    def finish(self) -> dict:
+        """What :func:`finalize_point` takes from a finished run, by
+        keyword: the live statistics and the owned routers' counters."""
+        routers = [r for r in self.net.routers if r is not None]
+        return {
+            "stats": self.stats,
+            "ejected_total": self.net.total_ejected_flits(),
+            "undelivered_backlog": self.net.total_backlog_flits(),
+            "routes_computed": sum(r.routes_computed for r in routers),
+            "route_stalls": sum(r.route_stalls for r in routers),
+        }
+
+    def close(self, stem: str, require_quiescent: bool = False) -> None:
+        """Final-check and detach the observers and, with ``trace.out_dir``
+        set, export ``<stem>.jsonl`` (Chrome trace JSON too when
+        ``trace.chrome``).  ``require_quiescent`` is for drained runs; a
+        measurement ends with injection on, so its audit is the lenient one."""
+        if self.sanitizer is not None:
+            self.sanitizer.final_check(require_quiescent=require_quiescent)
+            self.sanitizer.detach()
+        if self.tracer is not None:
+            if self.sampler is not None:
+                self.sampler.finalize(self.sim.cycle)
+                self.sampler.detach()
+            self.tracer.detach()
+            if self.trace.out_dir:
+                from ..obs.export import write_point_trace
+
+                write_point_trace(self.tracer, self.sampler, self.trace.out_dir, stem)
+
+
+def run_half_half(engine, total_cycles: int) -> tuple:
+    """Section 6.1's schedule, written once: run to the half-way mark,
+    snapshot the ejected flits, run the rest.  ``engine`` is a
+    :class:`PointRun` or a :class:`~repro.network.shard.ShardEngine`;
+    returns ``(ejected_at_half, engine.finish())``."""
+    half = total_cycles // 2
+    engine.run(half)
+    ejected_at_half = engine.total_ejected()
+    engine.run(total_cycles - half)
+    return ejected_at_half, engine.finish()
+
+
 def measure_point(
     topology: "Topology",
     algorithm: "RoutingAlgorithm",
@@ -140,7 +252,6 @@ def measure_point(
     cfg: SimConfig | None = None,
     size_dist: SizeDistribution | None = None,
     seed: int = 1,
-    monitor: LatencyMonitor | None = None,
     check: bool = False,
     trace: "TraceOptions | None" = None,
 ) -> PointResult:
@@ -149,76 +260,23 @@ def measure_point(
     The run lasts ``total_cycles`` with injection on throughout.  Latency is
     sampled over packets *created* in the middle window [0.3T, 0.7T) (and
     delivered by the end); accepted throughput counts flits ejected in the
-    second half of the run.
-
-    ``check`` attaches the :class:`repro.check.Sanitizer` for the whole run
-    (periodic invariant audits plus a final one); the measured numbers are
-    unchanged — the sanitizer only observes.
-
-    ``trace`` (a :class:`repro.obs.TraceOptions`) attaches the lifecycle
-    :class:`~repro.obs.Tracer` — plus a
-    :class:`~repro.obs.TimeSeriesSampler` when ``trace.window`` > 0 — for
-    the whole run.  Like the sanitizer, tracing only observes: the returned
-    point is byte-identical with tracing on or off (enforced by
-    ``repro.check.oracle.diff_trace_on_off``).  With ``trace.out_dir`` set,
-    the trace is exported there as JSONL (and Chrome trace JSON when
-    ``trace.chrome``) under a deterministic per-point name.
+    second half of the run.  ``check`` and ``trace`` attach
+    :class:`PointRun`'s observers for the whole run; traces are exported
+    under a deterministic per-point name.
     """
     started = time.perf_counter()
-    cfg = cfg or default_config()
-    size_dist = size_dist or UniformSize(1, 16)
-    net = Network(topology, algorithm, cfg)
-    sim = Simulator(net)
-    sanitizer = None
-    if check:
-        from ..check.sanitizer import Sanitizer
-
-        sanitizer = Sanitizer(sim).attach()
-    tracer = sampler = None
-    if trace is not None:
-        from ..obs import TimeSeriesSampler, Tracer
-
-        tracer = Tracer(sim, trace).attach()
-        if trace.window:
-            sampler = TimeSeriesSampler(sim, window=trace.window).attach()
-    traffic = SyntheticTraffic(net, pattern, rate, size_dist, seed=seed)
-    sim.processes.append(traffic)
-    stats = PacketStats()
-    for t in net.terminals:
-        t.delivery_listeners.append(stats.on_delivery)
-
-    half = total_cycles // 2
-
-    sim.run(half)
-    ejected_at_half = net.total_ejected_flits()
-    sim.run(total_cycles - half)
-    if sanitizer is not None:
-        # Injection is still on, so the final audit is the lenient one.
-        sanitizer.final_check()
-        sanitizer.detach()
-    if tracer is not None:
-        if sampler is not None:
-            sampler.finalize(sim.cycle)
-            sampler.detach()
-        tracer.detach()
-        if trace.out_dir:
-            from ..obs.export import write_point_trace
-
-            stem = f"trace_{algorithm.name}_{pattern.name}_r{rate:.4f}"
-            write_point_trace(tracer, sampler, trace.out_dir, stem)
-
+    run = PointRun(
+        topology, algorithm, pattern, rate, cfg, size_dist, seed, check, trace
+    )
+    ejected_at_half, finished = run_half_half(run, total_cycles)
+    run.close(f"trace_{algorithm.name}_{pattern.name}_r{rate:.4f}")
     return finalize_point(
         rate=rate,
         total_cycles=total_cycles,
         num_terminals=topology.num_terminals,
-        stats=stats,
-        ejected_total=net.total_ejected_flits(),
         ejected_at_half=ejected_at_half,
-        undelivered_backlog=net.total_backlog_flits(),
-        routes_computed=sum(r.routes_computed for r in net.routers),
-        route_stalls=sum(r.route_stalls for r in net.routers),
         started=started,
-        monitor=monitor,
+        **finished,
     )
 
 
@@ -233,7 +291,6 @@ def finalize_point(
     routes_computed: int,
     route_stalls: int,
     started: float,
-    monitor: LatencyMonitor | None = None,
 ) -> PointResult:
     """Classify one finished run into a :class:`PointResult`.
 
@@ -248,8 +305,7 @@ def finalize_point(
     half = total_cycles // 2
     span = total_cycles - half
     accepted = (ejected_total - ejected_at_half) / (span * num_terminals)
-    monitor = monitor or LatencyMonitor()
-    verdict = monitor.verdict(
+    verdict = LatencyMonitor().verdict(
         stats,
         measure_start,
         measure_end,
@@ -303,8 +359,8 @@ def sweep_load(
     ``workers`` selects the execution engine.  ``None`` (default) is the
     in-process serial path, reusing the caller's live objects.  Any integer
     ``>= 1`` routes through :mod:`repro.analysis.parallel`: points are
-    described by picklable specs and each gets a freshly reconstructed
-    topology/algorithm/pattern, so results are bit-identical for every
+    described by picklable specs and each gets a topology/algorithm/pattern
+    fresh from ``PointSpec.build``, so results are bit-identical for every
     worker count (``workers=1`` runs the same spec path serially).
     ``progress`` is called as ``(index, total, point)`` after each point
     completes, in rate order, on either path.
@@ -336,8 +392,6 @@ def sweep_load(
 
     from .parallel import point_specs, run_points
 
-    if kwargs.pop("monitor", None) is not None:
-        raise ValueError("custom monitors are not supported with workers=N")
     specs = point_specs(topology, algorithm, pattern, ordered, **kwargs)
     result.points = run_points(
         specs,

@@ -30,7 +30,7 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..analysis.sweep import SweepResult, sweep_load
 from ..core.registry import make_algorithm
@@ -252,9 +252,9 @@ def diff_service_direct(
         "rates": list(rates),
         "total_cycles": total_cycles,
         "seed": seed,
-        "faults": [
-            [type(f).__name__, _fault_asdict(f)] for f in (faults or ())
-        ],
+        # Spelled out like a client would, not through the shared codec:
+        # the decode side is part of what this oracle checks.
+        "faults": [[type(f).__name__, asdict(f)] for f in (faults or ())],
     }
     suffix = " (faulted)" if faults is not None else ""
     name = f"service-vs-direct{suffix}"
@@ -291,12 +291,6 @@ def diff_service_direct(
             service.shutdown()
     ja = direct.to_json()
     return OracleReport(name, ja == served, _first_difference(ja, served))
-
-
-def _fault_asdict(fault) -> dict:
-    from dataclasses import asdict
-
-    return asdict(fault)
 
 
 def diff_pristine_empty_faultset(

@@ -40,9 +40,10 @@ import argparse
 import os
 import sys
 
+from .analysis.parallel import PointSpec
 from .analysis.report import format_table
 from .analysis.sweep import sweep_load
-from .core.registry import PAPER_ALGORITHMS, algorithm_names, make_algorithm
+from .core.registry import PAPER_ALGORITHMS, algorithm_names
 from .experiments import (
     faults as faults_experiment,
     fig1_paths,
@@ -60,7 +61,6 @@ from .experiments import (
 )
 from .experiments.common import SCALES, get_scale, resolve_workers
 from .topology.hyperx import HyperX
-from .traffic.patterns import pattern_by_name
 
 # Each entry takes (scale, workers); only the sweep-grid figures can use
 # the worker pool, the rest ignore it.
@@ -262,14 +262,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scenario(args) -> tuple:
+    """Live ``(topology, algorithm, pattern)`` for the sweep/trace flags
+    (the rate plays no part in construction)."""
+    return PointSpec(
+        tuple(args.widths), args.terminals, args.algorithm, args.pattern, rate=0.0
+    ).build()
+
+
 def _cmd_sweep(args) -> str:
     if args.shards < 0:
         raise ValueError("--shards must be >= 0")
-    topo = HyperX(tuple(args.widths), args.terminals)
-    algo = make_algorithm(args.algorithm, topo)
-    pattern = pattern_by_name(args.pattern, topo)
     sweep = sweep_load(
-        topo, algo, pattern, args.rates, total_cycles=args.cycles,
+        *_scenario(args), args.rates, total_cycles=args.cycles,
         seed=args.seed, workers=resolve_workers(args.workers),
         check=args.check, shards=args.shards,
     )
@@ -406,9 +411,7 @@ def _cmd_trace(args) -> str:
             sample_every=args.sample_every, start=args.start, end=args.end,
             capacity=args.capacity, window=args.window,
         )
-        topo = HyperX(tuple(args.widths), args.terminals)
-        algo = make_algorithm(args.algorithm, topo)
-        pattern = pattern_by_name(args.pattern, topo)
+        topo, algo, pattern = _scenario(args)
         net = Network(topo, algo, default_config())
         sim = Simulator(net)
         sim.add_process(SyntheticTraffic(net, pattern, args.rate, seed=args.seed))

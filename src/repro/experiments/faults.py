@@ -24,16 +24,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..analysis.report import format_table
+from ..analysis.sweep import PointRun
 from ..core.base import NoRouteError
 from ..core.registry import make_algorithm
 from ..faults.degraded import DegradedTopology
-from ..faults.inject import FaultInjector
 from ..faults.model import FaultSchedule, random_faults
-from ..network.network import Network
-from ..network.simulator import Simulator
-from ..network.stats import PacketStats
 from ..network.telemetry import TelemetryProbe
-from ..traffic.injection import SyntheticTraffic
 from ..traffic.patterns import UniformRandom, UniformRandomSubset
 from .common import Scale, get_scale
 from .transient import TransientSeries
@@ -96,13 +92,10 @@ def run_fault_transient(
     from generation so the delivered fraction measures *routing*, not
     endpoint loss.
 
-    ``check`` attaches the :class:`repro.check.Sanitizer` for the whole run —
-    including the fault event and the drain, the paths the sanitizer's
-    credit-reconciliation and conservation checks were built to cover.
-
-    ``trace`` (a :class:`repro.obs.TraceOptions`) attaches the lifecycle
-    tracer across the fault event and the drain — the degraded-mode
-    transient is exactly where per-packet visibility matters.  With
+    ``check`` and ``trace`` are :class:`~repro.analysis.sweep.PointRun`'s
+    observers, attached across the fault event and the drain — the paths
+    the sanitizer's credit-reconciliation and conservation checks were
+    built to cover, and where per-packet visibility matters most.  With
     ``trace.out_dir`` set the stream is exported as
     ``trace_fault_<algorithm>_<scale>.jsonl`` (plus Chrome trace JSON when
     ``trace.chrome``).
@@ -113,20 +106,6 @@ def run_fault_transient(
     algo = make_algorithm(algorithm, topo)
     if not algo.fault_aware:
         raise ValueError(f"{algorithm} is not fault-aware; see docs/FAULTS.md")
-    net = Network(topo, algo, sc.sim_config())
-    sim = Simulator(net)
-    sanitizer = None
-    if check:
-        from ..check.sanitizer import Sanitizer
-
-        sanitizer = Sanitizer(sim).attach()
-    tracer = sampler = None
-    if trace is not None:
-        from ..obs import TimeSeriesSampler, Tracer
-
-        tracer = Tracer(sim, trace).attach()
-        if trace.window:
-            sampler = TimeSeriesSampler(sim, window=trace.window).attach()
     fault_cycle = pre_windows * window
     total = (pre_windows + post_windows) * window
 
@@ -141,22 +120,20 @@ def run_fault_transient(
         fail_links = sum(1 for e in schedule.events if e.kind == "link")
         fail_routers = len(schedule.failed_router_ids())
     doomed_routers = schedule.failed_router_ids()
+    alive = None
+    pattern = UniformRandom(base.num_terminals)
     if doomed_routers:
         tpr = base.num_terminals // base.num_routers
         alive = [
             t for t in range(base.num_terminals) if t // tpr not in doomed_routers
         ]
         pattern = UniformRandomSubset(base.num_terminals, alive)
-        traffic = SyntheticTraffic(net, pattern, rate, seed=seed, sources=alive)
-    else:
-        traffic = SyntheticTraffic(net, UniformRandom(base.num_terminals), rate, seed=seed)
-    injector = FaultInjector(net, schedule)
-    sim.processes.append(injector)
-    sim.processes.append(traffic)
-    stats = PacketStats()
-    for t in net.terminals:
-        t.delivery_listeners.append(stats.on_delivery)
-    probe = TelemetryProbe(net)
+    run = PointRun(
+        topo, algo, pattern, rate, cfg=sc.sim_config(), seed=seed, check=check,
+        trace=trace, schedule=schedule, sources=alive,
+    )
+    sim, traffic, stats = run.sim, run.traffic, run.stats
+    probe = TelemetryProbe(run.net)
 
     drained = False
     routing_error: str | None = None
@@ -167,46 +144,22 @@ def run_fault_transient(
     except NoRouteError as e:
         routing_error = str(e)
         traffic.stop()
-    if sanitizer is not None:
-        # After a clean drain every credit must be home and every output VC
-        # released; after a NoRouteError the network holds stranded traffic,
-        # so only the always-true invariants are audited.
-        sanitizer.final_check(
-            require_quiescent=drained and routing_error is None
-        )
-        sanitizer.detach()
-    if tracer is not None:
-        if sampler is not None:
-            sampler.finalize(sim.cycle)
-            sampler.detach()
-        tracer.detach()
-        if trace.out_dir:
-            from ..obs.export import write_point_trace
-
-            stem = f"trace_fault_{algorithm}_{sc.name}"
-            write_point_trace(tracer, sampler, trace.out_dir, stem)
-
-    series = TransientSeries(
-        algorithm=algorithm, window=window, switch_cycle=fault_cycle
+    # After a clean drain every credit must be home and every output VC
+    # released; after a NoRouteError the network holds stranded traffic,
+    # so only the always-true invariants are audited.
+    run.close(
+        f"trace_fault_{algorithm}_{sc.name}",
+        require_quiescent=drained and routing_error is None,
     )
-    for start in range(0, total, window):
-        bucket = [
-            s for s in stats.samples if start <= s.create_cycle < start + window
-        ]
-        if bucket:
-            lat = sum(s.latency for s in bucket) / len(bucket)
-            der = sum(s.deroutes for s in bucket) / len(bucket)
-        else:
-            lat, der = float("nan"), float("nan")
-        series.windows.append((start, lat, der, len(bucket)))
-
     return FaultTransientResult(
         algorithm=algorithm,
         scale=sc.name,
         fail_links=fail_links,
         fail_routers=fail_routers,
         fault_cycle=fault_cycle,
-        series=series,
+        series=TransientSeries.from_samples(
+            algorithm, window, fault_cycle, total, stats.samples
+        ),
         injected_packets=traffic.packets_generated,
         delivered_packets=stats.packets_delivered,
         drained=drained,

@@ -36,6 +36,22 @@ class TransientSeries:
     #: per-window (start_cycle, mean latency, mean deroutes, packets)
     windows: list[tuple[int, float, float, int]] = field(default_factory=list)
 
+    @classmethod
+    def from_samples(cls, algorithm: str, window: int, switch_cycle: int,
+                     total: int, samples) -> "TransientSeries":
+        """Bucket delivered-packet samples by creation cycle into
+        ``window``-cycle bins over ``[0, total)``."""
+        series = cls(algorithm=algorithm, window=window, switch_cycle=switch_cycle)
+        for start in range(0, total, window):
+            bucket = [s for s in samples if start <= s.create_cycle < start + window]
+            if bucket:
+                lat = sum(s.latency for s in bucket) / len(bucket)
+                der = sum(s.deroutes for s in bucket) / len(bucket)
+            else:
+                lat, der = float("nan"), float("nan")
+            series.windows.append((start, lat, der, len(bucket)))
+        return series
+
     def settling_window(self, tolerance: float = 1.3) -> int | None:
         """First post-switch window whose latency stays within ``tolerance``
         x the final (settled) latency for the rest of the run."""
@@ -94,18 +110,9 @@ def run_transient(
     traffic.stop()
     sim.drain(max_cycles=1_000_000)
 
-    series = TransientSeries(algorithm=algorithm, window=window, switch_cycle=switch)
-    for start in range(0, total, window):
-        bucket = [
-            s for s in stats.samples if start <= s.create_cycle < start + window
-        ]
-        if bucket:
-            lat = sum(s.latency for s in bucket) / len(bucket)
-            der = sum(s.deroutes for s in bucket) / len(bucket)
-        else:
-            lat, der = float("nan"), float("nan")
-        series.windows.append((start, lat, der, len(bucket)))
-    return series
+    return TransientSeries.from_samples(
+        algorithm, window, switch, total, stats.samples
+    )
 
 
 def run(

@@ -39,7 +39,7 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,6 +69,46 @@ class DegradedLink:
     router: int
     port: int
     factor: int
+
+
+#: the fault classes, keyed by the name their JSON form spells them with
+FAULT_CLASSES = {
+    "LinkFault": LinkFault,
+    "RouterFault": RouterFault,
+    "DegradedLink": DegradedLink,
+}
+
+
+def faults_to_json(faults: Iterable[object]) -> list:
+    """The JSON form of declarative faults: ``[class-name, fields]`` pairs,
+    fields sorted by name.  This is the spelling inside every memo-key and
+    job-id preimage, so changing it renames every archived result."""
+    return [[type(f).__name__, dict(sorted(asdict(f).items()))] for f in faults]
+
+
+def faults_from_json(raw: object) -> tuple:
+    """Parse ``[class-name, fields]`` pairs back into frozen fault objects.
+
+    The inverse of :func:`faults_to_json`, and the door untrusted request
+    bodies come through: field values are coerced to ``int`` and every
+    rejection is a ``ValueError`` naming the offending entry.
+    """
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError("faults must be a list of [class-name, fields] pairs")
+    faults = []
+    for i, entry in enumerate(raw):
+        try:
+            name, fields = entry
+            cls = FAULT_CLASSES[name]
+            faults.append(cls(**{k: int(v) for k, v in fields.items()}))
+        except KeyError:
+            raise ValueError(
+                f"fault #{i}: unknown class {entry[0]!r}; "
+                f"choose from {sorted(FAULT_CLASSES)}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"fault #{i}: {exc}") from None
+    return tuple(faults)
 
 
 class FaultSet:

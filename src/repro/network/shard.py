@@ -10,10 +10,12 @@ cross shard boundaries over pipes.
 **Partitioning.**  :class:`ShardPlan` slices the topology along its widest
 dimension into contiguous coordinate blocks, one per shard; a shard owns
 every router whose coordinate in that dimension falls in its block (and the
-terminals of those routers).  Each worker builds a *partial*
-:class:`~repro.network.network.Network` (``owned_routers=``): unowned
-routers are ``None`` holes and cross-shard links terminate in boundary
-channels (:attr:`Network.boundary_out` / :attr:`Network.boundary_in`).
+terminals of those routers).  Each worker is the same
+:class:`~repro.analysis.sweep.PointRun` assembly ``measure_point`` runs,
+built over a *partial* :class:`~repro.network.network.Network`
+(``owned_routers=``): unowned routers are ``None`` holes and cross-shard
+links terminate in boundary channels (:attr:`Network.boundary_out` /
+:attr:`Network.boundary_in`).
 
 **Chunk protocol.**  The conservative lookahead is the router-to-router
 channel latency ``L = channel_latency_rr``: a flit pushed onto a boundary
@@ -66,8 +68,6 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from ..config import default_config
-from .network import Network
-from .simulator import Simulator
 from .stats import LatencySample, PacketStats
 from .types import Flit, Packet
 
@@ -144,59 +144,25 @@ class _WorkerState:
 
     def __init__(self, spec: "PointSpec", owned: frozenset[int], schedule,
                  trace=None):
-        from ..core.registry import make_algorithm
-        from ..topology.hyperx import HyperX
-        from ..traffic.injection import SyntheticTraffic
-        from ..traffic.sizes import UniformSize
+        from ..analysis.sweep import PointRun
 
-        from ..traffic.patterns import pattern_by_name
-
-        topo: "Topology" = HyperX(tuple(spec.widths), spec.terminals_per_router)
-        if spec.faults or schedule is not None:
-            from ..faults.degraded import DegradedTopology
-            from ..faults.model import FaultSet
-
-            topo = DegradedTopology(topo, FaultSet(list(spec.faults)))
-        algorithm = make_algorithm(
-            spec.algorithm, topo, **dict(spec.algorithm_kwargs)
+        if trace is not None and (not trace.pid_ids or trace.window):
+            raise ValueError(
+                "sharded tracing needs TraceOptions(pid_ids=True) and no "
+                "sampler window: trace-local ids cannot identify a packet "
+                "whose inject happened in another shard, and a time series "
+                "reads the whole network"
+            )
+        #: the same assembly ``measure_point`` runs, over this shard's routers
+        self.point = PointRun(
+            *spec.build(mid_run_faults=schedule is not None), spec.rate,
+            cfg=spec.cfg, size_dist=spec.size_dist, seed=spec.seed,
+            trace=trace, owned_routers=owned, schedule=schedule,
         )
-        pattern = pattern_by_name(spec.pattern, topo)
-        cfg = spec.cfg or default_config()
-        self.net = Network(topo, algorithm, cfg, owned_routers=owned)
-        self.sim = Simulator(self.net)
-        if schedule is not None:
-            from ..faults.inject import FaultInjector
-
-            # Injector before traffic, matching the order the per-cycle
-            # reference harness registers them: fault flips land before the
-            # cycle's injections.
-            self.sim.processes.append(FaultInjector(self.net, schedule))
-        traffic = SyntheticTraffic(
-            self.net,
-            pattern,
-            spec.rate,
-            spec.size_dist or UniformSize(1, 16),
-            seed=spec.seed,
-        )
-        self.sim.processes.append(traffic)
-        self.stats = PacketStats()
-        for t in self.net.terminals:
-            if t is not None:
-                t.delivery_listeners.append(self.stats.on_delivery)
+        self.net, self.sim = self.point.net, self.point.sim
         # pid -> [replica Packet, transits-in-flight]; a head import creates
         # or refreshes the replica, the matching tail import drops the ref.
         self._replicas: dict[int, list] = {}
-        self.tracer = None
-        if trace is not None:
-            from ..obs.tracer import Tracer
-
-            if not trace.pid_ids:
-                raise ValueError(
-                    "sharded tracing needs TraceOptions(pid_ids=True): "
-                    "trace-local ids cannot identify a packet whose inject "
-                    "happened in another shard"
-                )
-            self.tracer = Tracer(self.sim, trace).attach()
 
     # -- chunk boundary ------------------------------------------------
 
@@ -294,31 +260,30 @@ class _WorkerState:
     # -- end of run ----------------------------------------------------
 
     def report(self) -> dict[str, Any]:
-        net, stats = self.net, self.stats
-        trace: dict[str, Any] = {}
-        if self.tracer is not None:
-            trace["trace_events"] = [
-                (ev.cycle, ev.type, ev.pkt, ev.where, ev.data)
-                for ev in self.tracer.events()
-            ]
-            trace["trace_dropped"] = self.tracer.ring.dropped
-        return {
-            **trace,
+        """This shard's :meth:`PointRun.finish`, flattened for the pipe
+        (:func:`run_point_sharded` folds the reports back together)."""
+        done = self.point.finish()
+        stats = done["stats"]
+        rep = {
             "samples": [
                 (s.create_cycle, s.latency, s.hops, s.deroutes)
                 for s in stats.samples
             ],
             "packets_delivered": stats.packets_delivered,
             "flits_delivered": stats.flits_delivered,
-            "ejected": net.total_ejected_flits(),
-            "backlog": net.total_backlog_flits(),
-            "routes_computed": sum(
-                r.routes_computed for r in net.routers if r is not None
-            ),
-            "route_stalls": sum(
-                r.route_stalls for r in net.routers if r is not None
-            ),
+            "ejected": done["ejected_total"],
+            "backlog": done["undelivered_backlog"],
+            "routes_computed": done["routes_computed"],
+            "route_stalls": done["route_stalls"],
         }
+        tracer = self.point.tracer
+        if tracer is not None:
+            rep["trace_events"] = [
+                (ev.cycle, ev.type, ev.pkt, ev.where, ev.data)
+                for ev in tracer.events()
+            ]
+            rep["trace_dropped"] = tracer.ring.dropped
+        return rep
 
 
 def _shard_worker(conn, spec: "PointSpec", owned: frozenset[int], schedule,
@@ -364,10 +329,12 @@ def _shard_worker(conn, spec: "PointSpec", owned: frozenset[int], schedule,
 class ShardEngine:
     """Coordinates one sharded simulation across forked worker processes.
 
-    The public surface mirrors what ``measure_point`` needs from a
-    simulator: :meth:`run` to advance the global clock, :meth:`total_ejected`
-    for the mid-run throughput snapshot, :meth:`finish` for the merged
-    end-of-run statistics, and :meth:`close` to tear the workers down.
+    The public surface is the one
+    :func:`~repro.analysis.sweep.run_half_half` drives on a single-process
+    :class:`~repro.analysis.sweep.PointRun` too: :meth:`run` to advance the
+    global clock, :meth:`total_ejected` for the mid-run throughput snapshot,
+    :meth:`finish` for the per-shard end-of-run reports — plus :meth:`close`
+    to tear the workers down.
 
     Workers are forked (never spawned): fork shares the parent's packet-id
     counter position, which keeps pids aligned with an unsharded run in the
@@ -376,9 +343,7 @@ class ShardEngine:
 
     def __init__(self, spec: "PointSpec", shards: int,
                  schedule: "FaultSchedule | None" = None, trace=None):
-        from ..topology.hyperx import HyperX
-
-        topo = HyperX(tuple(spec.widths), spec.terminals_per_router)
+        topo = spec.build()[0]
         self.plan = ShardPlan(topo, shards)
         self.shards = shards
         self.num_terminals = topo.num_terminals
@@ -607,25 +572,17 @@ def run_point_sharded(spec: "PointSpec",
                       schedule: "FaultSchedule | None" = None) -> "PointResult":
     """Measure one load point on the sharded engine.
 
-    Replays ``measure_point``'s exact schedule — run to the half-way mark,
-    snapshot ejected flits, run the rest — then folds the per-shard reports
-    into one :class:`~repro.network.stats.PacketStats` and hands the same
-    integer aggregates to :func:`~repro.analysis.sweep.finalize_point`, so
-    the resulting point is byte-identical to the single-process one.
+    The schedule is ``measure_point``'s own
+    (:func:`~repro.analysis.sweep.run_half_half`); the per-shard reports
+    are folded into one :class:`~repro.network.stats.PacketStats` and exact
+    integer sums, so :func:`~repro.analysis.sweep.finalize_point` returns
+    the single-process point byte for byte.
     """
-    from ..analysis.sweep import finalize_point
+    from ..analysis.sweep import finalize_point, run_half_half
 
     started = time.perf_counter()
-    total = spec.total_cycles
-    half = total // 2
-    engine = ShardEngine(spec, spec.shards, schedule=schedule)
-    try:
-        engine.run(half)
-        ejected_at_half = engine.total_ejected()
-        engine.run(total - half)
-        reports = engine.finish()
-    finally:
-        engine.close()
+    with ShardEngine(spec, spec.shards, schedule=schedule) as engine:
+        ejected_at_half, reports = run_half_half(engine, spec.total_cycles)
     stats = PacketStats()
     for rep in reports:
         stats.samples.extend(LatencySample(*t) for t in rep["samples"])
@@ -633,7 +590,7 @@ def run_point_sharded(spec: "PointSpec",
         stats.flits_delivered += rep["flits_delivered"]
     return finalize_point(
         rate=spec.rate,
-        total_cycles=total,
+        total_cycles=spec.total_cycles,
         num_terminals=engine.num_terminals,
         stats=stats,
         ejected_total=sum(r["ejected"] for r in reports),

@@ -463,19 +463,11 @@ class JobQueue:
     def _execute(self, job: Job) -> None:
         """Run one sweep exactly as a direct caller would, memo-backed."""
         from ..analysis.sweep import sweep_load
-        from .spec import SweepRequest, build_scenario
+        from .spec import build_request, build_scenario
 
-        req = SweepRequest(
-            widths=tuple(job.request["widths"]),
-            terminals_per_router=job.request["terminals_per_router"],
-            algorithm=job.request["algorithm"],
-            pattern=job.request["pattern"],
-            rates=tuple(job.request["rates"]),
-            total_cycles=job.request["total_cycles"],
-            seed=job.request["seed"],
-            stop_after_unstable=job.request["stop_after_unstable"],
-            faults=_faults_from_canonical(job.request["faults"]),
-        )
+        # The journaled canonical form is itself a valid raw request, so a
+        # replayed job passes the same door a fresh submission did.
+        req = build_request(job.request)
         topo, algo, patt = build_scenario(req)
 
         def on_point(i, n, point):
@@ -495,9 +487,3 @@ class JobQueue:
             points_simulated=self.memo.misses - misses0,
             memo_hits=self.memo.hits - hits0,
         )
-
-
-def _faults_from_canonical(raw) -> tuple:
-    from .spec import FAULT_CLASSES
-
-    return tuple(FAULT_CLASSES[name](**fields) for name, fields in raw)

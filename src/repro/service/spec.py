@@ -34,16 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..faults.model import DegradedLink, LinkFault, RouterFault
-
-#: fault classes a request may name, keyed by their canonical spelling
-FAULT_CLASSES = {
-    "LinkFault": LinkFault,
-    "RouterFault": RouterFault,
-    "DegradedLink": DegradedLink,
-}
+from ..faults.model import faults_from_json, faults_to_json
 
 #: request fields and their defaults — also the schema whitelist
 REQUEST_FIELDS = (
@@ -78,35 +70,8 @@ class SweepRequest:
             "total_cycles": self.total_cycles,
             "seed": self.seed,
             "stop_after_unstable": self.stop_after_unstable,
-            "faults": [
-                [type(f).__name__, _fault_fields(f)] for f in self.faults
-            ],
+            "faults": faults_to_json(self.faults),
         }
-
-
-def _fault_fields(fault) -> dict:
-    from dataclasses import asdict
-
-    return dict(sorted(asdict(fault).items()))
-
-
-def _parse_faults(raw: Any) -> tuple:
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError("faults must be a list of [class-name, fields] pairs")
-    faults = []
-    for i, entry in enumerate(raw):
-        try:
-            name, fields = entry
-            cls = FAULT_CLASSES[name]
-            faults.append(cls(**{k: int(v) for k, v in fields.items()}))
-        except KeyError:
-            raise ValueError(
-                f"fault #{i}: unknown class {entry[0]!r}; "
-                f"choose from {sorted(FAULT_CLASSES)}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"fault #{i}: {exc}") from None
-    return tuple(faults)
 
 
 def build_request(raw: dict) -> SweepRequest:
@@ -141,7 +106,7 @@ def build_request(raw: dict) -> SweepRequest:
             total_cycles=int(raw.get("total_cycles", 2000)),
             seed=int(raw.get("seed", 1)),
             stop_after_unstable=bool(raw.get("stop_after_unstable", True)),
-            faults=_parse_faults(raw.get("faults", ())),
+            faults=faults_from_json(raw.get("faults", ())),
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed request: {exc}") from None
@@ -156,21 +121,15 @@ def build_request(raw: dict) -> SweepRequest:
 
 
 def build_scenario(req: SweepRequest) -> tuple:
-    """Fresh live ``(topology, algorithm, pattern)`` objects for ``req`` —
-    exactly what a direct :func:`~repro.analysis.sweep.sweep_load` caller
-    would construct by hand."""
-    from ..core.registry import make_algorithm
-    from ..faults.degraded import DegradedTopology
-    from ..faults.model import FaultSet
-    from ..topology.hyperx import HyperX
-    from ..traffic.patterns import pattern_by_name
+    """Fresh live ``(topology, algorithm, pattern)`` objects for ``req``:
+    :meth:`PointSpec.build <repro.analysis.parallel.PointSpec.build>` on
+    the request's first point."""
+    from ..analysis.parallel import PointSpec
 
-    topo = HyperX(req.widths, req.terminals_per_router)
-    if req.faults:
-        topo = DegradedTopology(topo, FaultSet(list(req.faults)))
-    algo = make_algorithm(req.algorithm, topo)
-    patt = pattern_by_name(req.pattern, topo)
-    return topo, algo, patt
+    return PointSpec(
+        req.widths, req.terminals_per_router, req.algorithm, req.pattern,
+        req.rates[0], faults=req.faults,
+    ).build()
 
 
 def build_specs(req: SweepRequest) -> list:

@@ -14,12 +14,14 @@ from repro.analysis.parallel import (
     run_points,
 )
 from repro.analysis.sweep import measure_point, sweep_load
-from repro.core.registry import make_algorithm
+from repro.config import default_config
+from repro.core.registry import algorithm_names, make_algorithm
 from repro.faults.degraded import DegradedTopology
-from repro.faults.model import FaultSet, random_link_faults
+from repro.faults.model import DegradedLink, FaultSet, LinkFault, random_link_faults
 from repro.topology.hyperx import HyperX
 from repro.topology.torus import Torus
 from repro.traffic.patterns import BitComplement, UniformRandom
+from repro.traffic.sizes import UniformSize
 
 
 def _setup():
@@ -199,13 +201,50 @@ def test_point_specs_carry_check_flag():
     assert not default[0].check
 
 
-def test_sweep_rejects_custom_monitor_with_workers():
+def test_removed_options_are_type_errors():
+    """``monitor`` made serial != parallel and ``speculation`` had no
+    caller; both are gone from every path, not silently swallowed."""
     from repro.network.stats import LatencyMonitor
 
     topo, pat = _setup()
     algo = make_algorithm("DimWAR", topo)
-    with pytest.raises(ValueError, match="monitor"):
-        sweep_load(
-            topo, algo, pat, rates=[0.2], workers=2,
-            monitor=LatencyMonitor(),
-        )
+    for workers in (None, 2):
+        with pytest.raises(TypeError, match="monitor"):
+            sweep_load(
+                topo, algo, pat, rates=[0.2], total_cycles=200,
+                workers=workers, monitor=LatencyMonitor(),
+            )
+    with pytest.raises(TypeError, match="speculation"):
+        run_points(point_specs(topo, algo, pat, [0.2]), speculation=4)
+
+
+_ROUND_TRIP_FAULTS = (LinkFault(0, 0), DegradedLink(4, 1, 2))
+
+
+@pytest.mark.parametrize("faults", [(), _ROUND_TRIP_FAULTS],
+                         ids=["pristine", "faulted"])
+@pytest.mark.parametrize("algorithm", algorithm_names())
+def test_spec_build_and_point_specs_are_inverses(algorithm, faults):
+    """``PointSpec.build`` is names -> objects, ``point_specs`` objects ->
+    names; a spec must survive the round trip field for field."""
+    spec = PointSpec(
+        (3, 3, 3), 2, algorithm, "URBz", 0.2, total_cycles=700, seed=9,
+        cfg=default_config(seed=77), size_dist=UniformSize(2, 5),
+        faults=faults, check=True, shards=2,
+    )
+    kwargs = dict(
+        total_cycles=700, seed=9, cfg=spec.cfg, size_dist=spec.size_dist,
+        check=True, shards=2,
+    )
+    assert point_specs(*spec.build(), [spec.rate], **kwargs)[0] == spec
+    # a mid-run schedule's empty wrapper is not a declared fault
+    topo = spec.build(mid_run_faults=True)[0]
+    assert isinstance(topo, DegradedTopology)
+    assert tuple(topo.faultset) == faults
+
+
+def test_spec_build_round_trips_algorithm_kwargs():
+    spec = PointSpec((3, 3), 2, "OmniWAR", "UR", 0.2,
+                     algorithm_kwargs=(("deroutes", 1),))
+    assert spec.build()[1].deroutes == 1
+    assert point_specs(*spec.build(), [0.2])[0] == spec

@@ -225,6 +225,35 @@ def test_restarted_service_warm_starts_from_shared_memo(tmp_path):
         svc2.shutdown()
 
 
+def test_journal_replayed_faulted_job_serves_the_direct_bytes(tmp_path):
+    raw = {**BASE_REQ, "widths": [3, 3], "faults": [
+        FAULT, ["DegradedLink", {"router": 4, "port": 1, "factor": 2}],
+    ]}
+    svc = _service(tmp_path, workers=1).start(runner=False)  # journal only
+    try:
+        _, _, body = _call(svc, "POST", "/jobs", raw)
+        job_id = json.loads(body)["job_id"]
+    finally:
+        svc.shutdown()
+    # The runner rebuilds the request from the journal alone, through the
+    # same door a submission takes — so even a hand-loosened integer in the
+    # file is coerced, not executed as a string.
+    log = tmp_path / "jobs.jsonl"
+    text = log.read_text()
+    assert '"factor":2' in text
+    log.write_text(text.replace('"factor":2', '"factor":"2"'))
+
+    svc2 = _service(tmp_path, workers=1).start()
+    try:
+        done = _wait_done(svc2, job_id)
+        assert done["state"] == "done", done.get("error")
+        status, _, served = _call(svc2, "GET", f"/jobs/{job_id}/result")
+        assert status == 200
+        assert served == _direct_curve(raw, 1).encode("utf-8")
+    finally:
+        svc2.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # HTTP error contract
 # ---------------------------------------------------------------------------

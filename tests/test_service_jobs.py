@@ -189,6 +189,49 @@ def test_request_key_ignores_rate_order(rates, seed):
     assert request_key(other) != request_key(fwd)
 
 
+#: The request-side twins of tests/test_sweep_memo.py's pinned specs, and
+#: their job ids as recorded before the fault codec moved: a changed
+#: canonical form would rename every journaled job.
+PINNED_PRISTINE = {
+    "widths": [3, 3], "terminals_per_router": 2, "rates": [0.3, 0.1],
+    "total_cycles": 500, "seed": 7,
+}
+PINNED_FAULTED = {
+    "widths": [4, 4], "algorithm": "OmniWAR", "pattern": "BC",
+    "rates": [0.25, 0.1], "total_cycles": 400, "seed": 3,
+    "faults": [
+        ["LinkFault", {"router": 0, "port": 0}],
+        ["RouterFault", {"router": 5}],
+        ["DegradedLink", {"router": 9, "port": 2, "factor": 4}],
+    ],
+}
+
+
+def test_request_key_digests_are_pinned():
+    assert request_key(build_request(PINNED_PRISTINE)) == (
+        "fc9d6c3fce0ec889f34b8a96b156a3aa83cb414888e425305320a7a2207390d9"
+    )
+    assert request_key(build_request(PINNED_FAULTED)) == (
+        "ebdc59ebfb3969e07fc02acf0d1e41c9791eef39eeaa5805375b344173c59ec3"
+    )
+
+
+@pytest.mark.parametrize("raw", [PINNED_PRISTINE, PINNED_FAULTED],
+                         ids=["pristine", "three-fault-classes"])
+def test_canonical_form_is_itself_a_valid_request(raw):
+    """What the journal stores is what the runner re-validates: the
+    canonical dict must pass ``build_request`` and come back unchanged."""
+    req = build_request(raw)
+    again = build_request(req.canonical())
+    assert again == req
+    assert request_key(again) == request_key(req)
+    # the door's coercion applies on the way back in, too
+    loose = json.loads(json.dumps(req.canonical()))
+    for _, fields in loose["faults"]:
+        fields.update({k: str(v) for k, v in fields.items()})
+    assert build_request(loose) == req
+
+
 def _memo(tmp_path):
     from repro.analysis.memo import SweepMemo
 

@@ -311,6 +311,10 @@ def test_quick_simulation_public_api():
     r = quick_simulation(algorithm="OmniWAR", pattern="BC", rate=0.2,
                          widths=(3, 3), terminals_per_router=2, cycles=1500)
     assert r.stable and r.accepted_rate > 0.15
+    # every name pattern_by_name (and ``repro sweep --pattern``) accepts
+    z = quick_simulation(pattern="URBz", rate=0.1, widths=(2, 2, 2),
+                         terminals_per_router=1, cycles=400)
+    assert z.packets_delivered > 0
     import pytest as _pytest
 
     with _pytest.raises(ValueError):

@@ -21,8 +21,9 @@ from repro.analysis.sweep import (
     saturation_throughput,
     sweep_load,
 )
-from repro.config import default_config
+from repro.config import NetworkConfig, RouterConfig, SimConfig, default_config
 from repro.core.registry import make_algorithm
+from repro.faults.model import DegradedLink, LinkFault, RouterFault
 from repro.topology.hyperx import HyperX
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.sizes import UniformSize
@@ -69,6 +70,36 @@ def test_point_key_is_stable_and_hex():
     k1, k2 = point_key(_spec()), point_key(_spec())
     assert k1 == k2
     assert len(k1) == 64 and all(c in "0123456789abcdef" for c in k1)
+
+
+#: Digests recorded at the commit before the fault codec moved into
+#: ``repro.faults.model``.  A reordered field or a changed int/str coercion
+#: in the canonical form would silently empty every memo directory; a
+#: deliberate semantic change bumps ``SIM_SALT`` and re-records these.
+PINNED_PRISTINE = PointSpec(
+    widths=(3, 3), terminals_per_router=2, algorithm="DimWAR", pattern="UR",
+    rate=0.3, total_cycles=500, seed=7,
+)
+PINNED_FAULTED = PointSpec(
+    widths=(4, 4), terminals_per_router=1, algorithm="OmniWAR", pattern="BC",
+    rate=0.25, total_cycles=400, seed=3,
+    cfg=SimConfig(
+        router=RouterConfig(num_vcs=6, buffer_depth=12),
+        network=NetworkConfig(channel_latency_rr=5), seed=99,
+    ),
+    algorithm_kwargs=(("deroutes", 1),),
+    faults=(LinkFault(0, 0), RouterFault(5), DegradedLink(9, 2, 4)),
+)
+
+
+def test_point_key_digests_are_pinned():
+    assert SIM_SALT == "repro-sim/2"
+    assert point_key(PINNED_PRISTINE) == (
+        "2719bc70f74642ebded2c9019e1e9f4967b500a30725ec184f2c93c2fe612ad2"
+    )
+    assert point_key(PINNED_FAULTED) == (
+        "ed1a706db87304305b38f43c2d8de9e930e695b6d736798d8e6a8a6c623b911f"
+    )
 
 
 def test_point_key_normalizes_default_spellings():
