@@ -120,6 +120,15 @@ class StencilApplication:
             if kind == "advance":
                 self._advance(rank)
 
+    def next_wakeup(self, cycle: int) -> int | None:
+        """``cycle`` while there are sends to make (the start-up burst or a
+        deferred phase transition), else None: every other change of
+        application state is a delivery, which the network's own
+        channel / router bounds already cover."""
+        if not self._started or self._pending_actions:
+            return cycle
+        return None
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

@@ -132,13 +132,24 @@ class TraceReplay:
         self.network = network
         self.trace = trace
         self.messages: list[Message] = []
-        self._by_cycle: dict[int, list[TracedMessage]] = {}
-        for m in trace.messages:
-            self._by_cycle.setdefault(m.post_cycle, []).append(m)
+        # Sorted schedule + cursor (``posted``), as in FaultInjector.  The
+        # sort is stable: same-cycle messages keep their recorded order.
+        self._schedule = sorted(trace.messages, key=lambda m: m.post_cycle)
         self.posted = 0
 
+    def next_wakeup(self, cycle: int) -> int | None:
+        """Cycle of the next unposted message; None once all are posted."""
+        if self.all_posted:
+            return None
+        return self._schedule[self.posted].post_cycle
+
     def __call__(self, cycle: int) -> None:
-        for m in self._by_cycle.pop(cycle, ()):
+        # Everything due at or before ``cycle``: a replay attached to a
+        # clock already past some post_cycle catches up on its first call.
+        schedule = self._schedule
+        while self.posted < len(schedule) and schedule[self.posted].post_cycle <= cycle:
+            m = schedule[self.posted]
+            self.posted += 1
             msg = Message(
                 src_terminal=m.src_terminal,
                 dst_terminal=m.dst_terminal,
@@ -157,11 +168,10 @@ class TraceReplay:
                 self.network.terminals[m.src_terminal].offer(pkt)
                 remaining -= size
             self.messages.append(msg)
-            self.posted += 1
 
     @property
     def all_posted(self) -> bool:
-        return not self._by_cycle
+        return self.posted >= len(self._schedule)
 
     @property
     def complete(self) -> bool:

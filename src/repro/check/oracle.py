@@ -137,7 +137,7 @@ def diff_skip_on_off(
     traffic processes scan their Bernoulli streams ahead to bound their
     next injection.  No switch turns that off; the per-cycle arm is the
     same sweep with ``check=True``, because the sanitizer is a process
-    without ``skip_safe`` and so forces every cycle to execute (and audits
+    without ``next_wakeup`` and so forces every cycle to execute (and audits
     each window while it is there).  Nothing about the measured sweep may
     move: the scan must consume the RNG in exact per-cycle order, every
     fault event and sampler window boundary must land on its scheduled

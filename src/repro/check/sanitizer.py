@@ -182,7 +182,9 @@ class Sanitizer:
         self._attached = False
 
     # ------------------------------------------------------------------
-    # Per-cycle process (the simulator calls this every compute phase)
+    # Per-cycle process (the simulator calls this every compute phase).
+    # Deliberately no next_wakeup: a sanitized run executes every cycle,
+    # which makes it the skip oracle's reference arm.
     # ------------------------------------------------------------------
 
     def __call__(self, cycle: int) -> None:

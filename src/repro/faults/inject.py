@@ -52,10 +52,6 @@ class FaultInjector:
     ``fault_state``); construction raises otherwise.
     """
 
-    #: Compatible with cycle skip-ahead (repro.network.skip): the schedule
-    #: is sorted, so :meth:`next_wakeup` bounds the next mutation exactly.
-    skip_safe = True
-
     def __init__(self, network: "Network", schedule: FaultSchedule):
         state = getattr(network, "fault_state", None)
         if state is None:

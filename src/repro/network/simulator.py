@@ -35,14 +35,16 @@ credit reconciliation) hold exactly.  An unregistered hook costs nothing —
 the run loop touches only the registered list.
 
 On top of the activity sets, the run loop *compresses* runs of inert
-cycles: when no terminal is active and every process can bound its next
-wakeup (:mod:`repro.network.skip`), the clock jumps straight to the
-earliest cycle at which anything can happen instead of iterating the gap.
-Eligibility is decided by the registered processes alone (no configuration
-switch), re-checked per ``run()`` and recorded in ``skip_active`` /
-``skip_fallback_reason``; results are byte-identical either way (the
-skip-on-vs-off oracle in ``repro.check`` proves it), so compression is
-invisible except in wall-clock time.
+cycles: when no terminal is active and every process answers
+``next_wakeup`` (the clock contract, :mod:`repro.network.skip`), the clock
+jumps straight to the earliest cycle at which anything can happen instead
+of iterating the gap.  A process that does not answer is woken every cycle;
+nothing else selects the stepping, and ``skip_active`` /
+``skip_fallback_reason`` report it.  Results are byte-identical either way
+(the skip-on-vs-off oracle in ``repro.check`` proves it), so compression is
+invisible except in wall-clock time.  :meth:`Simulator.run` is the only
+code that advances the clock: ``run_until``, the shard workers and the
+phase profiler all call it.
 """
 
 from __future__ import annotations
@@ -76,11 +78,17 @@ class Simulator:
         #: callables invoked at the start of every compute phase with
         #: ``(cycle)``; traffic generators and the application engine hook here
         self.processes: list[Callable[[int], None]] = []
-        # Cycle skip-ahead dispatch state (repro.network.skip): whether
-        # the last run() was allowed to compress inert cycles, and if not,
-        # why (diagnostics / tests).
-        self.skip_active = False
-        self.skip_fallback_reason: str | None = None
+
+    @property
+    def skip_fallback_reason(self) -> str | None:
+        """Why ``run()`` executes every cycle with the processes registered
+        right now (:func:`repro.network.skip.skip_fallback_reason`), or
+        None when it compresses inert ones."""
+        return skip_fallback_reason(self.processes)
+
+    @property
+    def skip_active(self) -> bool:
+        return self.skip_fallback_reason is None
 
     # ------------------------------------------------------------------
 
@@ -106,20 +114,16 @@ class Simulator:
     def run(self, cycles: int) -> None:
         """Advance the simulation by ``cycles`` cycles.
 
-        Inert cycles are compressed (:mod:`repro.network.skip`) when
-        every registered process supports it — checked per call, so an
-        observer attached mid-stream takes effect on the next ``run()``,
-        and recorded in ``skip_active`` / ``skip_fallback_reason``.
+        Inert cycles are compressed (:mod:`repro.network.skip`) unless a
+        registered process has no ``next_wakeup`` — asked once per call, so
+        an observer attached mid-stream takes effect on the next ``run()``.
         """
-        skip_reason = skip_fallback_reason(self)
-        skip = skip_reason is None
-        self.skip_active = skip
-        self.skip_fallback_reason = skip_reason
         network = self.network
         active_channels = network._active_channels
         active_terminals = network._active_terminals
         active_routers = network._active_routers
         processes = self.processes
+        skip = skip_fallback_reason(processes) is None
         cycle = self.cycle
         end = cycle + cycles
         drained: list = []  # reusable deferred-deletion scratch
@@ -191,24 +195,19 @@ class Simulator:
         """Earliest cycle at (or after) ``self.cycle`` at which the
         simulation can change state, or None when no bound is computable.
 
-        Computed from simulator state and the process ``next_wakeup``
-        protocol alone — deliberately independent of ``skip_safe``, so
-        event-aware stepping (see :meth:`run_until`) visits identical
-        cycle boundaries whether or not ``run()`` may compress, which is
-        what the skip-on-vs-off differential oracle relies on.
-
-        None means either "unknown" (a registered process does not expose
-        ``next_wakeup``) or "nothing scheduled" (a fully idle simulation);
-        callers must treat both as "assume anything may happen".
+        The same bound ``run()`` jumps to, under the same rule: None means
+        either "unknown" (a registered process has no ``next_wakeup``, so
+        ``run()`` would execute every cycle) or "nothing scheduled" (a
+        fully idle simulation); callers must treat both as "assume
+        anything may happen".
         """
         cycle = self.cycle
         network = self.network
         if network._active_terminals:
             return cycle
         processes = self.processes
-        for proc in processes:
-            if not callable(getattr(proc, "next_wakeup", None)):
-                return None
+        if skip_fallback_reason(processes) is not None:
+            return None
         far = cycle + _HORIZON
         bound = next_event_bound(network, processes, cycle, far)
         return bound if bound < far else None
@@ -244,9 +243,11 @@ class Simulator:
         >>> sim.cycle  # idle net: seen on the check_every=64 grid, not at 100
         128
 
-        The evaluation schedule depends only on simulator state, never on
-        whether ``run()`` compresses, so runs are byte-identical under
-        compressed and per-cycle stepping.
+        With a process that has no ``next_wakeup`` registered (a sanitized
+        run) there is no bound to stretch to, and the predicate is
+        evaluated on the ``check_every`` grid alone: the run may *stop* up
+        to one grid step later than a compressed one (on the same state
+        when nothing happens once the predicate holds, as in a drain).
         """
         deadline = self.cycle + max_cycles
         if max_cycles <= 0:

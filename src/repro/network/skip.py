@@ -12,14 +12,22 @@ lower bounds the simulator already maintains for other reasons:
 * ``Router._stage_ready[port]`` — the earliest cycle an output port with
   staged payload can emit (earliest staged head still in the crossbar, or
   the end of a degraded link's ``min_gap`` window);
-* process wakeups — every registered process that declares
-  ``skip_safe = True`` must also expose ``next_wakeup(cycle) -> int | None``
-  returning the earliest cycle at (or after) ``cycle`` at which calling it
-  could change simulation state, or ``None`` for "never again".  Traffic
-  generators scan their Bernoulli draws ahead (in exact per-cycle RNG
-  order — see :mod:`repro.traffic.injection`), the fault injector reports
-  its next scheduled event, and the time-series sampler its next window
-  boundary.
+* process wakeups — the clock contract below.
+
+**The clock contract.**  A process is a callable ``(cycle)`` that *may*
+answer ``next_wakeup(cycle) -> int | None``: the earliest cycle at (or
+after) ``cycle`` at which calling it could change simulation state, or
+``None`` for "never again".  A process that does not answer is woken every
+cycle, and so is everything else: one such process (the runtime sanitizer,
+a bare function) puts the whole run on per-cycle stepping.
+:func:`skip_fallback_reason` is that rule, and the only place it is tested;
+``Simulator.run``, ``Simulator.next_event_cycle`` (hence ``run_until`` and
+the shard workers) and the ``Simulator.skip_active`` /
+``skip_fallback_reason`` properties all ask it.  Traffic generators scan
+their Bernoulli draws ahead (in exact per-cycle RNG order — see
+:mod:`repro.traffic.injection`), the fault injector and the trace replay
+report their next scheduled event, the time-series sampler its next window
+boundary, and the stencil application "now" while it has sends to make.
 
 Every bound is *conservative*: a stale-low value (e.g. ``_stage_ready``
 zeroed by ``Network.invalidate_route_caches``) merely vetoes the jump for
@@ -37,13 +45,10 @@ stepping:
   skipped over) so ``Network.quiescent`` flips on the same cycle under
   both modes.
 
-:func:`skip_fallback_reason` is re-checked on every ``run()`` call, and any
-process not marked ``skip_safe`` — the runtime sanitizer, the application
-engine — routes the run through plain per-cycle stepping, with the reason
-recorded in ``Simulator.skip_fallback_reason``.  Nothing else selects the
-stepping: there is no configuration switch.  The ``skip-on-vs-off``
-differential oracle in ``python -m repro check`` replays a sweep plain
-(compressed) and sanitized (per-cycle) and demands byte-identical curves.
+Nothing else selects the stepping: there is no marker attribute and no
+configuration switch.  The ``skip-on-vs-off`` differential oracle in
+``python -m repro check`` replays a sweep plain (compressed) and sanitized
+(per-cycle) and demands byte-identical curves.
 """
 
 from __future__ import annotations
@@ -52,38 +57,23 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
-    from .simulator import Simulator
 
 
-def skip_fallback_reason(sim: "Simulator") -> str | None:
-    """Why this ``run()`` call must step every cycle; None when skip-ahead
-    applies.
+def skip_fallback_reason(processes: list[Callable[[int], None]]) -> str | None:
+    """Why a run over ``processes`` must execute every cycle — it names the
+    first process that does not answer ``next_wakeup`` — or None when every
+    process bounds its next wakeup and inert cycles compress.
 
-    Checked per ``run()`` call (one scan over the registered processes) so
-    observers attached or detached between runs take effect immediately.
-    A process opts in by exposing ``skip_safe = True`` *and* implementing
-    ``next_wakeup`` — the bundled traffic generators, the fault injector,
-    and the time-series sampler do; the runtime sanitizer deliberately does
-    not, which keeps checked runs on per-cycle stepping, the arm the
-    skip oracle compares against.  The marker without the method is a
-    named fallback, not an ``AttributeError`` from :func:`next_event_bound`
-    in the middle of the run.
+    One scan over the process list per ``run()`` call, so observers
+    attached or detached between runs take effect immediately.
     """
-    for proc in sim.processes:
-        if not getattr(proc, "skip_safe", False):
-            return f"process {_name(proc)} is not marked skip_safe"
+    for proc in processes:
         if not callable(getattr(proc, "next_wakeup", None)):
-            return (
-                f"process {_name(proc)} is marked skip_safe but has no "
-                "next_wakeup()"
-            )
+            # Functions, lambdas and bound methods carry a __qualname__;
+            # callable instances are named by their class.
+            name = getattr(proc, "__qualname__", type(proc).__name__)
+            return f"process {name} has no next_wakeup(): woken every cycle"
     return None
-
-
-def _name(proc) -> str:
-    """Functions, lambdas and bound methods carry a ``__qualname__``;
-    callable instances are named by their class."""
-    return getattr(proc, "__qualname__", type(proc).__name__)
 
 
 def next_event_bound(

@@ -9,13 +9,16 @@ times ``Router._allocate_vc``, i.e. ejection-port VC allocation only: the
 per-candidate VC scan of a routing decision is inlined in the router's
 scoring loop and lands in ``route``, for every algorithm.
 
-It works by (a) running its own copy of the two-phase cycle loop with
-``perf_counter`` brackets around each phase, and (b) temporarily shadowing
-each router's ``_compute_route`` / ``_allocate_vc`` / ``_step_outputs``
-bound methods with timing wrappers.  The instrumentation itself costs real
+It times the production loop: :meth:`PhaseProfiler.run` temporarily shadows
+``step`` on every terminal and router, each router's ``_compute_route`` /
+``_allocate_vc`` / ``_step_outputs`` and every registered process with
+timing wrappers, calls :meth:`Simulator.run` — skip-ahead, ``_next_ready``
+fast path and all — and restores everything.  ``router_other`` is the
+``Router.step`` time not spent in the three timed stages; ``link`` is the
+remainder of the run's wall-clock: the delivery pass, the loop itself and
+the skip-ahead bound computation.  The instrumentation itself costs real
 time, so the absolute numbers are upper bounds — the *fractions* are the
-useful output.  Detach restores every method, leaving the simulator
-byte-identical in behaviour (timers never change results, only timing).
+useful output.  Timers never change results, only timing.
 
 Example::
 
@@ -61,99 +64,57 @@ class PhaseProfiler:
         self.network = sim.network
         self.seconds = {p: 0.0 for p in PHASES}
         self.cycles_profiled = 0
-        self._wrapped: list[tuple[object, str, object]] = []
 
     @property
     def total_s(self) -> float:
         return sum(self.seconds.values())
 
-    # ------------------------------------------------------------------
-
-    def _wrap_routers(self) -> None:
-        sec = self.seconds
-        for r in self.network.routers:
-            for name, phase in (
-                ("_compute_route", "route"),
-                ("_allocate_vc", "vc_alloc"),
-                ("_step_outputs", "sa"),
-            ):
-                # Remember whether the method was already shadowed on the
-                # instance: unwrap must remove our shadow entirely (not
-                # re-pin a bound method in the instance dict) so repeated
-                # profiling leaves the router exactly as found.
-                shadowed = name in r.__dict__
-                orig = getattr(r, name)
-                self._wrapped.append((r, name, orig if shadowed else None))
-                setattr(r, name, _timed(orig, sec, phase))
-
-    def _unwrap_routers(self) -> None:
-        # Restore in reverse so stacked wraps (route calls vc_alloc) unwind.
-        for obj, name, orig in reversed(self._wrapped):
-            if orig is None:
-                delattr(obj, name)
-            else:
-                setattr(obj, name, orig)
-        self._wrapped.clear()
-
-    # ------------------------------------------------------------------
-
     def run(self, cycles: int) -> None:
-        """Advance the simulation ``cycles`` cycles, attributing host time.
+        """Advance the simulation ``cycles`` cycles through
+        :meth:`Simulator.run`, attributing host time.
 
-        Behaviour-equivalent to :meth:`Simulator.run` — same two-phase
-        order, same activity-set bookkeeping — with timers between phases.
-        ``vc_alloc`` time is nested inside ``route`` at call time and
-        subtracted out, so the reported phases are disjoint and sum to
-        :attr:`total_s`.
+        The reported phases are disjoint and sum to :attr:`total_s`, the
+        wall-clock of the ``Simulator.run`` calls (``vc_alloc`` is nested
+        inside ``route`` at call time and subtracted out).
         """
         sim = self.sim
-        network = self.network
-        self._wrap_routers()
-        sec = self.seconds
+        run_s = dict.fromkeys(PHASES, 0.0)
+        run_s["router_step"] = 0.0
+        # (object, name, the instance attribute found there or None): the
+        # restore must remove our shadow entirely, not re-pin a bound
+        # method in the instance dict, so the objects end exactly as found.
+        shadowed: list[tuple[object, str, object]] = []
+
+        def shadow(obj, name: str, phase: str) -> None:
+            shadowed.append((obj, name, obj.__dict__.get(name)))
+            setattr(obj, name, _timed(getattr(obj, name), run_s, phase))
+
+        processes = list(sim.processes)
         try:
-            active_channels = network._active_channels
-            active_terminals = network._active_terminals
-            active_routers = network._active_routers
-            processes = sim.processes
-            cycle = sim.cycle
-            end = cycle + cycles
-            while cycle < end:
-                t0 = perf_counter()
-                if active_channels:
-                    for ch in list(active_channels):
-                        pipe = ch._pipe
-                        while pipe and pipe[0][0] <= cycle:
-                            ch._sink(pipe.popleft()[1])
-                        if not pipe:
-                            del active_channels[ch]
-                t1 = perf_counter()
-                sec["link"] += t1 - t0
-                for proc in processes:
-                    proc(cycle)
-                t2 = perf_counter()
-                sec["processes"] += t2 - t1
-                if active_terminals:
-                    for t in list(active_terminals):
-                        t.step(cycle)
-                        if t.idle:
-                            active_terminals.pop(t, None)
-                t3 = perf_counter()
-                sec["terminals"] += t3 - t2
-                r_route0 = sec["route"] + sec["vc_alloc"]
-                r_sa0 = sec["sa"]
-                if active_routers:
-                    for r in list(active_routers):
-                        r.step(cycle)
-                        if r.idle:
-                            active_routers.pop(r, None)
-                t4 = perf_counter()
-                inner = (sec["route"] + sec["vc_alloc"] - r_route0) + (sec["sa"] - r_sa0)
-                sec["router_other"] += max(0.0, (t4 - t3) - inner)
-                cycle += 1
-                sim.cycle = cycle
-                self.cycles_profiled += 1
+            for t in self.network.terminals:
+                shadow(t, "step", "terminals")
+            for r in self.network.routers:
+                shadow(r, "step", "router_step")
+                shadow(r, "_compute_route", "route")
+                shadow(r, "_allocate_vc", "vc_alloc")
+                shadow(r, "_step_outputs", "sa")
+            sim.processes[:] = [_timed_process(p, run_s) for p in processes]
+            t0 = perf_counter()
+            sim.run(cycles)
+            wall = perf_counter() - t0
         finally:
-            self._unwrap_routers()
+            sim.processes[:] = processes
+            for obj, name, orig in shadowed:
+                if orig is None:
+                    delattr(obj, name)
+                else:
+                    setattr(obj, name, orig)
+        self.cycles_profiled += cycles
+        staged = run_s["route"] + run_s["vc_alloc"] + run_s["sa"]
+        run_s["router_other"] = max(0.0, run_s.pop("router_step") - staged)
+        run_s["link"] = max(0.0, wall - sum(run_s.values()))
+        for phase, s in run_s.items():
+            self.seconds[phase] += s
 
     # ------------------------------------------------------------------
 
@@ -174,6 +135,15 @@ class PhaseProfiler:
             f"{self.cycles_profiled} cycles"
         )
         return "\n".join(lines)
+
+
+def _timed_process(proc, seconds: dict):
+    """A timed stand-in for a registered process that answers
+    ``next_wakeup`` exactly when ``proc`` does, so the profiled run takes
+    the stepping the plain run would."""
+    timed = _timed(proc, seconds, "processes")
+    timed.next_wakeup = getattr(proc, "next_wakeup", None)
+    return timed
 
 
 def _timed(fn, seconds: dict, phase: str):

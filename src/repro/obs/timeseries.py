@@ -101,30 +101,6 @@ class WindowSample:
         return self.accepted_flits / self.span if self.span else 0.0
 
 
-class _SamplerProc:
-    """The sampler's registered process: a tiny callable wrapper so the
-    skip-ahead protocol attributes live on the process object itself (a
-    bare bound method cannot carry them)."""
-
-    __slots__ = ("_sampler",)
-
-    #: Compatible with cycle skip-ahead (repro.network.skip): windows close
-    #: on exact boundaries because next_wakeup names the boundary cycle, so
-    #: the engine always lands on it.
-    skip_safe = True
-
-    def __init__(self, sampler: "TimeSeriesSampler"):
-        self._sampler = sampler
-
-    def __call__(self, cycle: int) -> None:
-        self._sampler._on_cycle(cycle)
-
-    def next_wakeup(self, cycle: int) -> int | None:
-        """The next window boundary (start + window), always scheduled."""
-        s = self._sampler
-        return s._window_start + s.window
-
-
 class TimeSeriesSampler:
     """Simulator process producing a :class:`WindowSample` per window."""
 
@@ -136,7 +112,6 @@ class TimeSeriesSampler:
         self.window = window
         self.samples: list[WindowSample] = []
         self._attached = False
-        self._proc = _SamplerProc(self)  # bound once (identity-based removal)
         self._delivery_cb = self._on_delivery
         self._latencies: list[int] = []
         self._packets = 0
@@ -157,7 +132,7 @@ class TimeSeriesSampler:
     def attach(self) -> "TimeSeriesSampler":
         if self._attached:
             raise RuntimeError("sampler already attached")
-        self.sim.add_process(self._proc)
+        self.sim.add_process(self)
         for t in self.network.terminals:
             t.delivery_listeners.append(self._delivery_cb)
         self._reset_window(self.sim.cycle)
@@ -167,7 +142,7 @@ class TimeSeriesSampler:
     def detach(self) -> None:
         if not self._attached:
             return
-        self.sim.remove_process(self._proc)
+        self.sim.remove_process(self)
         for t in self.network.terminals:
             if self._delivery_cb in t.delivery_listeners:
                 t.delivery_listeners.remove(self._delivery_cb)
@@ -190,12 +165,16 @@ class TimeSeriesSampler:
         self._packets = 0
         self._probe.start_window(cycle)
 
-    def _on_cycle(self, cycle: int) -> None:
+    def __call__(self, cycle: int) -> None:
         # Boundaries are hit exactly under both stepping modes: per-cycle
         # runs call this every cycle, and the skip engine lands on (never
-        # past) _SamplerProc.next_wakeup's boundary bound.
+        # past) next_wakeup's boundary bound.
         if cycle - self._window_start >= self.window:
             self._close(cycle)
+
+    def next_wakeup(self, cycle: int) -> int | None:
+        """The next window boundary (start + window), always scheduled."""
+        return self._window_start + self.window
 
     def _on_delivery(self, packet, cycle: int) -> None:
         self._latencies.append(cycle - packet.create_cycle)

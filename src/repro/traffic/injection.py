@@ -55,9 +55,6 @@ class _ScanningTraffic:
     pre-scan code: its first block is drawn for its first observed cycle.
     """
 
-    #: Compatible with cycle skip-ahead (repro.network.skip): next_wakeup
-    #: bounds the next injection by scanning the Bernoulli stream forward.
-    skip_safe = True
     #: Cycles next_wakeup scans past ``cycle`` before settling for the
     #: conservative "might inject right after the window" bound.  Purely a
     #: work/precision trade-off — any value is correct.

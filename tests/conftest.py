@@ -10,9 +10,10 @@ Two registered profiles:
 
 Per-test ``@settings(...)`` decorators still apply on top of the profile.
 
-Also registers ``--update-golden``: rewrite the pinned trace streams under
-``tests/golden/`` from the current simulator instead of comparing against
-them (see tests/test_obs_golden.py and docs/OBSERVABILITY.md).
+Also registers ``--update-golden``: rewrite the pinned files under
+``tests/golden/`` (trace streams, sweep JSON, stencil execution times) from
+the current simulator instead of comparing against them (see
+tests/test_obs_golden.py and docs/OBSERVABILITY.md).
 """
 
 import os
@@ -34,6 +35,6 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="regenerate the pinned trace streams in tests/golden/ "
+        help="regenerate the pinned files in tests/golden/ "
         "instead of comparing against them",
     )

@@ -1,6 +1,9 @@
 """Tests for the 27-point stencil application model."""
 
+import dataclasses
+import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from repro.application.placement import LinearPlacement, RandomPlacement
 from repro.application.stencil import StencilDecomposition
 from repro.config import default_config
 from repro.core.registry import make_algorithm
+from repro.experiments.common import SCALES
+from repro.experiments.fig8_stencil import run_stencil_once
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.topology.hyperx import HyperX
@@ -248,3 +253,42 @@ def test_app_deterministic():
     _, t1 = _run_app("full", 1, seed=2)
     _, t2 = _run_app("full", 1, seed=2)
     assert t1 == t2
+
+
+# ---------------------------------------------------------------------------
+# Golden Figure 8 bars
+# ---------------------------------------------------------------------------
+
+STENCIL_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "stencil_times.json"
+)
+
+
+def _stencil_times_json():
+    """Nine Figure 8 bars at smoke scale plus one collective bar over the
+    paper's 50-cycle channels (a ``Scale`` named "paper" selects
+    ``paper_scale()`` latencies), where most cycles are quiet and the run
+    really jumps."""
+    times = {
+        f"{algo}/{mode}": run_stencil_once(algo, mode, iterations=2, scale="smoke")
+        for algo in ("DOR", "DimWAR", "OmniWAR")
+        for mode in ("collective", "halo", "full")
+    }
+    paper_latency = dataclasses.replace(SCALES["smoke"], name="paper")
+    times["DimWAR/collective@paper-latency"] = run_stencil_once(
+        "DimWAR", "collective", iterations=2, scale=paper_latency
+    )
+    return json.dumps(times, indent=1, sort_keys=True) + "\n"
+
+
+def test_stencil_times_match_pinned_bytes(request):
+    """Recorded before ``StencilApplication`` answered ``next_wakeup``
+    (every cycle executed); compressing the quiet cycles must not move one
+    execution time.  Regenerate with ``--update-golden``."""
+    current = _stencil_times_json()
+    if request.config.getoption("--update-golden"):
+        with open(STENCIL_GOLDEN, "w") as f:
+            f.write(current)
+        pytest.skip("regenerated stencil_times.json")
+    with open(STENCIL_GOLDEN) as f:
+        assert current == f.read()

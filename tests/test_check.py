@@ -173,7 +173,8 @@ def test_pristine_empty_oracle_small():
 def test_skip_oracle_arms_take_different_steppings(monkeypatch):
     """No flag selects the stepping any more, so pin that the oracle's two
     arms really differ: plain sweep compressed, check=True sweep per-cycle.
-    Were the sanitizer ever marked skip_safe the oracle would go vacuous."""
+    Were the sanitizer ever to answer next_wakeup the oracle would go
+    vacuous."""
     steppings = []
     run = Simulator.run
 

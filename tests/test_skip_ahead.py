@@ -4,21 +4,23 @@ Cycle skip-ahead is a pure optimisation: the clock jumps over provably
 inert cycles, and nothing measurable may move.  These tests pin that
 contract:
 
-* engine selection — compression is on by default, and every fallback
-  trigger (a process without ``skip_safe``, one with the marker but no
-  ``next_wakeup``, the sanitizer) cleanly reverts to per-cycle stepping
-  with a human-readable reason;
+* the clock contract — compression is on by default, and the one
+  fallback trigger (a process that does not answer ``next_wakeup``: a bare
+  function, the sanitizer) cleanly reverts to per-cycle stepping with a
+  human-readable reason;
 * compression — an idle simulation really does execute a handful of
-  cycles per ``run()`` chunk (counted via a skip-safe probe process);
+  cycles per ``run()`` chunk (counted via a probe process);
 * equivalence — fixed scenarios, Hypothesis-drawn topologies/loads/fault
   schedules, drains, sampler windows, and the golden-trace scenario all
   fingerprint identically compressed vs per-cycle (no switch selects the
   stepping, so the per-cycle arm registers a no-op process without
-  ``skip_safe`` — the same mechanism the sanitizer triggers);
+  ``next_wakeup`` — what the sanitizer is);
 * ``next_event_cycle()`` — idempotent, never behind the clock, and exact
   for scheduled fault events;
-* ``run_until`` — the event-aware evaluation schedule is identical under
-  both modes (the documented predicate contract).
+* ``run_until`` — stretches to the next event when compressing, evaluates
+  on the ``check_every`` grid otherwise, and reaches the same drained
+  state either way (the documented predicate contract);
+* ``PhaseProfiler`` — times ``Simulator.run`` itself and leaves no trace.
 """
 
 import pytest
@@ -40,16 +42,11 @@ from repro.traffic.sizes import UniformSize
 
 
 class _EveryCycle:
-    """No-op process without ``skip_safe``: registering it is what puts a
-    ``run()`` on per-cycle stepping.  It still answers ``next_wakeup`` so
-    ``next_event_cycle`` / ``run_until`` keep the schedule of the
-    compressed arm."""
+    """No-op process without ``next_wakeup``: registering it is what puts
+    a ``run()`` on per-cycle stepping, exactly as the sanitizer does."""
 
     def __call__(self, cycle):
         pass
-
-    def next_wakeup(self, cycle):
-        return None
 
 
 def _build(
@@ -75,6 +72,15 @@ def _build(
     if not skip:
         sim.add_process(_EveryCycle())
     return sim
+
+
+def _drained(sim):
+    """The fingerprint minus the stop cycle: a per-cycle ``run_until``
+    evaluates on the ``check_every`` grid and may stop a little later than
+    a compressed one, on the same (empty) network."""
+    state = _fingerprint(sim)
+    del state["cycle"]
+    return state
 
 
 def _fingerprint(sim):
@@ -118,10 +124,8 @@ def _fingerprint(sim):
 
 
 class _CycleProbe:
-    """Skip-safe probe counting executed compute phases (no wakeup of its
-    own, so it never blocks a jump)."""
-
-    skip_safe = True
+    """Probe counting executed compute phases (no wakeup of its own, so it
+    never blocks a jump)."""
 
     def __init__(self):
         self.calls = 0
@@ -134,20 +138,21 @@ class _CycleProbe:
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and fallback
+# The clock contract and its one fallback
 # ---------------------------------------------------------------------------
 
 
 def test_skip_active_by_default():
     sim = _build()
-    assert skip_fallback_reason(sim) is None
+    assert skip_fallback_reason(sim.processes) is None
+    assert sim.skip_active  # a property of the process list, not of a run
     sim.run(50)
     assert sim.skip_active
     assert sim.skip_fallback_reason is None
 
 
 def test_unsafe_process_falls_back():
-    class Watcher:  # no skip_safe attribute -> per-cycle stepping
+    class Watcher:  # no next_wakeup -> woken every cycle
         def __call__(self, cycle):
             pass
 
@@ -156,23 +161,6 @@ def test_unsafe_process_falls_back():
     sim.run(50)
     assert not sim.skip_active
     assert "Watcher" in sim.skip_fallback_reason
-
-
-def test_skip_safe_without_next_wakeup_falls_back():
-    """The marker alone is not the protocol: without next_wakeup the run
-    steps per cycle instead of dying inside next_event_bound."""
-
-    class HalfSafe:
-        skip_safe = True
-
-        def __call__(self, cycle):
-            pass
-
-    sim = _build(rate=0.01)
-    sim.add_process(HalfSafe())
-    sim.run(200)  # sparse traffic: a compressed run would have jumped
-    assert not sim.skip_active
-    assert "HalfSafe" in sim.skip_fallback_reason
     assert "next_wakeup" in sim.skip_fallback_reason
 
 
@@ -259,6 +247,32 @@ def test_skip_off_executes_every_cycle():
     assert probe.calls == 500
 
 
+def test_stencil_collective_skips_quiet_cycles_at_paper_latency():
+    """The application engine answers next_wakeup: over the paper's
+    50-cycle channels (a Scale named "paper" selects them) a latency-bound
+    collective executes far fewer compute phases than cycles elapse.  The
+    execution time itself is pinned by tests/golden/stencil_times.json."""
+    import dataclasses
+
+    from repro.application.engine import StencilApplication
+    from repro.application.placement import RandomPlacement
+    from repro.application.stencil import StencilDecomposition
+    from repro.experiments.common import SCALES
+
+    sc = dataclasses.replace(SCALES["smoke"], name="paper")
+    topo = sc.topology()
+    net = Network(topo, make_algorithm("DimWAR", topo), sc.sim_config())
+    sim = Simulator(net)
+    decomp = StencilDecomposition(sc.stencil_ranks, sc.stencil_aggregate_flits)
+    placement = RandomPlacement(decomp.num_ranks, topo.num_terminals, seed=5)
+    app = StencilApplication(net, decomp, placement, iterations=2, mode="collective")
+    probe = sim.add_process(_CycleProbe())
+    t = app.run(sim)
+    assert sim.skip_active and sim.skip_fallback_reason is None
+    assert probe.calls < t * 0.7
+    assert app.next_wakeup(sim.cycle) is None  # done: nothing left to post
+
+
 # ---------------------------------------------------------------------------
 # Bit-exact equivalence
 # ---------------------------------------------------------------------------
@@ -276,15 +290,14 @@ def test_skip_matches_per_cycle(algo, rate):
 
 
 def test_drain_identical_under_skip():
-    """stop() + drain must reach quiescence on the same cycle either way
-    (the event-aware run_until schedule is mode-independent)."""
+    """stop() + drain must reach the same quiescent state either way."""
     results = []
     for skip in (True, False):
         sim = _build(widths=(3, 3), algo="DimWAR", rate=0.2, skip=skip)
         sim.run(300)
         sim.processes[0].stop()
         assert sim.drain(max_cycles=100_000)
-        results.append(_fingerprint(sim))
+        results.append(_drained(sim))
     assert results[0] == results[1]
 
 
@@ -481,27 +494,16 @@ def test_next_event_cycle_unknown_process_returns_none():
     assert sim.next_event_cycle() is None
 
 
-def test_next_event_cycle_flag_independent():
-    """The bound is computed from state + the next_wakeup protocol, never
-    from whether run() may compress — the property the mode-independent
-    run_until schedule rests on."""
-    a = _build(widths=(3, 3), rate=0.01, skip=True)
-    b = _build(widths=(3, 3), rate=0.01, skip=False)
-    for _ in range(20):
-        assert a.next_event_cycle() == b.next_event_cycle()
-        a.run(11)
-        b.run(11)
-
-
 # ---------------------------------------------------------------------------
 # run_until under compressed time
 # ---------------------------------------------------------------------------
 
 
 def test_run_until_evaluates_on_advanced_boundaries():
-    """With the next event beyond the check grid, the chunk stretches to
-    the event; the schedule is identical in both modes."""
-    cycles = []
+    """With the next event beyond the check grid, a compressing run
+    stretches the chunk to the event; one holding an every-cycle process
+    has no bound to stretch to and evaluates on the grid alone."""
+    stops = []
     for skip in (True, False):
         topo = DegradedTopology(HyperX((3, 3), 1))
         net = Network(
@@ -515,18 +517,59 @@ def test_run_until_evaluates_on_advanced_boundaries():
         if not skip:
             sim.add_process(_EveryCycle())
         assert sim.run_until(lambda: inj.done, max_cycles=10_000)
-        cycles.append(sim.cycle)
-    # One stretched chunk to the event at 150, then one 64-cycle chunk in
-    # which the event fires: identical under both modes.
-    assert cycles[0] == cycles[1] == 214
+        assert net.fault_state.events_applied == 1
+        stops.append(sim.cycle)
+    # Compressed: one stretched chunk to the event at 150, then one
+    # 64-cycle chunk in which it fires.  Per-cycle: the grid, 64/128/192.
+    assert stops == [214, 192]
 
 
-def test_run_until_drain_stops_on_same_cycle_both_modes():
-    stops = []
+def test_run_until_drain_reaches_same_state_both_modes():
+    drained = []
     for skip in (True, False):
         sim = _build(widths=(3, 3), algo="DimWAR", rate=0.1, skip=skip, seed=9)
         sim.run(200)
         sim.processes[0].stop()
         assert sim.drain(max_cycles=100_000)
-        stops.append(sim.cycle)
-    assert stops[0] == stops[1]
+        drained.append(_drained(sim))
+    assert drained[0] == drained[1]
+
+
+# ---------------------------------------------------------------------------
+# The phase profiler times the production loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rate", [0.005, 0.3])  # a run that jumps, a loaded one
+def test_phase_profiler_runs_the_production_loop(rate, monkeypatch):
+    from repro.obs import PhaseProfiler
+
+    plain = _build(rate=rate)
+    plain.run(400)
+
+    profiled = _build(rate=rate)
+    probe = profiled.add_process(_CycleProbe())
+    calls = []
+    run = Simulator.run
+
+    def recording_run(self, cycles):
+        calls.append(cycles)
+        run(self, cycles)
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    prof = PhaseProfiler(profiled)
+    prof.run(400)
+    assert calls == [400]  # Simulator.run is what advanced the clock
+    assert prof.cycles_profiled == 400
+    assert (probe.calls < 400) == (rate < 0.1)  # ... jumping where it can
+    assert profiled.processes[1] is probe
+    profiled.remove_process(probe)
+    assert _fingerprint(profiled) == _fingerprint(plain)
+    # Nothing survives: every shadow is gone from the instance dicts and
+    # the process list holds the original objects.
+    net = profiled.network
+    for obj in (*net.routers, *net.terminals):
+        assert not {"step", "_compute_route", "_allocate_vc", "_step_outputs"} & set(
+            vars(obj)
+        )
+    assert type(profiled.processes[0]) is type(plain.processes[0])

@@ -87,3 +87,22 @@ def test_replay_requires_matching_size():
     net = Network(small, make_algorithm("DOR", small), default_config())
     with pytest.raises(ValueError):
         TraceReplay(net, trace)
+
+
+def test_trace_replay_attached_late_catches_up():
+    """A replay attached to a simulator whose clock is already past some
+    post_cycle posts the overdue messages on its first executed cycle
+    (it used to wait for an exact cycle match that never came)."""
+    topo, _, trace = _record()
+    late = trace.span_cycles // 2
+    assert 0 < sum(m.post_cycle < late for m in trace.messages) < len(trace)
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config())
+    sim = Simulator(net)
+    sim.run(late)
+    replay = TraceReplay(net, trace)
+    t = replay.run(sim, max_cycles=50_000)
+    assert replay.all_posted and replay.posted == len(trace)
+    assert t >= late
+    assert net.total_ejected_flits() == trace.total_flits
+    assert replay.next_wakeup(sim.cycle) is None
+
