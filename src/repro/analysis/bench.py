@@ -1,7 +1,8 @@
 """Perf microbenchmark probes behind ``python -m repro bench``.
 
-Eight simulator microbenchmarks (network construction, loaded and idle
-simulation cycles — both at small and at 16x16 target scale — a
+Nine simulator microbenchmarks (the bare ``Network`` constructor, the
+``PointRun`` assembly production pays for the paper's 8x8x8, loaded and
+idle simulation cycles — both at small and at 16x16 target scale — a
 fault-injection settling transient, traffic generation, one adaptive
 routing decision) plus three 16x16x16 target-scale scenarios (``--xl``),
 defined once, here.  They are *probes*: the command times them and prints
@@ -60,6 +61,27 @@ def _bench_network_construction():
         Network(topo, make_algorithm("OmniWAR", topo), default_config())
 
     return build, {"rounds": 10, "iterations": 1}
+
+
+def _bench_point_assembly_8x8x8():
+    """What a production point pays to be ready to step on the paper's 512
+    routers: :class:`~repro.analysis.sweep.PointRun` (collector paused,
+    built graph frozen) and its thaw.  The ``network_construction*`` probes
+    time the bare constructor, which carries no collector guard."""
+    from .parallel import PointSpec
+    from .sweep import PointRun
+
+    spec = PointSpec(
+        widths=(8, 8, 8), terminals_per_router=1, algorithm="DimWAR",
+        pattern="UR", rate=0.3, total_cycles=0, seed=1,
+    )
+    scenario = spec.build()
+
+    def assemble():
+        with PointRun(*scenario, spec.rate, cfg=spec.cfg, seed=spec.seed):
+            pass
+
+    return assemble, {"rounds": 5, "iterations": 1}
 
 
 def _bench_cycles_loaded():
@@ -311,6 +333,7 @@ def _bench_cycles_loaded_16x16x16_sharded():
 #: is execution order.
 SCENARIOS = {
     "test_perf_network_construction": _bench_network_construction,
+    "test_perf_point_assembly_8x8x8": _bench_point_assembly_8x8x8,
     "test_perf_routing_decision": _bench_routing_decision,
     "test_perf_simulation_cycles_idle": _bench_cycles_idle,
     "test_perf_simulation_cycles_idle_16x16": _bench_cycles_idle_16x16,

@@ -13,6 +13,7 @@ paper uses 2%) until the first saturated point.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -154,6 +155,22 @@ class PointRun:
     when ``trace.window`` > 0.  All three only observe: a run measures the
     same bytes with or without them (``repro.check.oracle``'s
     ``diff_skip_on_off`` / ``diff_trace_on_off``).
+
+    **Collector discipline** (docs/PERFORMANCE.md, "Construction without
+    the collector").  A built network is ~10^5..10^6 long-lived objects, and
+    the cyclic collector re-walks them every time an allocation trips it.
+    So the constructor (1) thaws and collects once *first* — a dead
+    predecessor is cyclic garbage (router -> channel -> sink closure -> peer
+    router), and with the collector paused nothing else would return it
+    before the new network is allocated beside it; (2) assembles with the
+    collector paused, restoring the caller's ``gc.isenabled()`` state; (3)
+    ``gc.freeze()`` s the finished assembly, so run-time collections walk
+    run-time garbage only.  Leaving the ``with`` block thaws, on every exit
+    path; a run that is never left (a shard worker exits instead) is thawed
+    by the next constructor.  The state is the process's, so one assembly
+    at a time per process.  ``Network.__init__`` itself carries no guard:
+    raw call sites build back to back with no lifetime owner to collect
+    the predecessor first.
     """
 
     def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",
@@ -164,35 +181,50 @@ class PointRun:
                  owned_routers: "frozenset[int] | None" = None,
                  schedule: "FaultSchedule | None" = None,
                  sources: "list[int] | None" = None):
-        self.net = Network(
-            topology, algorithm, cfg or default_config(), owned_routers=owned_routers
-        )
-        self.sim = sim = Simulator(self.net)
-        self.trace = trace
-        # Observers first: an audit precedes its cycle's injections.
-        self.sanitizer = self.tracer = self.sampler = None
-        if check:
-            from ..check.sanitizer import Sanitizer
+        gc.unfreeze()
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.net = Network(
+                topology, algorithm, cfg or default_config(), owned_routers=owned_routers
+            )
+            self.sim = sim = Simulator(self.net)
+            self.trace = trace
+            # Observers first: an audit precedes its cycle's injections.
+            self.sanitizer = self.tracer = self.sampler = None
+            if check:
+                from ..check.sanitizer import Sanitizer
 
-            self.sanitizer = Sanitizer(sim).attach()
-        if trace is not None:
-            from ..obs import TimeSeriesSampler, Tracer
+                self.sanitizer = Sanitizer(sim).attach()
+            if trace is not None:
+                from ..obs import TimeSeriesSampler, Tracer
 
-            self.tracer = Tracer(sim, trace).attach()
-            if trace.window:
-                self.sampler = TimeSeriesSampler(sim, window=trace.window).attach()
-        if schedule is not None:
-            from ..faults.inject import FaultInjector
+                self.tracer = Tracer(sim, trace).attach()
+                if trace.window:
+                    self.sampler = TimeSeriesSampler(sim, window=trace.window).attach()
+            if schedule is not None:
+                from ..faults.inject import FaultInjector
 
-            sim.processes.append(FaultInjector(self.net, schedule))
-        self.traffic = SyntheticTraffic(
-            self.net, pattern, rate, size_dist, seed=seed, sources=sources
-        )
-        sim.processes.append(self.traffic)
-        self.stats = PacketStats()
-        for t in self.net.terminals:
-            if t is not None:
-                t.delivery_listeners.append(self.stats.on_delivery)
+                sim.processes.append(FaultInjector(self.net, schedule))
+            self.traffic = SyntheticTraffic(
+                self.net, pattern, rate, size_dist, seed=seed, sources=sources
+            )
+            sim.processes.append(self.traffic)
+            self.stats = PacketStats()
+            for t in self.net.terminals:
+                if t is not None:
+                    t.delivery_listeners.append(self.stats.on_delivery)
+        finally:
+            if was_enabled:
+                gc.enable()
+        gc.freeze()
+
+    def __enter__(self) -> "PointRun":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.unfreeze()
 
     def run(self, cycles: int) -> None:
         self.sim.run(cycles)
@@ -265,11 +297,11 @@ def measure_point(
     under a deterministic per-point name.
     """
     started = time.perf_counter()
-    run = PointRun(
+    with PointRun(
         topology, algorithm, pattern, rate, cfg, size_dist, seed, check, trace
-    )
-    ejected_at_half, finished = run_half_half(run, total_cycles)
-    run.close(f"trace_{algorithm.name}_{pattern.name}_r{rate:.4f}")
+    ) as run:
+        ejected_at_half, finished = run_half_half(run, total_cycles)
+        run.close(f"trace_{algorithm.name}_{pattern.name}_r{rate:.4f}")
     return finalize_point(
         rate=rate,
         total_cycles=total_cycles,

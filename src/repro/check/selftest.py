@@ -144,7 +144,7 @@ def canary_wait_cycle() -> tuple[bool, str]:
     rec = next(r for r in net.links if r.kind == "rr")
     (r0, p0), (r1, p1) = rec.src, rec.dst
     pkt = Packet(src_terminal=0, dst_terminal=1, size=4, create_cycle=0)
-    net.routers[r0].inputs[p0].vcs[0].fifo.append(Flit(pkt, 1))
+    net.routers[r0].inputs[p0].receive(0, Flit(pkt, 1))
     net.routers[r0].inputs[p0].vcs[0].route = VcRoute(p0, 1, pkt.pid)
     net.routers[r1].inputs[p1].vcs[1].route = VcRoute(p1, 0, pkt.pid)
     if san.find_wait_cycle() is None:

@@ -137,20 +137,21 @@ def run_fault_transient(
 
     drained = False
     routing_error: str | None = None
-    try:
-        sim.run(total)
-        traffic.stop()
-        drained = sim.drain(max_cycles=1_000_000)
-    except NoRouteError as e:
-        routing_error = str(e)
-        traffic.stop()
-    # After a clean drain every credit must be home and every output VC
-    # released; after a NoRouteError the network holds stranded traffic,
-    # so only the always-true invariants are audited.
-    run.close(
-        f"trace_fault_{algorithm}_{sc.name}",
-        require_quiescent=drained and routing_error is None,
-    )
+    with run:
+        try:
+            sim.run(total)
+            traffic.stop()
+            drained = sim.drain(max_cycles=1_000_000)
+        except NoRouteError as e:
+            routing_error = str(e)
+            traffic.stop()
+        # After a clean drain every credit must be home and every output VC
+        # released; after a NoRouteError the network holds stranded traffic,
+        # so only the always-true invariants are audited.
+        run.close(
+            f"trace_fault_{algorithm}_{sc.name}",
+            require_quiescent=drained and routing_error is None,
+        )
     return FaultTransientResult(
         algorithm=algorithm,
         scale=sc.name,

@@ -30,13 +30,29 @@ class VcRoute:
     deroute: bool = False
 
 
+#: What every per-VC queue (:attr:`VcState.fifo`, ``Router.staged[port][vc]``)
+#: holds until its first flit.  An empty ``deque`` pre-allocates a 64-slot
+#: block (760 B) and most VCs of a large network never carry a flit, so the
+#: real queue is created where a flit first needs one (the flit sinks'
+#: empty->busy branch, ``Router._step_inputs``' staging branch,
+#: :meth:`InputUnit.receive`).  One shared immutable tuple reads like an
+#: empty deque (``len``, truthiness, iteration) and a stray ``.append``
+#: raises instead of corrupting a shared object.
+NEVER_USED: tuple = ()
+
+
 class VcState:
-    """One virtual channel of an input unit."""
+    """One virtual channel of an input unit.
+
+    ``fifo`` is :data:`NEVER_USED` until the VC's first flit arrives and a
+    ``deque`` from then on; read it freely, write it only through a flit
+    sink or :meth:`InputUnit.receive`.
+    """
 
     __slots__ = ("fifo", "route")
 
     def __init__(self) -> None:
-        self.fifo: deque[Flit] = deque()
+        self.fifo: "deque[Flit] | tuple" = NEVER_USED
         self.route: VcRoute | None = None
 
     @property
@@ -61,11 +77,16 @@ class InputUnit:
         self.vcs = [VcState() for _ in range(num_vcs)]
 
     def receive(self, vc: int, flit: Flit) -> None:
+        """Buffer one flit (standalone units and white-box tests; a wired
+        port's channel sink inlines this and keeps its own reference to each
+        queue, so do not mix the two on one VC)."""
         state = self.vcs[vc]
         if len(state.fifo) >= self.depth:
             raise RuntimeError(
                 f"buffer overflow on VC {vc}: credit protocol violated"
             )
+        if state.fifo is NEVER_USED:
+            state.fifo = deque()
         state.fifo.append(flit)
 
     def occupancy(self, vc: int | None = None) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.base import NoRouteError, RouteCandidate, RouteContext
 from ..core.weights import get_estimator
-from .buffers import CreditTracker, InputUnit, VcRoute
+from .buffers import NEVER_USED, CreditTracker, InputUnit, VcRoute
 from .channel import Channel
 from .types import Flit
 
@@ -109,9 +109,12 @@ class Router:
         self.out_vc_owner: list[list[int | None]] = [
             [None] * self.num_vcs for _ in range(self.radix)
         ]
-        # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar
-        self.staged: list[list[deque]] = [
-            [deque() for _ in range(self.num_vcs)] for _ in range(self.radix)
+        # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
+        # NEVER_USED until _step_inputs first stages a flit there.  Whoever
+        # needs a port's queues later (_out_ent, candidate skeletons, the
+        # LinkRecord) holds the staged[port] *list*, never its elements.
+        self.staged: list[list] = [
+            [NEVER_USED] * self.num_vcs for _ in range(self.radix)
         ]
         self._staged_count = [0] * self.radix
 
@@ -321,9 +324,8 @@ class Router:
         # resolves (state, fifo, port, vc) with one list index per live key
         # instead of re-indexing inputs[port].vcs[vc] per cycle.
         keys = [port * self.num_vcs + v for v in range(self.num_vcs)]
-        ents = [(vcs[v], vcs[v].fifo, port, v) for v in range(self.num_vcs)]
         for v in range(self.num_vcs):
-            self._in_ents[keys[v]] = ents[v]
+            self._in_ents[keys[v]] = (vcs[v], vcs[v].fifo, port, v)
 
         fifos = [vcs[v].fifo for v in range(self.num_vcs)]
 
@@ -336,13 +338,20 @@ class Router:
                 raise RuntimeError(
                     f"buffer overflow on VC {vc}: credit protocol violated"
                 )
-            fifo.append(flit)
             if n == 0:
                 # Empty->busy transition; a non-empty FIFO implies the key
                 # is already registered (a key leaves the live list only in
                 # the pass that observes its FIFO empty).
+                if fifo is NEVER_USED:
+                    # The VC's first flit: create its queue and re-point
+                    # the three places that preresolved it (once per VC, so
+                    # reached through self rather than captured per sink).
+                    state = self.inputs[port].vcs[vc]
+                    fifo = fifos[vc] = state.fifo = deque()
+                    self._in_ents[keys[vc]] = (state, fifo, port, vc)
                 insort(active, keys[vc])
                 wake[self] = None
+            fifo.append(flit)
 
         return sink
 
@@ -500,6 +509,8 @@ class Router:
             tracker.occupied_total += 1
             sq = staged[out_port][out_vc]
             if not sq:
+                if sq is NEVER_USED:
+                    sq = staged[out_port][out_vc] = deque()
                 insort(staged_live[out_port], out_vc)
             sq.append((cycle + xbar_lat, flit))
             staged_count[out_port] = sc + 1
@@ -854,9 +865,10 @@ class Router:
                     packet.vc_trace.pop()
                     packet.port_trace.pop()
                 # A revocable head implies a non-empty FIFO, so the key is
-                # already live; the membership check is defensive (cold path).
-                if self._in_ents[flat] is None:
-                    self._in_ents[flat] = (state, state.fifo, port, vc)
+                # already live; the re-point and the membership check are
+                # defensive (cold path; a hand-crafted route on an unwired
+                # or never-used VC has no current entry).
+                self._in_ents[flat] = (state, state.fifo, port, vc)
                 if flat not in self._active_in:
                     insort(self._active_in, flat)
                 self._wake_registry[self] = None

@@ -18,7 +18,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from .arbiter import make_arbiter
-from .buffers import CreditTracker, InputUnit
+from .buffers import NEVER_USED, CreditTracker, InputUnit
 from .channel import Channel
 from .types import Flit, Packet
 
@@ -113,13 +113,15 @@ class Terminal:
                 raise RuntimeError(
                     f"buffer overflow on VC {vc}: credit protocol violated"
                 )
-            fifo.append(flit)
-            self._rx_count += 1
             if n == 0:
                 # Empty->busy transition; a non-empty FIFO implies rx_count
                 # was already positive, so the terminal is already awake.
+                if fifo is NEVER_USED:  # the VC's first flit: create its queue
+                    fifo = fifos[vc] = self.receive.vcs[vc].fifo = deque()
                 insort(rx_live, vc)
                 wake[self] = None
+            fifo.append(flit)
+            self._rx_count += 1
 
         return sink
 

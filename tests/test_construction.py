@@ -1,0 +1,137 @@
+"""How a measured point is built: per-VC queues exist only once a flit has
+needed them, and ``PointRun`` owns the cyclic collector's state around the
+assembly (docs/PERFORMANCE.md, "Construction without the collector")."""
+
+import gc
+import weakref
+from collections import deque
+
+import pytest
+
+import repro.analysis.sweep as sweep
+from repro.analysis.sweep import PointRun, measure_point
+from repro.config import default_config
+from repro.core.base import NoRouteError
+from repro.core.registry import make_algorithm
+from repro.experiments.faults import run_fault_transient
+from repro.network.buffers import NEVER_USED
+from repro.network.network import Network
+from repro.topology.hyperx import HyperX
+from repro.traffic.patterns import UniformRandom
+
+
+def _scenario(widths=(4, 4), tpr=2):
+    topo = HyperX(widths, tpr)
+    return topo, make_algorithm("DimWAR", topo), UniformRandom(topo.num_terminals)
+
+
+def _queues(net):
+    """Every per-VC queue of ``net``: input fifos, staging, terminal receive."""
+    for r in net.routers:
+        for unit in r.inputs:
+            for state in unit.vcs:
+                yield state.fifo
+        for per_port in r.staged:
+            yield from per_port
+    for t in net.terminals:
+        for state in t.receive.vcs:
+            yield state.fifo
+
+
+@pytest.fixture
+def networks_seen(monkeypatch):
+    """Watch every ``Network`` that ``PointRun`` builds: at each build's
+    entry, is its predecessor still resident?  The probe is a router — the
+    ``Network`` object itself dies by reference count, the graph it built
+    (router -> channel -> sink closure -> peer router) only by collection."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        predecessor_alive = bool(seen) and seen[-1][0]() is not None
+        net = Network(*args, **kwargs)
+        seen.append((weakref.ref(net.routers[0]), predecessor_alive))
+        return net
+
+    monkeypatch.setattr(sweep, "Network", recording)
+    return seen
+
+
+def test_fresh_network_holds_no_deque():
+    topo, algo, _ = _scenario()
+    net = Network(topo, algo, default_config())
+    queues = list(_queues(net))
+    assert queues and all(q is NEVER_USED for q in queues)
+    assert net.flits_in_flight() == 0 and net.quiescent()
+
+
+def test_append_on_a_never_used_queue_raises():
+    topo, algo, _ = _scenario()
+    r = Network(topo, algo, default_config()).routers[0]
+    with pytest.raises(AttributeError):
+        r.inputs[0].vcs[0].fifo.append(None)
+    with pytest.raises(AttributeError):
+        r.staged[0][0].append(None)
+
+
+def test_loaded_run_materialises_exactly_the_used_queues():
+    topo, algo, pattern = _scenario()
+    with PointRun(topo, algo, pattern, 0.5, check=True) as run:
+        run.run(400)
+        run.close("unused")  # the sanitizer's final audit
+    net = run.net
+    assert net.total_ejected_flits() > 0
+    queues = list(_queues(net))
+    assert all(isinstance(q, deque) for q in queues if q)
+    used = sum(1 for q in queues if q is not NEVER_USED)
+    assert 0 < used < len(queues)
+    for r in net.routers:
+        for key, ent in enumerate(r._in_ents):
+            port, vc = divmod(key, r.num_vcs)
+            state = r.inputs[port].vcs[vc]
+            assert ent[0] is state and ent[1] is state.fifo
+            assert ent[2:] == (port, vc)
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_callers_collector_state_survives(caller_enabled):
+    topo, algo, pattern = _scenario((3, 3))
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        measure_point(topo, algo, pattern, 0.2, total_cycles=100)
+        assert gc.isenabled() is caller_enabled
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_two_points_never_hold_two_networks(networks_seen):
+    topo, algo, pattern = _scenario()
+    for _ in range(2):
+        measure_point(topo, algo, pattern, 0.2, total_cycles=100)
+    assert [alive for _, alive in networks_seen] == [False, False]
+
+
+def test_a_point_that_raises_leaves_no_frozen_network(networks_seen):
+    topo, algo, pattern = _scenario()
+    broken = make_algorithm("DimWAR", topo)
+
+    def no_candidates(ctx):
+        raise NoRouteError("injected failure")
+
+    broken.candidates = no_candidates
+    with pytest.raises(NoRouteError):  # unbound: keeps no traceback alive
+        measure_point(topo, broken, pattern, 0.5, total_cycles=100)
+    assert gc.get_freeze_count() == 0  # thawed on the failing exit path
+    measure_point(topo, algo, pattern, 0.2, total_cycles=100)
+    assert [alive for _, alive in networks_seen] == [False, False]
+    assert gc.get_freeze_count() == 0
+
+
+def test_fault_transient_thaws_when_it_closes():
+    res = run_fault_transient(
+        "DimWAR", scale="smoke", rate=0.1, window=50, pre_windows=1,
+        post_windows=1, fail_links=1, fault_seed=7, seed=4,
+    )
+    assert res.drained
+    assert gc.get_freeze_count() == 0

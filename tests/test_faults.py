@@ -383,8 +383,8 @@ def _craft_unstarted_route(r, create_cycle=0):
     pkt = Packet(0, 3, size=2, create_cycle=create_cycle)
     pkt.hops = 1
     state = r.inputs[0].vcs[0]
-    state.fifo.append(Flit(pkt, 0))
-    state.fifo.append(Flit(pkt, 1))
+    r.inputs[0].receive(0, Flit(pkt, 0))
+    r.inputs[0].receive(0, Flit(pkt, 1))
     state.route = VcRoute(1, 0, pkt.pid)
     r.out_vc_owner[1][0] = pkt.pid
     return pkt, state
@@ -407,7 +407,7 @@ def test_revoke_unstarted_routes_direct():
     pkt2 = Packet(0, 3, size=2, create_cycle=0)
     pkt2.hops = 1
     state2 = r.inputs[0].vcs[1]
-    state2.fifo.append(Flit(pkt2, 1))  # body flit at the FIFO head
+    r.inputs[0].receive(1, Flit(pkt2, 1))  # body flit at the FIFO head
     state2.route = VcRoute(1, 1, pkt2.pid)
     assert r.revoke_unstarted_routes({1}) == 0
     assert state2.route is not None
