@@ -1,11 +1,11 @@
 """Perf microbenchmark probes behind ``python -m repro bench``.
 
-Nine simulator microbenchmarks (the bare ``Network`` constructor, the
-``PointRun`` assembly production pays for the paper's 8x8x8, loaded and
-idle simulation cycles — both at small and at 16x16 target scale — a
-fault-injection settling transient, traffic generation, one adaptive
-routing decision) plus three 16x16x16 target-scale scenarios (``--xl``),
-defined once, here.  They are *probes*: the command times them and prints
+Ten simulator microbenchmarks (the bare ``Network`` constructor, the
+``PointRun`` assembly production pays for the paper's 8x8x8 and that
+point's first 40 cycles, loaded and idle simulation cycles — both at small
+and at 16x16 target scale — a fault-injection settling transient, traffic
+generation, one adaptive routing decision) plus three 16x16x16 target-scale
+scenarios (``--xl``), defined once, here.  They are *probes*: the command times them and prints
 one table, and nothing records, compares or gates on the numbers — a
 single-shot timing on a shared box cannot tell a regression from the
 neighbours.  The pass/fail on performance is the end-to-end pair protocol
@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
+from contextlib import contextmanager, nullcontext
 from platform import python_version
 
 from .report import format_table
@@ -63,11 +64,8 @@ def _bench_network_construction():
     return build, {"rounds": 10, "iterations": 1}
 
 
-def _bench_point_assembly_8x8x8():
-    """What a production point pays to be ready to step on the paper's 512
-    routers: :class:`~repro.analysis.sweep.PointRun` (collector paused,
-    built graph frozen) and its thaw.  The ``network_construction*`` probes
-    time the bare constructor, which carries no collector guard."""
+def _point_8x8x8():
+    """``() -> PointRun`` on the paper's 512 routers (t=1, DimWAR, UR 0.3)."""
     from .parallel import PointSpec
     from .sweep import PointRun
 
@@ -76,12 +74,43 @@ def _bench_point_assembly_8x8x8():
         pattern="UR", rate=0.3, total_cycles=0, seed=1,
     )
     scenario = spec.build()
+    return lambda: PointRun(*scenario, spec.rate, cfg=spec.cfg, seed=spec.seed)
+
+
+def _bench_point_assembly_8x8x8():
+    """What a production point pays to be ready to step on the paper's 512
+    routers: :class:`~repro.analysis.sweep.PointRun` (collector paused,
+    built graph frozen) and its thaw.  The ``network_construction*`` probes
+    time the bare constructor, which carries no collector guard."""
+    point = _point_8x8x8()
 
     def assemble():
-        with PointRun(*scenario, spec.rate, cfg=spec.cfg, seed=spec.seed):
+        with point():
             pass
 
     return assemble, {"rounds": 5, "iterations": 1}
+
+
+def _bench_cold_chunk_8x8x8():
+    """The first 40 cycles of that freshly assembled point (the assembly is
+    outside the timer): what first flits and first routing decisions cost —
+    queues, work entries and jitter draws are made where first needed."""
+    point = _point_8x8x8()
+    run = None
+
+    @contextmanager
+    def fresh_point():
+        nonlocal run
+        with point() as run:
+            yield
+
+    def first_chunk():
+        run.run(40)
+
+    return first_chunk, {
+        "rounds": 5, "iterations": 1, "each_round": fresh_point,
+        "cycles_per_chunk": 40,
+    }
 
 
 def _bench_cycles_loaded():
@@ -334,6 +363,7 @@ def _bench_cycles_loaded_16x16x16_sharded():
 SCENARIOS = {
     "test_perf_network_construction": _bench_network_construction,
     "test_perf_point_assembly_8x8x8": _bench_point_assembly_8x8x8,
+    "test_perf_cold_chunk_8x8x8": _bench_cold_chunk_8x8x8,
     "test_perf_routing_decision": _bench_routing_decision,
     "test_perf_simulation_cycles_idle": _bench_cycles_idle,
     "test_perf_simulation_cycles_idle_16x16": _bench_cycles_idle_16x16,
@@ -360,19 +390,23 @@ SCENARIOS_XL = {
 # Harness
 # ----------------------------------------------------------------------
 
-def _time_scenario(fn, rounds: int, iterations: int, warmup_rounds: int = 0):
+def _time_scenario(fn, rounds: int, iterations: int, warmup_rounds: int = 0,
+                   each_round=nullcontext):
     """Per-round seconds-per-iteration: state is shared across rounds and
-    warm-up rounds are discarded."""
+    warm-up rounds are discarded.  ``each_round`` is a context manager
+    entered around every timed round, outside the timer (a probe that needs
+    fresh state per round builds it there)."""
     timer = time.perf_counter
     for _ in range(warmup_rounds):
         for _ in range(iterations):
             fn()
     samples = []
     for _ in range(rounds):
-        t0 = timer()
-        for _ in range(iterations):
-            fn()
-        samples.append((timer() - t0) / iterations)
+        with each_round():
+            t0 = timer()
+            for _ in range(iterations):
+                fn()
+            samples.append((timer() - t0) / iterations)
     return samples
 
 
@@ -400,6 +434,7 @@ def run_benchmarks(names=None, xl=False) -> list[dict]:
             rounds=opts["rounds"],
             iterations=opts["iterations"],
             warmup_rounds=opts.get("warmup_rounds", 0),
+            each_round=opts.get("each_round", nullcontext),
         )
         row = {
             "name": name,

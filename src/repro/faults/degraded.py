@@ -36,6 +36,7 @@ Example::
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from ..topology.base import PortPeer, RouterPort, Topology
 from .model import FaultSet, FaultState
@@ -106,6 +107,13 @@ class DegradedTopology(Topology):
         if (router, port) in self.faults.failed_ports:
             return _MISSING
         return self.base.peer(router, port)
+
+    def router_ports(self, router: int) -> Iterator[tuple[int, PortPeer]]:
+        """The base topology's own port walk with failed ports masked, so a
+        wrapped HyperX keeps its template walk."""
+        failed = self.faults.failed_ports
+        for port, peer in self.base.router_ports(router):
+            yield port, _MISSING if (router, port) in failed else peer
 
     def terminal_attachment(self, terminal: int) -> RouterPort:
         return self.base.terminal_attachment(terminal)

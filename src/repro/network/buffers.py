@@ -30,14 +30,15 @@ class VcRoute:
     deroute: bool = False
 
 
-#: What every per-VC queue (:attr:`VcState.fifo`, ``Router.staged[port][vc]``)
-#: holds until its first flit.  An empty ``deque`` pre-allocates a 64-slot
-#: block (760 B) and most VCs of a large network never carry a flit, so the
-#: real queue is created where a flit first needs one (the flit sinks'
-#: empty->busy branch, ``Router._step_inputs``' staging branch,
-#: :meth:`InputUnit.receive`).  One shared immutable tuple reads like an
-#: empty deque (``len``, truthiness, iteration) and a stray ``.append``
-#: raises instead of corrupting a shared object.
+#: What every queue of a built network (:attr:`VcState.fifo`,
+#: ``Router.staged[port][vc]``, ``Channel._pipe``, ``Terminal.source_queue``)
+#: holds until its first item.  An empty ``deque`` pre-allocates a 64-slot
+#: block (760 B) and most queues of a large network never carry a flit, so
+#: the real queue is created where an item first needs one (the existing
+#: empty->busy branch of each push site, :meth:`InputUnit.receive`).  One
+#: shared immutable tuple reads like an empty deque (``len``, truthiness,
+#: iteration) and a stray ``.append`` raises instead of corrupting a shared
+#: object.
 NEVER_USED: tuple = ()
 
 

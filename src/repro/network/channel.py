@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable
 
+from .buffers import NEVER_USED
+
 
 class Channel:
     """A fixed-latency pipeline.
@@ -31,26 +33,31 @@ class Channel:
     per cycle (``limit_rate=False``).
     """
 
-    __slots__ = ("latency", "name", "limit_rate", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready")
+    __slots__ = ("latency", "_name", "limit_rate", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready")
 
     def __init__(
         self,
         latency: int,
         sink: Callable[[Any], None],
-        name: str = "",
+        name: "str | tuple" = "",
         limit_rate: bool = True,
     ):
         if latency < 1:
             raise ValueError("channel latency must be >= 1 cycle")
         self.latency = latency
-        self.name = name
+        #: a label, or the ``(template, *ids)`` parts of one: the network
+        #: builder passes parts and :attr:`name` formats them when read.
+        self._name = name
         self.limit_rate = limit_rate
         #: minimum cycles between pushes; > 1 models a degraded-bandwidth
         #: link (set by the fault injector).  The router's output stage
         #: checks it before arbitrating for the port.
         self.min_gap = 1
         self._sink = sink
-        self._pipe: deque[tuple[int, Any]] = deque()
+        #: ``(ready_cycle, item)`` pairs, oldest first; :data:`NEVER_USED`
+        #: until the first push (most channels of a large network are never
+        #: pushed), a ``deque`` from then on.
+        self._pipe: "deque[tuple[int, Any]] | tuple" = NEVER_USED
         self._last_push_cycle = -1
         self.utilization_count = 0  # items ever pushed (for link-utilization stats)
         #: lower bound on the head item's delivery cycle — the simulator's
@@ -67,6 +74,12 @@ class Channel:
         #: owning network; None for standalone channels driven directly.
         self._active_set: dict["Channel", None] | None = None
 
+    @property
+    def name(self) -> str:
+        """The channel's label (read by error messages and tests only)."""
+        name = self._name
+        return name if isinstance(name, str) else name[0] % name[1:]
+
     def push(self, cycle: int, item: Any) -> None:
         """Send ``item`` down the channel at ``cycle``."""
         if self.limit_rate:
@@ -77,11 +90,14 @@ class Channel:
             self._last_push_cycle = cycle
         self.utilization_count += 1
         ready = cycle + self.latency
-        if not self._pipe:
+        pipe = self._pipe
+        if not pipe:
+            if pipe is NEVER_USED:
+                pipe = self._pipe = deque()
             self._next_ready = ready
             if self._active_set is not None:
                 self._active_set[self] = None
-        self._pipe.append((ready, item))
+        pipe.append((ready, item))
 
     def deliver(self, cycle: int) -> None:
         """Hand every item whose latency has elapsed to the sink."""

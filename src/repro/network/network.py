@@ -62,8 +62,9 @@ class LinkRecord:
         return f"{self.kind} {self.src}->{self.dst}"
 
 
-def _poison_sink(name: str):
-    """Sink for boundary *export* channels: delivery is a protocol bug.
+def _poison_sink(key: tuple):
+    """Sink for the boundary *export* channel ``boundary_out[key]``:
+    delivery is a protocol bug.
 
     The shard engine drains exports at chunk boundaries strictly before
     their channel latency elapses (chunk length <= ``channel_latency_rr``),
@@ -72,7 +73,7 @@ def _poison_sink(name: str):
 
     def sink(item):
         raise RuntimeError(
-            f"boundary export channel {name!r} delivered in-chunk: "
+            f"boundary export channel {key!r} delivered in-chunk: "
             f"shard chunk protocol violated"
         )
 
@@ -191,7 +192,9 @@ class Network:
 
     # ------------------------------------------------------------------
 
-    def _channel(self, latency: int, sink, name: str, limit_rate: bool = True) -> Channel:
+    def _channel(self, latency: int, sink, name: tuple, limit_rate: bool = True) -> Channel:
+        # ``name`` is the (template, *ids) parts of the label: nobody reads
+        # a channel's name on a healthy run, so Channel.name formats it.
         ch = Channel(latency, sink, name=name, limit_rate=limit_rate)
         ch._active_set = self._active_channels
         self.channels.append(ch)
@@ -226,13 +229,14 @@ class Network:
                         )
                         continue
                     data = channel(
-                        lat_rr, b.make_flit_sink(rp.port), f"r{r}p{port}->r{rp.router}"
+                        lat_rr, b.make_flit_sink(rp.port),
+                        ("r%dp%d->r%d", r, port, rp.router),
                     )
                     tracker = CreditTracker(num_vcs, depth)
                     a.attach_output(port, data, tracker)
                     cred = channel(
                         lat_rr, a.make_credit_sink(port),
-                        f"cr r{rp.router}->r{r}p{port}", limit_rate=False,
+                        ("cr r%d->r%dp%d", rp.router, r, port), limit_rate=False,
                     )
                     b.attach_credit_return(rp.port, cred)
                     links_append(LinkRecord(
@@ -243,13 +247,13 @@ class Network:
                     t = terminals[peer.terminal]
                     # Terminal -> router (injection).
                     inj = channel(
-                        lat_rt, a.make_flit_sink(port), f"t{t.terminal_id}->r{r}"
+                        lat_rt, a.make_flit_sink(port), ("t%d->r%d", t.terminal_id, r)
                     )
                     inj_tracker = CreditTracker(num_vcs, depth)
                     t.attach_injection(inj, inj_tracker)
                     inj_cred = channel(
                         lat_rt, t.make_credit_sink(),
-                        f"cr r{r}->t{t.terminal_id}", limit_rate=False,
+                        ("cr r%d->t%d", r, t.terminal_id), limit_rate=False,
                     )
                     a.attach_credit_return(port, inj_cred)
                     links_append(LinkRecord(
@@ -258,13 +262,13 @@ class Network:
                     ))
                     # Router -> terminal (ejection).
                     ej = channel(
-                        lat_rt, t.make_flit_sink(), f"r{r}->t{t.terminal_id}"
+                        lat_rt, t.make_flit_sink(), ("r%d->t%d", r, t.terminal_id)
                     )
                     ej_tracker = CreditTracker(num_vcs, depth)
                     a.attach_output(port, ej, ej_tracker)
                     ej_cred = channel(
                         lat_rt, a.make_credit_sink(port),
-                        f"cr t{t.terminal_id}->r{r}", limit_rate=False,
+                        ("cr t%d->r%d", t.terminal_id, r), limit_rate=False,
                     )
                     t.attach_ejection_credit(ej_cred)
                     links_append(LinkRecord(
@@ -289,28 +293,30 @@ class Network:
         * import credits ``("c", q, q_port)`` — credits ``q`` returns for
           the ``r -> q`` data path; filled, terminates in the credit sink.
         """
+        key = ("d", r, port)
         data_out = self._channel(
-            lat_rr, _poison_sink(f"r{r}p{port}->shard"), f"r{r}p{port}->shard"
+            lat_rr, _poison_sink(key), ("r%dp%d->shard", r, port)
         )
         a.attach_output(port, data_out, CreditTracker(num_vcs, depth))
-        self.boundary_out[("d", r, port)] = data_out
+        self.boundary_out[key] = data_out
 
         data_in = self._channel(
-            lat_rr, a.make_flit_sink(port), f"shard->r{r}p{port}"
+            lat_rr, a.make_flit_sink(port), ("shard->r%dp%d", r, port)
         )
         self.boundary_in[("d", q, q_port)] = data_in
         self._boundary_in_dst[("d", q, q_port)] = (r, port)
 
+        key = ("c", r, port)
         cred_out = self._channel(
-            lat_rr, _poison_sink(f"cr r{r}p{port}->shard"),
-            f"cr r{r}p{port}->shard", limit_rate=False,
+            lat_rr, _poison_sink(key), ("cr r%dp%d->shard", r, port),
+            limit_rate=False,
         )
         a.attach_credit_return(port, cred_out)
-        self.boundary_out[("c", r, port)] = cred_out
+        self.boundary_out[key] = cred_out
 
         cred_in = self._channel(
             lat_rr, a.make_credit_sink(port),
-            f"cr shard->r{r}p{port}", limit_rate=False,
+            ("cr shard->r%dp%d", r, port), limit_rate=False,
         )
         self.boundary_in[("c", q, q_port)] = cred_in
         self._boundary_in_dst[("c", q, q_port)] = (r, port)

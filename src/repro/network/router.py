@@ -42,6 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..topology.base import Topology
 
 
+#: Length of every router's tie-break jitter ring (a power of two: the
+#: scoring loop wraps its index with a mask).
+JITTER_RING = 4096
+
+
 def _hook_fanout(hooks: list):
     """Collapse a hook list into the single-slot fast-path representation:
     None when empty, the hook itself when alone, a dispatch closure else."""
@@ -121,8 +126,9 @@ class Router:
         # Active-set bookkeeping.  _active_in is a *sorted* list of live
         # flat input keys (``port * num_vcs + vc``); the input pass iterates
         # it in ascending (port, vc) order and resolves each key through
-        # _in_ents, the preresolved (VcState, fifo, port, vc) entries built
-        # once per input port by make_flit_sink.  Keeping the schedule
+        # _in_ents, the preresolved (VcState, fifo, port, vc) entries the
+        # flit sink makes on a VC's first flit (None until then, like the
+        # VC's queue).  Keeping the schedule
         # canonical — a static property of the wiring, not of arrival
         # history — makes every within-cycle delivery interleaving
         # observationally equivalent, which is what lets the sharded engine
@@ -182,12 +188,13 @@ class Router:
         self._budget_touched: list[int] = []
         self._commit_touched: list[int] = []
 
-        # Pre-drawn tie-break jitter: one generator call per 4096 draws
-        # instead of one rng.random() per candidate scored.  Drawn lazily on
-        # the first routing decision — the router's rng feeds nothing else,
-        # so the stream is unchanged, and idle routers (most of a large
-        # network at construction time) never pay for the block.
-        self._jitter: list[float] | None = None
+        # Tie-break jitter: a ring of JITTER_RING draws from this router's
+        # generator, one consumed per feasible candidate scored, wrapping.
+        # _grow_jitter draws it as it is consumed (Generator.random(n) takes
+        # one 64-bit output per double and the rng feeds nothing else, so
+        # the chunks concatenate to rng.random(JITTER_RING)): a router pays
+        # for the draws its decisions use, an idle router for none.
+        self._jitter: list[float] = []
         self._jitter_idx = 0
 
         # Memoised candidate *skeletons* for stateless algorithms (see
@@ -320,19 +327,14 @@ class Router:
         depth = self.inputs[port].depth
         active = self._active_in
         wake = self._wake_registry
-        # Flat input keys and preresolved work entries: the input pass
-        # resolves (state, fifo, port, vc) with one list index per live key
-        # instead of re-indexing inputs[port].vcs[vc] per cycle.
-        keys = [port * self.num_vcs + v for v in range(self.num_vcs)]
-        for v in range(self.num_vcs):
-            self._in_ents[keys[v]] = (vcs[v], vcs[v].fifo, port, v)
-
-        fifos = [vcs[v].fifo for v in range(self.num_vcs)]
+        in_ents = self._in_ents
+        first_key = port * self.num_vcs
 
         def sink(item: tuple[int, Flit]) -> None:
             # InputUnit.receive inlined (per-flit hot path).
             vc, flit = item
-            fifo = fifos[vc]
+            state = vcs[vc]
+            fifo = state.fifo
             n = len(fifo)
             if n >= depth:
                 raise RuntimeError(
@@ -342,14 +344,14 @@ class Router:
                 # Empty->busy transition; a non-empty FIFO implies the key
                 # is already registered (a key leaves the live list only in
                 # the pass that observes its FIFO empty).
+                key = first_key + vc
                 if fifo is NEVER_USED:
-                    # The VC's first flit: create its queue and re-point
-                    # the three places that preresolved it (once per VC, so
-                    # reached through self rather than captured per sink).
-                    state = self.inputs[port].vcs[vc]
-                    fifo = fifos[vc] = state.fifo = deque()
-                    self._in_ents[keys[vc]] = (state, fifo, port, vc)
-                insort(active, keys[vc])
+                    # The VC's first flit: create its queue and the
+                    # preresolved (state, fifo, port, vc) work entry the
+                    # input pass resolves this key through.
+                    fifo = state.fifo = deque()
+                    in_ents[key] = (state, fifo, port, vc)
+                insort(active, key)
                 wake[self] = None
             fifo.append(flit)
 
@@ -538,6 +540,8 @@ class Router:
                 ready = cycle + cr.latency
                 pipe = cr._pipe
                 if not pipe:
+                    if pipe is NEVER_USED:
+                        pipe = cr._pipe = deque()
                     cr._next_ready = ready
                     if cr._active_set is not None:
                         cr._active_set[cr] = None
@@ -645,6 +649,8 @@ class Router:
             ready = cycle + ch.latency
             pipe = ch._pipe
             if not pipe:
+                if pipe is NEVER_USED:
+                    pipe = ch._pipe = deque()
                 ch._next_ready = ready
                 if ch._active_set is not None:
                     ch._active_set[ch] = None
@@ -735,9 +741,10 @@ class Router:
         and call hoisted out of the loop: the same VC scan, the same
         (occ + stg) / (group * depth) estimate with the same integer
         denominator, the same (congestion + 1.0) * hops weight, one jitter
-        draw per *feasible* candidate.  The reference model in the test
-        tree re-scores every decision through those methods and demands
-        bit-equal weights, so keep the two in step.
+        draw per *feasible* candidate (the ring is grown once per call to
+        cover the whole skeleton, never tested per candidate).  The
+        reference model in the test tree re-scores every decision through
+        those methods and demands bit-equal weights, so keep the two in step.
         """
         port_scope = self._port_scope
         seq = self._sequential
@@ -749,9 +756,10 @@ class Router:
         depth = self._buffer_depth
         nv = self.num_vcs
         jitter = self._jitter
-        if jitter is None:
-            jitter = self._jitter = self.rng.random(4096).tolist()
         jidx = self._jitter_idx
+        if jidx + len(skel) > len(jitter):
+            self._grow_jitter(jidx + len(skel))
+        jmask = JITTER_RING - 1
         hook = self._route_hook
         scored: list | None = [] if hook is not None else None
         best_cand: RouteCandidate | None = None
@@ -793,7 +801,7 @@ class Router:
                 else:
                     w = (est(occ, stg, len(vcs), depth) + 1.0) * hops
             j = jitter[jidx]
-            jidx = (jidx + 1) & 4095
+            jidx = (jidx + 1) & jmask
             if scored is not None:
                 scored.append((cand, best_vc, w))
             if best_cand is None or w < best_w or (w == best_w and j < best_j):
@@ -825,6 +833,17 @@ class Router:
         if hook is not None:
             hook(cycle, self, port, vc, ctx, best_cand, best_out_vc, scored)
         return VcRoute(out_port, best_out_vc, packet.pid, best_cand.deroute)
+
+    def _grow_jitter(self, need: int) -> None:
+        """Extend the jitter ring to cover ``need`` draws (64, 128, ... up
+        to the full ring; a decision that runs past the full ring wraps)."""
+        jitter = self._jitter
+        have = len(jitter)
+        if have < JITTER_RING:
+            size = max(2 * have, 64)
+            while size < need:
+                size *= 2
+            jitter.extend(self.rng.random(min(size, JITTER_RING) - have).tolist())
 
     def revoke_unstarted_routes(self, ports: set[int]) -> int:
         """Un-commit routes through ``ports`` whose wormhole has not started.

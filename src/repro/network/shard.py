@@ -65,9 +65,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from ..config import default_config
+from .buffers import NEVER_USED
 from .stats import LatencySample, PacketStats
 from .types import Flit, Packet
 
@@ -183,6 +185,8 @@ class _WorkerState:
             ch = boundary_in[key]
             pipe = ch._pipe
             was_empty = not pipe
+            if pipe is NEVER_USED:  # this boundary's first import
+                pipe = ch._pipe = deque()
             if key[0] == "c":
                 pipe.extend(items)
             else:

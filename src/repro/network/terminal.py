@@ -45,7 +45,8 @@ class Terminal:
         self.num_vcs = cfg.router.num_vcs
 
         # Injection side.
-        self.source_queue: deque[Packet] = deque()
+        # NEVER_USED until the first offer(), like every other queue.
+        self.source_queue: "deque[Packet] | tuple" = NEVER_USED
         self._active_packet: Packet | None = None
         # Index of the active packet's next flit.  Flit facade objects are
         # materialized one at a time at push (memory-lean at-rest state: a
@@ -144,6 +145,8 @@ class Terminal:
                 f"terminal {self.terminal_id} is detached (its router failed "
                 f"statically); exclude it from traffic generation"
             )
+        if self.source_queue is NEVER_USED:
+            self.source_queue = deque()
         self.source_queue.append(packet)
         self._wake_registry[self] = None
 
@@ -209,6 +212,8 @@ class Terminal:
         ready = cycle + ch.latency
         pipe = ch._pipe
         if not pipe:
+            if pipe is NEVER_USED:
+                pipe = ch._pipe = deque()
             ch._next_ready = ready
             if ch._active_set is not None:
                 ch._active_set[ch] = None
@@ -298,6 +303,8 @@ class Terminal:
                 ready = cycle + cr.latency
                 pipe = cr._pipe
                 if not pipe:
+                    if pipe is NEVER_USED:
+                        pipe = cr._pipe = deque()
                     cr._next_ready = ready
                     if cr._active_set is not None:
                         cr._active_set[cr] = None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from typing import Iterator
 
 from .base import PortPeer, RouterPort, Topology
 
@@ -66,6 +67,25 @@ class HyperX(Topology):
         for w in widths:
             self._strides.append(s)
             s *= w
+        # Port-walk template: HyperX is vertex-transitive within a dimension,
+        # so the (port, router-id delta, back port) triples of dimension
+        # ``d`` depend only on the router's own coordinate in ``d``.
+        # _port_walk[d][own] lists them in port order; router_ports() adds
+        # the router id instead of re-deriving coordinates per port.
+        self._port_walk: list[list[list[tuple[int, int, int]]]] = [
+            [
+                [
+                    (
+                        off + (c if c < own else c - 1),
+                        (c - own) * stride,
+                        off + (own if own < c else own - 1),
+                    )
+                    for c in range(w) if c != own
+                ]
+                for own in range(w)
+            ]
+            for w, off, stride in zip(widths, self._dim_offset, self._strides)
+        ]
         # Coordinate cache: routing algorithms call coords() on every hop.
         self._coords_cache: list[tuple[int, ...]] | None = None
         if self._num_routers <= 1 << 20:
@@ -178,6 +198,17 @@ class HyperX(Topology):
         nbr = self.router_id(c)
         back = self.dim_port(nbr, dim, src_coord)
         return PortPeer(router_port=RouterPort(nbr, back))
+
+    def router_ports(self, router: int) -> Iterator[tuple[int, PortPeer]]:
+        """The same ``(port, peer)`` pairs as the generic per-port
+        :meth:`peer` walk (which stays the single-port reference), read off
+        the per-dimension template built in ``__init__``."""
+        for walk, own in zip(self._port_walk, self.coords(router)):
+            for port, delta, back in walk[own]:
+                yield port, PortPeer(router_port=RouterPort(router + delta, back))
+        first = router * self.terminals_per_router
+        for local in range(self.terminals_per_router):
+            yield self._router_ports + local, PortPeer(terminal=first + local)
 
     def terminal_attachment(self, terminal: int) -> RouterPort:
         if not 0 <= terminal < self.num_terminals:

@@ -210,6 +210,30 @@ def test_bench_only_prints_one_row(capsys):
     assert rows[0].split()[0] == "test_perf_simulation_cycles_idle"
 
 
+def test_bench_each_round_context_is_outside_the_timer():
+    """``each_round`` (the cold-chunk probe's fresh assembly) wraps every
+    timed round and its cost is in no sample."""
+    import time
+    from contextlib import contextmanager
+
+    from repro.analysis.bench import _time_scenario
+
+    events = []
+
+    @contextmanager
+    def each_round():
+        events.append("enter")
+        time.sleep(0.2)
+        yield
+        events.append("exit")
+
+    samples = _time_scenario(
+        lambda: events.append("fn"), rounds=3, iterations=2, each_round=each_round
+    )
+    assert events == ["enter", "fn", "fn", "exit"] * 3
+    assert len(samples) == 3 and max(samples) < 0.1
+
+
 def test_bench_unknown_xl_name_still_rejected():
     from repro.analysis.bench import run_benchmarks
 

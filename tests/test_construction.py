@@ -26,7 +26,10 @@ def _scenario(widths=(4, 4), tpr=2):
 
 
 def _queues(net):
-    """Every per-VC queue of ``net``: input fifos, staging, terminal receive."""
+    """Every queue of ``net``: channel pipes, input fifos, staging, terminal
+    receive and source queues."""
+    for ch in net.channels:
+        yield ch._pipe
     for r in net.routers:
         for unit in r.inputs:
             for state in unit.vcs:
@@ -34,6 +37,7 @@ def _queues(net):
         for per_port in r.staged:
             yield from per_port
     for t in net.terminals:
+        yield t.source_queue
         for state in t.receive.vcs:
             yield state.fifo
 
@@ -56,12 +60,41 @@ def networks_seen(monkeypatch):
     return seen
 
 
+def _live_deques():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is deque)
+
+
 def test_fresh_network_holds_no_deque():
     topo, algo, _ = _scenario()
+    before = _live_deques()
     net = Network(topo, algo, default_config())
+    assert _live_deques() == before  # a census, whatever _queues() knows of
     queues = list(_queues(net))
     assert queues and all(q is NEVER_USED for q in queues)
     assert net.flits_in_flight() == 0 and net.quiescent()
+
+
+def test_channel_names_are_formatted_when_read():
+    topo, algo, _ = _scenario()  # 4x4, t=2: router 0 port 0 <-> router 1 port 0
+    net = Network(topo, algo, default_config())
+    assert all(type(ch._name) is tuple for ch in net.channels)  # parts, no str
+    r0, r1, t0 = net.routers[0], net.routers[1], net.terminals[0]
+    t_port = topo.terminal_port(0)
+    assert r0.out_channels[0].name == "r0p0->r1"
+    assert r1._credit_return[0].name == "cr r1->r0p0"
+    assert t0.inject_channel.name == "t0->r0"
+    assert r0._credit_return[t_port].name == "cr r0->t0"
+    assert r0.out_channels[t_port].name == "r0->t0"
+    assert t0.eject_credit_channel.name == "cr t0->r0"
+    shard = Network(topo, algo, default_config(), owned_routers={0})
+    assert shard.boundary_out[("d", 0, 0)].name == "r0p0->shard"
+    assert shard.boundary_in[("d", 1, 0)].name == "shard->r0p0"
+    assert shard.boundary_out[("c", 0, 0)].name == "cr r0p0->shard"
+    assert shard.boundary_in[("c", 1, 0)].name == "cr shard->r0p0"
+    with pytest.raises(RuntimeError, match="r0p0->r1.*pushed twice in cycle 3"):
+        r0.out_channels[0].push(3, None)
+        r0.out_channels[0].push(3, None)
 
 
 def test_append_on_a_never_used_queue_raises():
@@ -88,8 +121,11 @@ def test_loaded_run_materialises_exactly_the_used_queues():
         for key, ent in enumerate(r._in_ents):
             port, vc = divmod(key, r.num_vcs)
             state = r.inputs[port].vcs[vc]
-            assert ent[0] is state and ent[1] is state.fifo
-            assert ent[2:] == (port, vc)
+            if state.fifo is NEVER_USED:
+                assert ent is None
+            else:
+                assert ent[0] is state and ent[1] is state.fifo
+                assert ent[2:] == (port, vc)
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])

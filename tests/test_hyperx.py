@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology.base import RouterPort
+from repro.faults import DegradedTopology, FaultSet
+from repro.topology.base import RouterPort, Topology
 from repro.topology.hyperx import HyperX, paper_hyperx, regular_hyperx
 
 SMALL = [
@@ -170,3 +171,29 @@ def test_regular_hyperx_helper():
     hx = regular_hyperx(2, 4, 3)
     assert hx.widths == (4, 4)
     assert hx.terminals_per_router == 3
+
+
+TEMPLATE_SHAPES = [((8, 8, 8), 1), ((4, 4, 4), 4), ((3, 5, 2), 2), ((16, 16), 3)]
+
+
+@pytest.mark.parametrize("widths,tpr", TEMPLATE_SHAPES)
+def test_template_port_walk_equals_per_port_peer_walk(widths, tpr):
+    """``HyperX.router_ports`` reads a per-dimension template; the generic
+    ``Topology.router_ports`` (one ``peer()`` per port) is its reference."""
+    topo = HyperX(widths, tpr)
+    for r in range(topo.num_routers):
+        assert list(topo.router_ports(r)) == list(Topology.router_ports(topo, r))
+    topo.validate()
+
+
+def test_template_port_walk_survives_fault_masking():
+    base = HyperX((4, 4, 4), 2)
+    faults = FaultSet().fail_link(0, 0).fail_link(21, 5).fail_router(42)
+    topo = DegradedTopology(base, faults)
+    masked = 0
+    for r in range(topo.num_routers):
+        walk = list(topo.router_ports(r))
+        assert walk == list(Topology.router_ports(topo, r))
+        masked += sum(1 for _, peer in walk if peer.is_missing)
+    assert masked == len(topo.faults.failed_ports) > 4
+    topo.validate()

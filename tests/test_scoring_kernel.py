@@ -24,11 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig, SimConfig
+from repro.core.base import RouteCandidate, RouteContext
 from repro.core.registry import make_algorithm
 from repro.core.weights import estimator_modes, route_weight
 from repro.network.network import Network
+from repro.network.router import JITTER_RING
 from repro.network.simulator import Simulator
 from repro.network.telemetry import TelemetryProbe
+from repro.network.types import Packet
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
@@ -153,6 +156,46 @@ def test_kernel_weights_match_under_class_scope():
                 sequential_allocation=sequential,
             )
             assert model.contested > 50, (algo, sequential, model.contested)
+
+
+# ---------------------------------------------------------------------------
+# The jitter ring
+# ---------------------------------------------------------------------------
+
+
+def test_jitter_ring_grown_in_chunks_is_the_one_block_stream():
+    """One router scores > 4096 feasible candidates, seven per decision, so
+    decisions straddle every growth boundary (64, 128, ... 2048) and the
+    4096 wrap.  Every candidate ties on weight (idle network, equal hops),
+    so the winner is the candidate holding the smallest draw: the draws
+    *consumed* must be ``copy.deepcopy(rng).random(4096)`` modulo 4096."""
+    topo = HyperX((8, 8), 1)
+    net = Network(topo, make_algorithm("DimWAR", topo), SimConfig().validated())
+    router = net.routers[0]
+    ring = copy.deepcopy(router.rng).random(JITTER_RING).tolist()
+    chosen = []
+    router.add_route_hook(lambda *call: chosen.append(call[5:7]))
+    cands = [RouteCandidate(port, 0, 1) for port in range(7)]
+    skel = router._build_skeleton(cands)
+    packet = Packet(src_terminal=0, dst_terminal=9, size=1, create_cycle=0)
+    ctx = RouteContext(router=router, packet=packet, input_port=14,
+                       input_vc_class=0, from_terminal=True)
+    assert router._jitter == []
+    lengths, straddled, idx = set(), 0, 0
+    while idx <= JITTER_RING + 100:
+        before = len(router._jitter)
+        assert router._choose(0, 14, 0, ctx, skel) is not None
+        cand, out_vc = chosen.pop()
+        router.out_vc_owner[cand.out_port][out_vc] = None  # all stay feasible
+        draws = [ring[(idx + k) % JITTER_RING] for k in range(7)]
+        assert cand is cands[draws.index(min(draws))], idx
+        idx += 7
+        assert router._jitter_idx == idx % JITTER_RING
+        lengths.add(len(router._jitter))
+        straddled += idx - 7 < before < idx  # draws on both sides of the end
+    assert lengths == {64 << n for n in range(7)}  # 64, 128, ... 4096
+    assert straddled == 7  # six growth boundaries and the wrap
+    assert router._jitter == ring
 
 
 # ---------------------------------------------------------------------------
