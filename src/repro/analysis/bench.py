@@ -1,10 +1,11 @@
 """Perf microbenchmark probes behind ``python -m repro bench``.
 
-Ten simulator microbenchmarks (the bare ``Network`` constructor, the
+Twelve simulator microbenchmarks (the bare ``Network`` constructor, the
 ``PointRun`` assembly production pays for the paper's 8x8x8 and that
 point's first 40 cycles, loaded and idle simulation cycles — both at small
 and at 16x16 target scale — a fault-injection settling transient, traffic
-generation, one adaptive routing decision) plus three 16x16x16 target-scale
+generation, one adaptive routing decision, the two Fig 8 bars of the
+end-to-end ``stencil_bursty`` unit) plus three 16x16x16 target-scale
 scenarios (``--xl``), defined once, here.  They are *probes*: the command times them and prints
 one table, and nothing records, compares or gates on the numbers — a
 single-shot timing on a shared box cannot tell a regression from the
@@ -111,6 +112,35 @@ def _bench_cold_chunk_8x8x8():
         "rounds": 5, "iterations": 1, "each_round": fresh_point,
         "cycles_per_chunk": 40,
     }
+
+
+def _stencil_bar(mode: str, iterations: int):
+    """One ``run_stencil_once`` bar of the end-to-end ``stencil_bursty``
+    unit (DimWAR on the ``small`` fabric, 104-flit halo aggregate), build
+    included — the bar is what Fig 8 pays per algorithm x mode x count."""
+    from dataclasses import replace
+
+    from ..experiments.common import get_scale
+    from ..experiments.fig8_stencil import run_stencil_once
+
+    scale = replace(get_scale("small"), stencil_aggregate_flits=104)
+
+    def bar():
+        run_stencil_once("DimWAR", mode, iterations, scale)
+
+    return bar, {"rounds": 5, "iterations": 1, "warmup_rounds": 1}
+
+
+def _bench_stencil_full_bar():
+    """One halo burst + one collective: the application engine's schedule
+    lookups per delivery are a visible share."""
+    return _stencil_bar("full", 1)
+
+
+def _bench_stencil_collective_bar():
+    """Six latency-bound collectives: mostly routers waiting out the
+    crossbar, i.e. the armed output pass."""
+    return _stencil_bar("collective", 6)
 
 
 def _bench_cycles_loaded():
@@ -370,6 +400,8 @@ SCENARIOS = {
     "test_perf_simulation_cycles_loaded": _bench_cycles_loaded,
     "test_perf_simulation_cycles_loaded_16x16": _bench_cycles_loaded_16x16,
     "test_perf_simulation_fault_settling": _bench_fault_settling,
+    "test_perf_stencil_full_bar": _bench_stencil_full_bar,
+    "test_perf_stencil_collective_bar": _bench_stencil_collective_bar,
     "test_perf_traffic_generation": _bench_traffic_generation,
 }
 

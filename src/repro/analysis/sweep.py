@@ -135,6 +135,47 @@ def nearest_rank_p99(values: list[float]) -> float:
     return float(sorted(values)[idx])
 
 
+class frozen_build:
+    """The one owner of the cyclic collector's state around a built network
+    (docs/PERFORMANCE.md, "Construction without the collector")::
+
+        with frozen_build(lambda: Network(topo, algo, cfg)) as net:
+            ...  # run it
+
+    A built network is ~10^5..10^6 long-lived objects, and the cyclic
+    collector re-walks them every time an allocation trips it.  So the
+    constructor (1) thaws and collects once *first* — a dead predecessor is
+    cyclic garbage (router -> channel -> sink closure -> peer router), and
+    with the collector paused nothing else would return it before the new
+    network is allocated beside it; (2) calls ``build()`` with the collector
+    paused, restoring the caller's ``gc.isenabled()`` state; (3)
+    ``gc.freeze()`` s what it built, so run-time collections walk run-time
+    garbage only.  Leaving the ``with`` block thaws, on every exit path; a
+    build that is never left (a shard worker exits instead) is thawed by
+    the next constructor.  The state is the process's, so one build at a
+    time per process.  ``Network.__init__`` itself carries no guard: it has
+    no lifetime owner to collect the predecessor first.
+    """
+
+    def __init__(self, build: Callable[[], object]):
+        gc.unfreeze()
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.built = build()
+        finally:
+            if was_enabled:
+                gc.enable()
+        gc.freeze()
+
+    def __enter__(self):
+        return self.built
+
+    def __exit__(self, *exc) -> None:
+        gc.unfreeze()
+
+
 class PointRun:
     """One load point, assembled and ready to step.
 
@@ -156,21 +197,9 @@ class PointRun:
     same bytes with or without them (``repro.check.oracle``'s
     ``diff_skip_on_off`` / ``diff_trace_on_off``).
 
-    **Collector discipline** (docs/PERFORMANCE.md, "Construction without
-    the collector").  A built network is ~10^5..10^6 long-lived objects, and
-    the cyclic collector re-walks them every time an allocation trips it.
-    So the constructor (1) thaws and collects once *first* — a dead
-    predecessor is cyclic garbage (router -> channel -> sink closure -> peer
-    router), and with the collector paused nothing else would return it
-    before the new network is allocated beside it; (2) assembles with the
-    collector paused, restoring the caller's ``gc.isenabled()`` state; (3)
-    ``gc.freeze()`` s the finished assembly, so run-time collections walk
-    run-time garbage only.  Leaving the ``with`` block thaws, on every exit
-    path; a run that is never left (a shard worker exits instead) is thawed
-    by the next constructor.  The state is the process's, so one assembly
-    at a time per process.  ``Network.__init__`` itself carries no guard:
-    raw call sites build back to back with no lifetime owner to collect
-    the predecessor first.
+    The whole assembly is one :class:`frozen_build`: built with the
+    collector paused, frozen for the point's lifetime, thawed when the
+    ``with`` block is left.
     """
 
     def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",
@@ -181,11 +210,7 @@ class PointRun:
                  owned_routers: "frozenset[int] | None" = None,
                  schedule: "FaultSchedule | None" = None,
                  sources: "list[int] | None" = None):
-        gc.unfreeze()
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        def assemble() -> None:
             self.net = Network(
                 topology, algorithm, cfg or default_config(), owned_routers=owned_routers
             )
@@ -215,16 +240,14 @@ class PointRun:
             for t in self.net.terminals:
                 if t is not None:
                     t.delivery_listeners.append(self.stats.on_delivery)
-        finally:
-            if was_enabled:
-                gc.enable()
-        gc.freeze()
+
+        self._lifetime = frozen_build(assemble)
 
     def __enter__(self) -> "PointRun":
         return self
 
     def __exit__(self, *exc) -> None:
-        gc.unfreeze()
+        self._lifetime.__exit__(*exc)
 
     def run(self, cycles: int) -> None:
         self.sim.run(cycles)

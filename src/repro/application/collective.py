@@ -32,16 +32,24 @@ class DisseminationCollective:
         self.num_ranks = num_ranks
         self.message_flits = message_flits
         self.num_rounds = max(1, math.ceil(math.log2(num_ranks)))
+        # (rank, round) -> its send tuple, filled by the first sends() call.
+        self._sends: dict[tuple[int, int], tuple[CollectiveSend, ...]] = {}
 
-    def sends(self, rank: int, rnd: int) -> list[CollectiveSend]:
-        """Destinations rank must send to in round ``rnd`` (ID+2^k, ID-2^k)."""
-        if not 0 <= rnd < self.num_rounds:
-            raise ValueError(f"round {rnd} out of range")
-        d = 1 << rnd
-        n = self.num_ranks
-        dsts = {(rank + d) % n, (rank - d) % n}
-        dsts.discard(rank)
-        return [CollectiveSend(rnd, dst) for dst in sorted(dsts)]
+    def sends(self, rank: int, rnd: int) -> tuple[CollectiveSend, ...]:
+        """Destinations rank must send to in round ``rnd`` (ID+2^k, ID-2^k);
+        derived on the first call for a (rank, round), looked up thereafter."""
+        sends = self._sends.get((rank, rnd))
+        if sends is None:
+            if not 0 <= rnd < self.num_rounds:
+                raise ValueError(f"round {rnd} out of range")
+            d = 1 << rnd
+            n = self.num_ranks
+            dsts = {(rank + d) % n, (rank - d) % n}
+            dsts.discard(rank)
+            sends = self._sends[rank, rnd] = tuple(
+                CollectiveSend(rnd, dst) for dst in sorted(dsts)
+            )
+        return sends
 
     def expected_receives(self, rank: int, rnd: int) -> int:
         """Messages rank must receive before leaving round ``rnd``.

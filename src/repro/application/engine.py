@@ -73,6 +73,7 @@ class StencilApplication:
             decomposition.num_ranks, collective_flits
         )
         self.states = [RankState() for _ in range(decomposition.num_ranks)]
+        self._ranks_done = 0  # counted in _iteration_complete
         self.messages_sent = 0
         self.packets_sent = 0
         #: optional hook called as (cycle, src_terminal, dst_terminal,
@@ -91,7 +92,7 @@ class StencilApplication:
 
     @property
     def done(self) -> bool:
-        return all(s.phase == "done" for s in self.states)
+        return self._ranks_done == len(self.states)
 
     @property
     def execution_time(self) -> int | None:
@@ -101,7 +102,7 @@ class StencilApplication:
         return max(s.done_cycle for s in self.states)
 
     def ranks_done(self) -> int:
-        return sum(1 for s in self.states if s.phase == "done")
+        return self._ranks_done
 
     # ------------------------------------------------------------------
     # Simulator process protocol
@@ -242,6 +243,7 @@ class StencilApplication:
         if state.iteration >= self.iterations:
             state.phase = "done"
             state.done_cycle = self._current_cycle
+            self._ranks_done += 1
             return
         state.phase = "collective" if self.mode == "collective" else "exchange"
         self._enter_phase(rank)

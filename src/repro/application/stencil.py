@@ -24,6 +24,14 @@ class Neighbor:
     size_flits: int
 
 
+#: The 26 halo directions with their kinds, in enumeration order (Figure 7b).
+NEIGHBOR_OFFSETS: tuple[tuple[tuple[int, int, int], str], ...] = tuple(
+    (off, {1: "face", 2: "edge", 3: "corner"}[sum(1 for o in off if o != 0)])
+    for off in itertools.product((-1, 0, 1), repeat=3)
+    if off != (0, 0, 0)
+)
+
+
 class StencilDecomposition:
     """The process grid and halo-exchange traffic of a 27-point stencil."""
 
@@ -47,6 +55,9 @@ class StencilDecomposition:
         if any(w <= 0 for w in self.weights.values()):
             raise ValueError("face/edge/corner weights must be positive")
         self.num_ranks = grid[0] * grid[1] * grid[2]
+        # rank -> its neighbour tuple, filled by the first neighbors(rank):
+        # the schedule is static, so a run derives each rank's row once.
+        self._neighbors: dict[int, tuple[Neighbor, ...]] = {}
 
     # -- rank <-> grid coordinates --------------------------------------
 
@@ -62,27 +73,27 @@ class StencilDecomposition:
         x, y, z = coords
         return x + y * gx + z * gx * gy
 
-    @staticmethod
-    def offset_kind(offset: tuple[int, int, int]) -> str:
-        nz = sum(1 for o in offset if o != 0)
-        return {1: "face", 2: "edge", 3: "corner"}[nz]
-
     # -- neighbours ------------------------------------------------------
 
-    def neighbors(self, rank: int) -> list[Neighbor]:
+    def neighbors(self, rank: int) -> tuple[Neighbor, ...]:
         """The rank's halo partners with their per-message sizes in flits.
 
         Message sizes are the aggregate split proportionally to the
         face/edge/corner weights of the neighbours that actually exist (at
         domain boundaries of a non-periodic decomposition some are missing),
-        with a minimum of one flit each.
+        with a minimum of one flit each.  The tuple is derived on the first
+        call for a rank and returned as is thereafter.
         """
+        nbrs = self._neighbors.get(rank)
+        if nbrs is None:
+            nbrs = self._neighbors[rank] = self._enumerate_neighbors(rank)
+        return nbrs
+
+    def _enumerate_neighbors(self, rank: int) -> tuple[Neighbor, ...]:
         x, y, z = self.coords(rank)
         gx, gy, gz = self.grid
         found: list[tuple[int, str]] = []
-        for off in itertools.product((-1, 0, 1), repeat=3):
-            if off == (0, 0, 0):
-                continue
+        for off, kind in NEIGHBOR_OFFSETS:
             nx, ny, nz_ = x + off[0], y + off[1], z + off[2]
             if self.periodic:
                 nx, ny, nz_ = nx % gx, ny % gy, nz_ % gz
@@ -91,17 +102,18 @@ class StencilDecomposition:
             nbr = self.rank_id((nx, ny, nz_))
             if nbr == rank:
                 continue  # periodic wrap onto self in a degenerate dimension
-            found.append((nbr, self.offset_kind(off)))
-        if not found:
-            return []
+            found.append((nbr, kind))
         total_weight = sum(self.weights[kind] for _, kind in found)
-        out = []
-        for nbr, kind in found:
-            flits = max(
-                1, round(self.aggregate_flits * self.weights[kind] / total_weight)
+        return tuple(
+            Neighbor(
+                rank=nbr,
+                kind=kind,
+                size_flits=max(
+                    1, round(self.aggregate_flits * self.weights[kind] / total_weight)
+                ),
             )
-            out.append(Neighbor(rank=nbr, kind=kind, size_flits=flits))
-        return out
+            for nbr, kind in found
+        )
 
     def neighbor_count(self, rank: int) -> int:
         return len(self.neighbors(rank))

@@ -402,6 +402,7 @@ def _cmd_trace(args) -> str:
     else:
         if args.heatmap and not args.window:
             raise ValueError("--heatmap needs the time-series sampler (--window N)")
+        from .analysis.sweep import frozen_build
         from .config import default_config
         from .network.network import Network
         from .network.simulator import Simulator
@@ -412,23 +413,23 @@ def _cmd_trace(args) -> str:
             capacity=args.capacity, window=args.window,
         )
         topo, algo, pattern = _scenario(args)
-        net = Network(topo, algo, default_config())
-        sim = Simulator(net)
-        sim.add_process(SyntheticTraffic(net, pattern, args.rate, seed=args.seed))
-        tracer = Tracer(sim, opts).attach()
-        sampler = (
-            TimeSeriesSampler(sim, window=args.window).attach()
-            if args.window else None
-        )
-        if args.profile:
-            prof = PhaseProfiler(sim)
-            prof.run(args.cycles)
-        else:
-            sim.run(args.cycles)
-        if sampler is not None:
-            sampler.finalize(sim.cycle)
-            sampler.detach()
-        tracer.detach()
+        with frozen_build(lambda: Network(topo, algo, default_config())) as net:
+            sim = Simulator(net)
+            sim.add_process(SyntheticTraffic(net, pattern, args.rate, seed=args.seed))
+            tracer = Tracer(sim, opts).attach()
+            sampler = (
+                TimeSeriesSampler(sim, window=args.window).attach()
+                if args.window else None
+            )
+            if args.profile:
+                prof = PhaseProfiler(sim)
+                prof.run(args.cycles)
+            else:
+                sim.run(args.cycles)
+            if sampler is not None:
+                sampler.finalize(sim.cycle)
+                sampler.detach()
+            tracer.detach()
         label = (
             f"{args.algorithm} on {args.pattern}, HyperX {tuple(args.widths)} "
             f"T={args.terminals} rate={args.rate} over {args.cycles} cycles"

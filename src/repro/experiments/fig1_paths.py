@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..config import default_config
 from ..core.registry import make_algorithm
 from ..network.network import Network
@@ -52,40 +53,39 @@ def _congest_and_probe(
     algo = make_algorithm(algo_name, topo)
     cfg = default_config(seed=seed)
     cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, algo, cfg)
-    sim = Simulator(net)
-
-    src_router = topo.router_id((0, 0))
-    dst_router = topo.router_id((width - 1, 0))  # one X hop away
-
-    def hot(cycle: int) -> None:
-        # every terminal of the source router floods the destination router,
-        # saturating the single minimal channel between them
-        if cycle % 2 == 0:
-            for lt in range(1, tpr):
-                src_t = src_router * tpr + lt
-                dst_t = dst_router * tpr + lt
-                net.terminals[src_t].offer(
-                    Packet(src_t, dst_t, 8, create_cycle=cycle)
-                )
-
-    sim.processes.append(hot)
-    sim.run(400)  # build the congestion tree
-
     probe_packets = []
+    with frozen_build(lambda: Network(topo, algo, cfg)) as net:
+        sim = Simulator(net)
 
-    def probe(cycle: int) -> None:
-        if cycle % 40 == 0 and len(probe_packets) < probes:
-            src_t = src_router * tpr  # terminal 0 of the source router
-            dst_t = dst_router * tpr
-            p = Packet(src_t, dst_t, 1, create_cycle=cycle)
-            probe_packets.append(p)
-            net.terminals[src_t].offer(p)
+        src_router = topo.router_id((0, 0))
+        dst_router = topo.router_id((width - 1, 0))  # one X hop away
 
-    sim.processes.append(probe)
-    sim.run(40 * probes + 400)
-    sim.processes.clear()
-    sim.drain(max_cycles=500_000)
+        def hot(cycle: int) -> None:
+            # every terminal of the source router floods the destination router,
+            # saturating the single minimal channel between them
+            if cycle % 2 == 0:
+                for lt in range(1, tpr):
+                    src_t = src_router * tpr + lt
+                    dst_t = dst_router * tpr + lt
+                    net.terminals[src_t].offer(
+                        Packet(src_t, dst_t, 8, create_cycle=cycle)
+                    )
+
+        sim.processes.append(hot)
+        sim.run(400)  # build the congestion tree
+
+        def probe(cycle: int) -> None:
+            if cycle % 40 == 0 and len(probe_packets) < probes:
+                src_t = src_router * tpr  # terminal 0 of the source router
+                dst_t = dst_router * tpr
+                p = Packet(src_t, dst_t, 1, create_cycle=cycle)
+                probe_packets.append(p)
+                net.terminals[src_t].offer(p)
+
+        sim.processes.append(probe)
+        sim.run(40 * probes + 400)
+        sim.processes.clear()
+        sim.drain(max_cycles=500_000)
 
     traces = []
     for p in probe_packets:

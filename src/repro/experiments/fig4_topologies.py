@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..application.engine import StencilApplication
 from ..application.placement import RandomPlacement
 from ..application.stencil import StencilDecomposition
@@ -96,16 +97,19 @@ def run(
     result = Fig4Result(scale=sc.name)
     for case in cases:
         for iters in iteration_counts:
-            net = Network(case.topology, case.algorithm, sc.sim_config())
-            sim = Simulator(net)
             decomp = StencilDecomposition(
                 grid, aggregate_flits=sc.stencil_aggregate_flits
             )
             placement = RandomPlacement(
                 decomp.num_ranks, case.topology.num_terminals, seed=seed
             )
-            app = StencilApplication(net, decomp, placement, iterations=iters)
-            result.times[(case.name, iters)] = app.run(sim, max_cycles=max_cycles)
+            with frozen_build(
+                lambda: Network(case.topology, case.algorithm, sc.sim_config())
+            ) as net:
+                app = StencilApplication(net, decomp, placement, iterations=iters)
+                result.times[(case.name, iters)] = app.run(
+                    Simulator(net), max_cycles=max_cycles
+                )
     return result
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..config import default_config
 from ..core.registry import make_algorithm
 from ..network.network import Network
@@ -48,18 +49,18 @@ def trace_example(algo_name: str, widths=(4, 4), tpr=4, seed=3,
     algo = make_algorithm(algo_name, topo)
     cfg = default_config(seed=seed)
     cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, algo, cfg)
-    sim = Simulator(net)
     delivered = []
-    for t in net.terminals:
-        t.delivery_listeners.append(lambda p, c: delivered.append(p))
-    traffic = SyntheticTraffic(
-        net, BitComplement(topo.num_terminals), rate, seed=seed
-    )
-    sim.processes.append(traffic)
-    sim.run(cycles)
-    traffic.stop()
-    sim.drain(max_cycles=500_000)
+    with frozen_build(lambda: Network(topo, algo, cfg)) as net:
+        sim = Simulator(net)
+        for t in net.terminals:
+            t.delivery_listeners.append(lambda p, c: delivered.append(p))
+        traffic = SyntheticTraffic(
+            net, BitComplement(topo.num_terminals), rate, seed=seed
+        )
+        sim.processes.append(traffic)
+        sim.run(cycles)
+        traffic.stop()
+        sim.drain(max_cycles=500_000)
 
     best = None
     for p in delivered:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..application.engine import StencilApplication
 from ..application.placement import RandomPlacement
 from ..application.stencil import StencilDecomposition
@@ -47,14 +48,16 @@ def run_stencil_once(
     sc = get_scale(scale)
     topo = sc.topology()
     algo = make_algorithm(algorithm, topo)
-    net = Network(topo, algo, sc.sim_config())
-    sim = Simulator(net)
-    decomp = StencilDecomposition(
-        sc.stencil_ranks, aggregate_flits=sc.stencil_aggregate_flits
-    )
-    placement = RandomPlacement(decomp.num_ranks, topo.num_terminals, seed=seed)
-    app = StencilApplication(net, decomp, placement, iterations=iterations, mode=mode)
-    return app.run(sim, max_cycles=max_cycles)
+    with frozen_build(lambda: Network(topo, algo, sc.sim_config())) as net:
+        sim = Simulator(net)
+        decomp = StencilDecomposition(
+            sc.stencil_ranks, aggregate_flits=sc.stencil_aggregate_flits
+        )
+        placement = RandomPlacement(decomp.num_ranks, topo.num_terminals, seed=seed)
+        app = StencilApplication(
+            net, decomp, placement, iterations=iterations, mode=mode
+        )
+        return app.run(sim, max_cycles=max_cycles)
 
 
 def run(

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..network.network import Network
 from ..network.simulator import Simulator
 from ..network.stats import PacketStats
@@ -123,27 +124,27 @@ def run_one(
     sc = get_scale(scale)
     topo = sc.topology()
     algo = make_algorithm(algorithm, topo)
-    net = Network(topo, algo, sc.sim_config())
-    sim = Simulator(net)
-    traffic = _TwoJobTraffic(net, small_rate, large_rate, seed)
-    sim.processes.append(traffic)
-    stats = PacketStats()
-    small_set = set(traffic.small)
     large_samples, small_samples = [], []
+    with frozen_build(lambda: Network(topo, algo, sc.sim_config())) as net:
+        sim = Simulator(net)
+        traffic = _TwoJobTraffic(net, small_rate, large_rate, seed)
+        sim.processes.append(traffic)
+        stats = PacketStats()
+        small_set = set(traffic.small)
 
-    def listener(p, c):
-        sample = (p.latency, p.hops, p.deroutes)
-        if p.src_terminal in small_set:
-            small_samples.append(sample)
-        else:
-            large_samples.append(sample)
+        def listener(p, c):
+            sample = (p.latency, p.hops, p.deroutes)
+            if p.src_terminal in small_set:
+                small_samples.append(sample)
+            else:
+                large_samples.append(sample)
 
-    for t in net.terminals:
-        t.delivery_listeners.append(stats.on_delivery)
-        t.delivery_listeners.append(listener)
-    sim.run(cycles)
-    traffic.stop()
-    sim.drain(max_cycles=2_000_000)
+        for t in net.terminals:
+            t.delivery_listeners.append(stats.on_delivery)
+            t.delivery_listeners.append(listener)
+        sim.run(cycles)
+        traffic.stop()
+        sim.drain(max_cycles=2_000_000)
     if not large_samples:
         raise RuntimeError("no large-job packets delivered")
     lat = sorted(s[0] for s in large_samples)

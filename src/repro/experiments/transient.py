@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.report import format_table
+from ..analysis.sweep import frozen_build
 from ..config import default_config
 from ..core.registry import make_algorithm
 from ..network.network import Network
@@ -89,26 +90,26 @@ def run_transient(
     sc = get_scale(scale)
     topo = sc.topology()
     algo = make_algorithm(algorithm, topo)
-    net = Network(topo, algo, sc.sim_config())
-    sim = Simulator(net)
     switch = pre_windows * window
     total = (pre_windows + post_windows) * window
-    traffic = PhasedTraffic(
-        net,
-        phases=[
-            (0, UniformRandom(topo.num_terminals)),
-            (switch, BitComplement(topo.num_terminals)),
-        ],
-        rate=rate,
-        seed=seed,
-    )
-    sim.processes.append(traffic)
     stats = PacketStats()
-    for t in net.terminals:
-        t.delivery_listeners.append(stats.on_delivery)
-    sim.run(total)
-    traffic.stop()
-    sim.drain(max_cycles=1_000_000)
+    with frozen_build(lambda: Network(topo, algo, sc.sim_config())) as net:
+        sim = Simulator(net)
+        traffic = PhasedTraffic(
+            net,
+            phases=[
+                (0, UniformRandom(topo.num_terminals)),
+                (switch, BitComplement(topo.num_terminals)),
+            ],
+            rate=rate,
+            seed=seed,
+        )
+        sim.processes.append(traffic)
+        for t in net.terminals:
+            t.delivery_listeners.append(stats.on_delivery)
+        sim.run(total)
+        traffic.stop()
+        sim.drain(max_cycles=1_000_000)
 
     return TransientSeries.from_samples(
         algorithm, window, switch, total, stats.samples

@@ -364,9 +364,9 @@ class Network:
 
         Called by the fault injector when the fault state's epoch changes:
         cached candidate lists may reference ports that just failed.  The
-        output-stage ready bounds are reset too — a fault event may rewrite
-        a channel's ``min_gap``, invalidating bounds derived from the old
-        value.
+        output-stage ready bounds and the output-pass wake derived from them
+        are reset too — a fault event may rewrite a channel's ``min_gap``,
+        invalidating bounds derived from the old value.
         """
         for r in self.routers:
             if r is None:
@@ -375,6 +375,7 @@ class Network:
             ready = r._stage_ready
             for p in range(len(ready)):
                 ready[p] = 0
+            r._out_wake = 0
 
     def validate_wiring(self) -> None:
         """Check construction invariants; raises ``AssertionError``.

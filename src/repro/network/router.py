@@ -95,11 +95,13 @@ class Router:
         # of twice; standalone routers (unit tests) walk it themselves.
         self.terminal_ports: set[int] = set()
         self.terminal_of_port: dict[int, int] = {}
+        self.port_of_terminal: dict[int, int] = {}
         for port, peer in (ports if ports is not None
                            else topology.router_ports(router_id)):
             if peer.is_terminal:
                 self.terminal_ports.add(port)
                 self.terminal_of_port[port] = peer.terminal
+                self.port_of_terminal[peer.terminal] = port
 
         # Input side.
         self.inputs = [InputUnit(self.num_vcs, rc.buffer_depth) for _ in range(self.radix)]
@@ -226,7 +228,14 @@ class Router:
         # returns; per output port, only VCs with staged payload are scanned
         # and a port whose staged heads are all still in the crossbar (or
         # whose degraded link is in its min_gap window) is skipped until
-        # `_stage_ready`.
+        # `_stage_ready`.  The output pass itself is armed, not polled:
+        # `_out_wake` never exceeds the earliest `_stage_ready` over the
+        # active ports, and step() enters _step_outputs only at or past it.
+        # Staging onto an empty port sets that port's bound to the flit's
+        # crossbar exit and lowers the wake to it; a pass that emitted (or
+        # any round-robin pass) resets the wake to "now"; an age-arbitrated
+        # pass that emitted nothing has just refreshed every active port's
+        # bound and recomputes the wake from them.
         # Cycle skip-ahead (repro.network.skip) reuses these structures as
         # its router-level event bound: awake `_active_in` entries and
         # `_active_out` ports with an empty staging queue (cleanup pending)
@@ -241,6 +250,7 @@ class Router:
         ]
         self._staged_live: list[list[int]] = [[] for _ in range(self.radix)]
         self._stage_ready = [0] * self.radix
+        self._out_wake = 0
         # Reusable deferred-deletion scratch for the step loops: marking dead
         # keys and deleting after the pass lets the loops iterate the active
         # sets directly instead of copying them every cycle (nothing inserts
@@ -428,7 +438,7 @@ class Router:
         active_in = self._active_in
         if active_in and len(self._asleep) < len(active_in):
             self._step_inputs(cycle)
-        if self._active_out:
+        if self._active_out and cycle >= self._out_wake:
             self._step_outputs(cycle)
 
     @property
@@ -459,6 +469,7 @@ class Router:
         xbar_lat = self._xbar_lat
         staged = self.staged
         staged_live = self._staged_live
+        stage_ready = self._stage_ready
         active_out = self._active_out
         out_ents = self._out_ent
         credit_return = self._credit_return
@@ -517,10 +528,15 @@ class Router:
             sq.append((cycle + xbar_lat, flit))
             staged_count[out_port] = sc + 1
             if sc == 0:
-                # Empty->busy transition: register the port.  Re-assigning
-                # an already-present key never moves it in a dict, so
-                # storing only on the transition leaves the (deterministic)
-                # port iteration order exactly as before.
+                # Empty->busy transition: the port cannot emit before this
+                # flit leaves the crossbar (it emptied at or past its old
+                # bound), so arm the output pass for then, and register the
+                # port.  Re-assigning an already-present key never moves it
+                # in a dict, so storing only on the transition leaves the
+                # (deterministic) port iteration order exactly as before.
+                ready = stage_ready[out_port] = cycle + xbar_lat
+                if not active_out or ready < self._out_wake:
+                    self._out_wake = ready
                 active_out[out_port] = out_ents[out_port]
             forwarded += 1
             if budget[port] == 0:
@@ -566,6 +582,9 @@ class Router:
         stage_ready = self._stage_ready
         dead = self._dead_out
         age = self._age_arbitration
+        # Round-robin leaves _stage_ready stale on a no-grant pass (a
+        # standing veto by design), so it never sleeps the pass either.
+        emitted = not age
         for port, ent in active.items():
             if staged_count[port] == 0:
                 dead.append(port)
@@ -633,6 +652,7 @@ class Router:
                         break
                 if best_vc < 0:
                     continue  # nothing past the crossbar yet this cycle
+            emitted = True
             q = staged[best_vc]
             _, flit = q.popleft()
             if not q:
@@ -661,6 +681,11 @@ class Router:
             for port in dead:
                 del active[port]
             dead.clear()
+        # Re-arm (see __init__): poll again next cycle after an emission;
+        # otherwise every surviving port's bound was just proven > cycle.
+        self._out_wake = cycle if emitted else min(
+            map(stage_ready.__getitem__, active), default=cycle
+        )
 
     # ------------------------------------------------------------------
     # Route computation
@@ -910,11 +935,7 @@ class Router:
 
     def _route_ejection(self, port: int, vc: int, packet) -> VcRoute | None:
         dst = packet.dst_terminal
-        out_port = None
-        for p, t in self.terminal_of_port.items():
-            if t == dst:
-                out_port = p
-                break
+        out_port = self.port_of_terminal.get(dst)
         if out_port is None:
             raise RuntimeError(
                 f"packet {packet.pid} for terminal {dst} reached router "

@@ -11,7 +11,10 @@ lower bounds the simulator already maintains for other reasons:
   can deliver (exact after any delivery pass, conservative after a push);
 * ``Router._stage_ready[port]`` — the earliest cycle an output port with
   staged payload can emit (earliest staged head still in the crossbar, or
-  the end of a degraded link's ``min_gap`` window);
+  the end of a degraded link's ``min_gap`` window); staging onto an empty
+  port sets it to the flit's crossbar exit, so it is already tight when
+  asked (the router's own ``_out_wake`` is the min of these over its
+  active ports and arms its output pass the same way);
 * process wakeups — the clock contract below.
 
 **The clock contract.**  A process is a callable ``(cycle)`` that *may*

@@ -1,9 +1,11 @@
 """Tests for the 27-point stencil application model."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from repro.application.collective import DisseminationCollective
 from repro.application.engine import StencilApplication
 from repro.application.placement import LinearPlacement, RandomPlacement
-from repro.application.stencil import StencilDecomposition
+from repro.application.stencil import Neighbor, StencilDecomposition
 from repro.config import default_config
 from repro.core.registry import make_algorithm
 from repro.experiments.common import SCALES
@@ -93,6 +95,72 @@ def test_decomposition_validation():
                              face_edge_corner_weights=(0, 1, 1))
 
 
+def _neighbors_from_scratch(grid, aggregate, periodic, weights, rank):
+    """The halo partners of ``rank``, enumerated here from the geometry
+    alone (Figure 7b): the oracle for the decomposition's table."""
+    gx, gy, gz = grid
+    x, y, z = rank % gx, (rank // gx) % gy, rank // (gx * gy)
+    weight_of = dict(zip(("face", "edge", "corner"), weights))
+    found = []
+    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3):
+        if (dx, dy, dz) == (0, 0, 0):
+            continue
+        nx, ny, nz = x + dx, y + dy, z + dz
+        if periodic:
+            nx, ny, nz = nx % gx, ny % gy, nz % gz
+        elif not (0 <= nx < gx and 0 <= ny < gy and 0 <= nz < gz):
+            continue
+        nbr = nx + ny * gx + nz * gx * gy
+        if nbr != rank:
+            kind = ("face", "edge", "corner")[abs(dx) + abs(dy) + abs(dz) - 1]
+            found.append((nbr, kind))
+    total = sum(weight_of[kind] for _, kind in found)
+    return [
+        Neighbor(nbr, kind, max(1, round(aggregate * weight_of[kind] / total)))
+        for nbr, kind in found
+    ]
+
+
+_extent = st.integers(1, 4)
+_weight = st.floats(0.25, 32.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.tuples(_extent, _extent, _extent), periodic=st.booleans(),
+       weights=st.tuples(_weight, _weight, _weight),
+       aggregate=st.integers(26, 3000), order_seed=st.integers(0, 999))
+def test_property_neighbor_table_matches_enumeration(
+    grid, periodic, weights, aggregate, order_seed
+):
+    """The tabulated schedule is the from-scratch one, for every rank, in
+    any call order, on the first call and on the lookups after it."""
+    d = StencilDecomposition(grid, aggregate, periodic, weights)
+    ranks = list(range(d.num_ranks)) * 2
+    random.Random(order_seed).shuffle(ranks)
+    for rank in ranks:
+        nbrs = d.neighbors(rank)
+        assert type(nbrs) is tuple
+        assert list(nbrs) == _neighbors_from_scratch(
+            grid, aggregate, periodic, weights, rank
+        )
+        assert d.neighbor_count(rank) == len(nbrs)
+        assert d.neighbors(rank) is nbrs  # derived once, then looked up
+    tm = {}
+    for rank in range(d.num_ranks):
+        for n in _neighbors_from_scratch(grid, aggregate, periodic, weights, rank):
+            tm[(rank, n.rank)] = tm.get((rank, n.rank), 0) + n.size_flits
+    assert d.traffic_matrix() == tm
+
+
+def test_decompositions_never_share_a_table():
+    a = StencilDecomposition((3, 3, 3), aggregate_flits=260)
+    b = StencilDecomposition((3, 3, 3), aggregate_flits=2600)
+    assert a.neighbors(4) == a.neighbors(4)
+    assert [n.rank for n in a.neighbors(4)] == [n.rank for n in b.neighbors(4)]
+    assert a.neighbors(4) != b.neighbors(4)  # sizes follow each one's aggregate
+    assert a._neighbors is not b._neighbors
+
+
 # ---------------------------------------------------------------------------
 # Collective
 # ---------------------------------------------------------------------------
@@ -138,6 +206,28 @@ def test_collective_validation():
         DisseminationCollective(8, message_flits=0)
     with pytest.raises(ValueError):
         DisseminationCollective(8).sends(0, 99)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 70), order_seed=st.integers(0, 999))
+def test_property_send_table_matches_enumeration(n, order_seed):
+    c = DisseminationCollective(n)
+    assert c.num_rounds == max(1, math.ceil(math.log2(n)))
+    keys = [(r, k) for r in range(n) for k in range(c.num_rounds)] * 2
+    random.Random(order_seed).shuffle(keys)
+    for rank, rnd in keys:
+        sends = c.sends(rank, rnd)
+        assert type(sends) is tuple
+        expected = sorted({(rank + 2 ** rnd) % n, (rank - 2 ** rnd) % n} - {rank})
+        assert [(s.round, s.dst_rank) for s in sends] == [(rnd, d) for d in expected]
+        assert c.expected_receives(rank, rnd) == len(expected)
+        assert c.sends(rank, rnd) is sends
+    for rnd in (-1, c.num_rounds):
+        with pytest.raises(ValueError):
+            c.sends(0, rnd)
+        with pytest.raises(ValueError):
+            c.expected_receives(0, rnd)
+    assert DisseminationCollective(n)._sends is not c._sends
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +276,9 @@ def test_property_random_placement_bijective(ranks, extra, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_app(mode, iterations, algo="DimWAR", grid=(2, 2, 2), seed=1):
-    topo = HyperX((3, 3), 2)
+def _run_app(mode, iterations, algo="DimWAR", grid=(2, 2, 2), seed=1,
+             widths=(3, 3), tpr=2):
+    topo = HyperX(widths, tpr)
     algorithm = make_algorithm(algo, topo)
     net = Network(topo, algorithm, default_config())
     sim = Simulator(net)
@@ -253,6 +344,23 @@ def test_app_deterministic():
     _, t1 = _run_app("full", 1, seed=2)
     _, t2 = _run_app("full", 1, seed=2)
     assert t1 == t2
+
+
+def test_full_bar_derives_each_ranks_neighbours_at_most_once(monkeypatch):
+    """The schedule is compiled, not re-derived per delivery: 64 ranks,
+    64 enumerations (1,920 before the table)."""
+    derived = []
+    enumerate_neighbors = StencilDecomposition._enumerate_neighbors
+
+    def counting(self, rank):
+        derived.append(rank)
+        return enumerate_neighbors(self, rank)
+
+    monkeypatch.setattr(StencilDecomposition, "_enumerate_neighbors", counting)
+    app, _ = _run_app("full", iterations=1, grid=(4, 4, 4), widths=(4, 4), tpr=4)
+    assert app.decomp.num_ranks == 64
+    assert sorted(derived) == list(range(64))
+    assert app.ranks_done() == 64 and app.done
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """How a measured point is built: per-VC queues exist only once a flit has
-needed them, and ``PointRun`` owns the cyclic collector's state around the
-assembly (docs/PERFORMANCE.md, "Construction without the collector")."""
+needed them, and ``frozen_build`` (``PointRun``, ``run_stencil_once``) owns
+the cyclic collector's state around the assembly (docs/PERFORMANCE.md,
+"Construction without the collector")."""
 
 import gc
 import weakref
@@ -9,11 +10,13 @@ from collections import deque
 import pytest
 
 import repro.analysis.sweep as sweep
+import repro.experiments.fig8_stencil as fig8_stencil
 from repro.analysis.sweep import PointRun, measure_point
 from repro.config import default_config
 from repro.core.base import NoRouteError
 from repro.core.registry import make_algorithm
 from repro.experiments.faults import run_fault_transient
+from repro.experiments.fig8_stencil import run_stencil_once
 from repro.network.buffers import NEVER_USED
 from repro.network.network import Network
 from repro.topology.hyperx import HyperX
@@ -44,10 +47,11 @@ def _queues(net):
 
 @pytest.fixture
 def networks_seen(monkeypatch):
-    """Watch every ``Network`` that ``PointRun`` builds: at each build's
-    entry, is its predecessor still resident?  The probe is a router — the
-    ``Network`` object itself dies by reference count, the graph it built
-    (router -> channel -> sink closure -> peer router) only by collection."""
+    """Watch every ``Network`` that ``PointRun`` and ``run_stencil_once``
+    build: at each build's entry, is its predecessor still resident?  The
+    probe is a router — the ``Network`` object itself dies by reference
+    count, the graph it built (router -> channel -> sink closure -> peer
+    router) only by collection."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -57,6 +61,7 @@ def networks_seen(monkeypatch):
         return net
 
     monkeypatch.setattr(sweep, "Network", recording)
+    monkeypatch.setattr(fig8_stencil, "Network", recording)
     return seen
 
 
@@ -171,3 +176,30 @@ def test_fault_transient_thaws_when_it_closes():
     )
     assert res.drained
     assert gc.get_freeze_count() == 0
+
+
+def test_two_stencil_bars_never_hold_two_networks(networks_seen):
+    for mode in ("collective", "full"):
+        assert run_stencil_once("DimWAR", mode, 1, "smoke") > 0
+        assert gc.get_freeze_count() == 0
+    measure_point(*_scenario(), 0.2, total_cycles=100)  # and across owners
+    assert [alive for _, alive in networks_seen] == [False, False, False]
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_a_stencil_bar_that_times_out_leaves_no_frozen_network(
+    networks_seen, caller_enabled
+):
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="did not finish within 10 cycles"):
+            run_stencil_once("DimWAR", "full", 1, "smoke", max_cycles=10)
+        assert gc.get_freeze_count() == 0  # thawed on the failing exit path
+        assert gc.isenabled() is caller_enabled
+        assert run_stencil_once("DimWAR", "full", 1, "smoke") > 0
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert [alive for _, alive in networks_seen] == [False, False]

@@ -2,6 +2,8 @@
 holding, stalls, and ejection routing — exercised through a minimal
 two-router network so that all wiring is real."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import default_config
@@ -18,6 +20,11 @@ def _two_router_net(algo="DOR", **cfg_over):
     cfg = default_config(**cfg_over)
     net = Network(topo, algorithm, cfg)
     return topo, net
+
+
+def _arbiter_cfg(arbiter):
+    cfg = default_config()
+    return replace(cfg, router=replace(cfg.router, arbiter=arbiter))
 
 
 def test_congestion_rises_with_traffic():
@@ -174,17 +181,13 @@ def test_sequential_allocation_sees_same_cycle_commitments():
 def test_round_robin_arbiter_config_actually_used():
     """The round_robin output-arbitration option changes scheduling (i.e. it
     is wired in, not a dead config knob) and still delivers everything."""
-    from dataclasses import replace
-
     from repro.network.stats import PacketStats
     from repro.traffic.injection import SyntheticTraffic
     from repro.traffic.patterns import UniformRandom
 
     def run(arb):
         topo = HyperX((3, 3), 2)
-        cfg = default_config()
-        cfg = replace(cfg, router=replace(cfg.router, arbiter=arb))
-        net = Network(topo, make_algorithm("OmniWAR", topo), cfg)
+        net = Network(topo, make_algorithm("OmniWAR", topo), _arbiter_cfg(arb))
         sim = Simulator(net)
         stats = PacketStats()
         for t in net.terminals:
@@ -205,10 +208,48 @@ def test_round_robin_arbiter_config_actually_used():
 
 
 def test_unknown_arbiter_rejected():
-    from dataclasses import replace
-
     topo = HyperX((2,), 1)
-    cfg = default_config()
-    cfg = replace(cfg, router=replace(cfg.router, arbiter="coinflip"))
     with pytest.raises(ValueError):
-        Network(topo, make_algorithm("DOR", topo), cfg)
+        Network(topo, make_algorithm("DOR", topo), _arbiter_cfg("coinflip"))
+
+
+# ---------------------------------------------------------------------------
+# The output pass is armed by a bound, not polled
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("arbiter", ["age", "round_robin"])
+def test_lone_flit_costs_one_output_pass_per_router(arbiter, output_pass_audit):
+    topo = HyperX((2,), 2)
+    net = Network(topo, make_algorithm("DOR", topo), _arbiter_cfg(arbiter))
+    sim = Simulator(net)
+    p = Packet(0, 2, 1, create_cycle=0)
+    net.terminals[0].offer(p)
+    assert sim.drain(max_cycles=1000)
+    assert p.eject_cycle is not None
+    # One pass where it leaves router 0, one where router 1 ejects it: each
+    # at the cycle its crossbar traversal ends, none while it is inside.
+    passes = output_pass_audit.passes
+    assert [r for r, _ in passes] == [0, 1]
+    xbar = net.cfg.router.xbar_latency
+    assert passes[1][1] - passes[0][1] >= xbar > 1
+
+
+@pytest.mark.parametrize("arbiter", ["age", "round_robin"])
+def test_output_pass_never_sleeps_through_a_ready_flit(arbiter, output_pass_audit):
+    """Every router step of a loaded run is held to the per-port reference
+    (``output_pass_audit``, tests/conftest.py)."""
+    from repro.traffic.injection import SyntheticTraffic
+    from repro.traffic.patterns import UniformRandom
+
+    topo = HyperX((4, 4), 2)
+    net = Network(topo, make_algorithm("DimWAR", topo), _arbiter_cfg(arbiter))
+    sim = Simulator(net)
+    traffic = SyntheticTraffic(net, UniformRandom(topo.num_terminals), 0.45, seed=3)
+    sim.processes.append(traffic)
+    sim.run(400)
+    traffic.stop()
+    assert sim.drain(max_cycles=100_000)
+    assert net.total_injected_flits() == net.total_ejected_flits() > 0
+    audit = output_pass_audit
+    assert 0 < audit.ready_steps <= len(audit.passes) < audit.steps

@@ -15,6 +15,9 @@ contract:
   fingerprint identically compressed vs per-cycle (no switch selects the
   stepping, so the per-cycle arm registers a no-op process without
   ``next_wakeup`` — what the sanitizer is);
+* the router's armed output pass under a mid-run ``min_gap`` rewrite —
+  held to the per-port reference (``output_pass_audit``) and to the
+  sanitized per-cycle run;
 * ``next_event_cycle()`` — idempotent, never behind the clock, and exact
   for scheduled fault events;
 * ``run_until`` — stretches to the next event when compressing, evaluates
@@ -402,6 +405,57 @@ def test_fault_schedule_equivalence_property(fault_cycles, rate, seed):
         sim.run(450)
         assert sim.network.fault_state.events_applied == len(events)
         prints.append(_fingerprint(sim))
+    assert prints[0] == prints[1]
+
+
+@pytest.mark.parametrize("arbiter", ["age", "round_robin"])
+def test_min_gap_rewrite_with_flits_staged_strands_nothing(
+    arbiter, output_pass_audit
+):
+    """Degrade, then restore, both links out of the one sending router
+    while flits wait on them inside the ``min_gap`` window.  The restore
+    shares its cycle with a link failure elsewhere, so
+    ``invalidate_route_caches`` must reset the wake bound derived from the
+    old ``min_gap``: no output pass sleeps through a flit that could leave,
+    nothing is stranded, and the run equals the sanitized per-cycle one."""
+    from dataclasses import replace
+
+    from repro.check.sanitizer import Sanitizer
+
+    events = [FaultEvent(20, "degrade", 0, port=p, factor=40) for p in (0, 1)]
+    events += [FaultEvent(90, "degrade", 0, port=p, factor=1) for p in (0, 1)]
+    events.append(FaultEvent(90, "link", 1, port=1))  # r1 <-> r2: carries nothing
+    prints = []
+    for sanitized in (False, True):
+        topo = DegradedTopology(HyperX((3,), 2))
+        cfg = default_config(seed=0)
+        cfg = replace(cfg, router=replace(cfg.router, arbiter=arbiter))
+        net = Network(topo, make_algorithm("DOR", topo), cfg)
+        sim = Simulator(net)
+        traffic = SyntheticTraffic(
+            net, UniformRandom(topo.num_terminals), 0.5, seed=2,
+            size_dist=UniformSize(1, 8), sources=[0],
+        )
+        sim.processes.append(traffic)
+        sim.processes.append(FaultInjector(net, FaultSchedule(list(events))))
+        sanitizer = Sanitizer(sim).attach() if sanitized else None
+        assert sim.skip_active is not sanitized
+        sim.run(90)  # the restore lands on the next executed cycle
+        r0 = net.routers[0]
+        assert all(r0.out_channels[p].min_gap == 40 for p in (0, 1))
+        assert all(r0._staged_count[p] for p in (0, 1))  # waiting in the window
+        if arbiter == "age":  # ... with the pass asleep until it would end
+            assert r0._out_wake > sim.cycle
+        sim.run(1)
+        assert all(r0.out_channels[p].min_gap == 1 for p in (0, 1))
+        assert net.fault_state.events_applied == len(events)
+        sim.run(60)
+        traffic.stop()
+        assert sim.drain(max_cycles=200_000)
+        assert net.total_injected_flits() == net.total_ejected_flits() > 0
+        if sanitizer is not None:
+            sanitizer.final_check(require_quiescent=True)
+        prints.append(_drained(sim))
     assert prints[0] == prints[1]
 
 
