@@ -1,11 +1,12 @@
 """Perf microbenchmark probes behind ``python -m repro bench``.
 
-Twelve simulator microbenchmarks (the bare ``Network`` constructor, the
+Thirteen microbenchmarks (the bare ``Network`` constructor, the
 ``PointRun`` assembly production pays for the paper's 8x8x8 and that
 point's first 40 cycles, loaded and idle simulation cycles — both at small
 and at 16x16 target scale — a fault-injection settling transient, traffic
 generation, one adaptive routing decision, the two Fig 8 bars of the
-end-to-end ``stencil_bursty`` unit) plus three 16x16x16 target-scale
+end-to-end ``stencil_bursty`` unit, the 20 memo-warm service round trips of
+a ``service_mix`` session) plus three 16x16x16 target-scale
 scenarios (``--xl``), defined once, here.  They are *probes*: the command times them and prints
 one table, and nothing records, compares or gates on the numbers — a
 single-shot timing on a shared box cannot tell a regression from the
@@ -141,6 +142,73 @@ def _bench_stencil_collective_bar():
     """Six latency-bound collectives: mostly routers waiting out the
     crossbar, i.e. the armed output pass."""
     return _stencil_bar("collective", 6)
+
+
+def _bench_service_warm_roundtrip():
+    """Submit -> result of every 1- and 2-rate subset of an already-measured
+    4-rate sweep (20 memo-warm jobs: new job ids, nothing to simulate)
+    against an in-process :class:`~repro.service.server.ExperimentService`,
+    one fresh connection per request.  Each round gets a fresh service and
+    memo, filled by one cold job outside the timer.  The client reads
+    ``state`` from the submit reply and polls every 5 ms only while the job
+    is not finished — the end-to-end ``service_mix`` client's protocol."""
+    import http.client
+    import json
+    import tempfile
+    from itertools import combinations
+
+    from ..service.server import ExperimentService
+
+    base = {"widths": [4, 4], "terminals_per_router": 2, "total_cycles": 150,
+            "seed": 1, "stop_after_unstable": False}
+    rates = (0.1, 0.2, 0.3, 0.4)
+    service = None
+
+    def call(method, path, body=None):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=60)
+        try:
+            conn.request(method, path, body=body,
+                         headers={"Connection": "close"})
+            resp = conn.getresponse()
+            data = resp.read()
+        finally:
+            conn.close()
+        if not 200 <= resp.status < 300:
+            raise RuntimeError(f"{method} {path} -> {resp.status}")
+        return data
+
+    def round_trip(request):
+        job = json.loads(call("POST", "/jobs", json.dumps(request).encode()))
+        while job["state"] != "done":
+            if job["state"] in ("failed", "cancelled"):
+                raise RuntimeError(f"job {job['state']}: {job['error']}")
+            time.sleep(0.005)
+            job = json.loads(call("GET", f"/jobs/{job['job_id']}"))
+        return call("GET", f"/jobs/{job['job_id']}/result")
+
+    @contextmanager
+    def warm_service():
+        nonlocal service
+        with tempfile.TemporaryDirectory() as td:
+            service = ExperimentService(
+                port=0, workers=1, memo_root=f"{td}/memo", rate_limit=0,
+            ).start()
+            try:
+                round_trip({**base, "rates": list(rates)})
+                yield
+            finally:
+                service.shutdown()
+
+    def warm_jobs():
+        for n in (1, 2):
+            for sub in combinations(rates, n):
+                for flag in (True, False):
+                    round_trip({**base, "rates": list(sub),
+                                "stop_after_unstable": flag})
+
+    return warm_jobs, {"rounds": 5, "iterations": 1,
+                       "each_round": warm_service}
 
 
 def _bench_cycles_loaded():
@@ -395,6 +463,7 @@ SCENARIOS = {
     "test_perf_point_assembly_8x8x8": _bench_point_assembly_8x8x8,
     "test_perf_cold_chunk_8x8x8": _bench_cold_chunk_8x8x8,
     "test_perf_routing_decision": _bench_routing_decision,
+    "test_perf_service_warm_roundtrip": _bench_service_warm_roundtrip,
     "test_perf_simulation_cycles_idle": _bench_cycles_idle,
     "test_perf_simulation_cycles_idle_16x16": _bench_cycles_idle_16x16,
     "test_perf_simulation_cycles_loaded": _bench_cycles_loaded,

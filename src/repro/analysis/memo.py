@@ -147,6 +147,15 @@ class SweepMemo:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
+    def __contains__(self, spec: "PointSpec") -> bool:
+        """Whether an entry is published under ``spec``'s key — a presence
+        probe: it reads nothing and counts nothing (probing is not
+        replaying), so an entry it finds may still be corrupt and miss in
+        :meth:`get`."""
+        return memoisable(spec) and os.path.exists(
+            self._path(point_key(spec, self.salt))
+        )
+
     def get(self, spec: "PointSpec") -> "PointResult | None":
         """The memoised result for ``spec``, or None (counted as a miss)."""
         from .sweep import PointResult

@@ -232,6 +232,11 @@ def diff_service_direct(
     of it may touch a single byte of the curve.  ``faults`` runs the
     comparison on a degraded topology, proving the declarative fault list
     round-trips through the JSON request schema too.
+
+    A warm leg follows the cold job: its lowest rate alone, with
+    ``stop_after_unstable`` flipped, is a new job over an already-measured
+    point.  It must be ``done`` in the reply to its POST — finished inside
+    the submit round trip, never polled — and serve the direct bytes too.
     """
     import json as _json
     import tempfile
@@ -240,10 +245,6 @@ def diff_service_direct(
 
     from ..service.server import ExperimentService
 
-    t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern, faults)
-    direct = sweep_load(
-        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed
-    )
     request = {
         "widths": list(widths),
         "terminals_per_router": terminals_per_router,
@@ -252,45 +253,77 @@ def diff_service_direct(
         "rates": list(rates),
         "total_cycles": total_cycles,
         "seed": seed,
+        "stop_after_unstable": True,
         # Spelled out like a client would, not through the shared codec:
         # the decode side is part of what this oracle checks.
         "faults": [[type(f).__name__, asdict(f)] for f in (faults or ())],
     }
+    warm_request = {**request, "rates": [min(rates)],
+                    "stop_after_unstable": False}
     suffix = " (faulted)" if faults is not None else ""
     name = f"service-vs-direct{suffix}"
+
+    def direct(req: dict) -> str:
+        topo, algo, patt = _fresh(
+            widths, terminals_per_router, algorithm, pattern, faults
+        )
+        return sweep_load(
+            topo, algo, patt, req["rates"], total_cycles=total_cycles,
+            seed=seed, stop_after_unstable=req["stop_after_unstable"],
+        ).to_json()
+
+    def submit(req: dict) -> dict:
+        """POST ``req``; the job snapshot of the reply."""
+        with urllib.request.urlopen(urllib.request.Request(
+            f"{service.url}/jobs", data=_json.dumps(req).encode("utf-8"),
+            method="POST",
+        )) as resp:
+            return _json.load(resp)
+
+    def fetch(job_id: str) -> str:
+        with urllib.request.urlopen(
+            f"{service.url}/jobs/{job_id}/result"
+        ) as resp:
+            return resp.read().decode("utf-8")
+
     with tempfile.TemporaryDirectory() as td:
         service = ExperimentService(
             port=0, workers=workers, memo_root=f"{td}/memo",
             job_log=f"{td}/jobs.jsonl", rate_limit=0,
         ).start()
         try:
-            body = _json.dumps(request).encode("utf-8")
-            with urllib.request.urlopen(urllib.request.Request(
-                f"{service.url}/jobs", data=body, method="POST"
-            )) as resp:
-                job_id = _json.load(resp)["job_id"]
+            job = submit(request)
             deadline = time.monotonic() + timeout_s
-            state = "queued"
-            while time.monotonic() < deadline:
-                with urllib.request.urlopen(
-                    f"{service.url}/jobs/{job_id}"
-                ) as resp:
-                    state = _json.load(resp)["state"]
-                if state in ("done", "failed", "cancelled"):
-                    break
+            # A job may be born done: read the reply before polling.
+            while (job["state"] not in ("done", "failed", "cancelled")
+                   and time.monotonic() < deadline):
                 time.sleep(0.05)
-            if state != "done":
+                with urllib.request.urlopen(
+                    f"{service.url}/jobs/{job['job_id']}"
+                ) as resp:
+                    job = _json.load(resp)
+            if job["state"] != "done":
                 return OracleReport(
-                    name, False, f"service job ended {state!r}, not 'done'"
+                    name, False,
+                    f"service job ended {job['state']!r}, not 'done'",
                 )
-            with urllib.request.urlopen(
-                f"{service.url}/jobs/{job_id}/result"
-            ) as resp:
-                served = resp.read().decode("utf-8")
+            served = fetch(job["job_id"])
+            warm = submit(warm_request)
+            if warm["state"] != "done" or warm["points_simulated"]:
+                return OracleReport(
+                    name, False,
+                    f"memo-warm job was {warm['state']!r} in its submit "
+                    f"reply ({warm['points_simulated']} points simulated), "
+                    "not 'done' with none",
+                )
+            warm_served = fetch(warm["job_id"])
         finally:
             service.shutdown()
-    ja = direct.to_json()
-    return OracleReport(name, ja == served, _first_difference(ja, served))
+    for req, got in ((request, served), (warm_request, warm_served)):
+        want = direct(req)
+        if want != got:
+            return OracleReport(name, False, _first_difference(want, got))
+    return OracleReport(name, True, "identical")
 
 
 def diff_pristine_empty_faultset(

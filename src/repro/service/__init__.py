@@ -46,14 +46,13 @@ from .jobs import (
 )
 from .ratelimit import RateLimiter, TokenBucket
 from .server import ExperimentService, ServiceHandler
-from .spec import SweepRequest, build_request, build_specs, request_key
+from .spec import SweepRequest, build_request, request_key
 
 __all__ = [
     "ExperimentService",
     "ServiceHandler",
     "SweepRequest",
     "build_request",
-    "build_specs",
     "request_key",
     "Job",
     "JobStore",

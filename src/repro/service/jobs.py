@@ -23,6 +23,13 @@ the shared :class:`~repro.analysis.memo.SweepMemo` as a content-addressed
 result cache.  Cancellation of a running job takes effect at the next
 point boundary via the sweep progress callback.
 
+A job may be born ``done``: when every point of a submission is already in
+the memo and no job is executing, the submitting thread walks it through
+``queued -> running -> done`` itself (:meth:`JobQueue._walk`, the method
+the runner calls — same lookups, same four journal events in the same
+order), so a caller must read ``state`` from what :meth:`JobQueue.submit`
+returns before it starts polling.
+
 Example::
 
     >>> from repro.service.jobs import JobStore
@@ -49,9 +56,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .spec import SweepRequest, build_request, request_key
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis.memo import SweepMemo
-    from .spec import SweepRequest
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -142,6 +150,7 @@ class JobStore:
         self.jobs: dict[str, Job] = {}
         self.lock = threading.RLock()
         self._seq = 0
+        self._counts = dict.fromkeys(STATES, 0)  # jobs per state
         self._log_lines: list[str] = []
         if log_path:
             os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
@@ -177,6 +186,7 @@ class JobStore:
                 self._seq += 1
                 job = Job(job_id=job_id, request=request, seq=self._seq)
                 self.jobs[job_id] = job
+                self._counts[QUEUED] += 1
                 self._append({"event": "submit", "job_id": job_id,
                               "seq": job.seq, "request": request})
                 return job, True
@@ -200,6 +210,8 @@ class JobStore:
                 f"illegal transition {job.state!r} -> {state!r} "
                 f"for job {job.job_id[:12]}"
             )
+        self._counts[job.state] -= 1
+        self._counts[state] += 1
         job.state = state
         job.error = error
         if state == QUEUED:  # revived: the old verdict no longer applies
@@ -260,23 +272,15 @@ class JobStore:
         with self.lock:
             return self.jobs.get(job_id)
 
-    def by_state(self, state: str) -> list[Job]:
-        with self.lock:
-            return sorted(
-                (j for j in self.jobs.values() if j.state == state),
-                key=lambda j: j.seq,
-            )
-
     def ordered(self) -> list[Job]:
         with self.lock:
             return sorted(self.jobs.values(), key=lambda j: j.seq)
 
     def counts(self) -> dict[str, int]:
+        """Jobs per state, kept where the state changes (O(1) in the
+        number of jobs: every submission asks for the queue depth)."""
         with self.lock:
-            out = {s: 0 for s in STATES}
-            for j in self.jobs.values():
-                out[j.state] += 1
-            return out
+            return dict(self._counts)
 
     # -- persistence ---------------------------------------------------
 
@@ -363,6 +367,12 @@ class JobQueue:
     serves previously-measured points without simulation.  The bound is on
     *queued* jobs: :meth:`submit` raises :class:`QueueFull` past
     ``max_depth``, which the HTTP layer maps to 503.
+
+    Work that needs no simulation needs no queue: a submission whose every
+    point is already in the memo is walked to ``done`` by the submitting
+    thread, through the same :meth:`_walk` the runner calls, whenever the
+    runner is started and no job is executing — so :meth:`submit` may
+    return a job that is already ``done``.
     """
 
     def __init__(self, store: JobStore, memo: "SweepMemo",
@@ -375,37 +385,59 @@ class JobQueue:
         self.max_depth = max_depth
         self._q: "queue.Queue[str | None]" = queue.Queue()
         self._thread: threading.Thread | None = None
+        #: held around every :meth:`_walk`, by the runner and by a
+        #: submitting thread alike: one job runs at a time, which is also
+        #: what keeps the per-job memo accounting exact
+        self._running = threading.Lock()
         self.jobs_deduped = 0  # submissions answered by an existing job
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, req: "SweepRequest") -> tuple[Job, bool]:
-        """Content-address ``req`` and enqueue it if it needs running."""
-        from .spec import request_key
-
+    def submit(self, req: SweepRequest) -> tuple[Job, bool]:
+        """Content-address ``req`` and run or enqueue it if it needs
+        running (see :meth:`_answer_at_door` for which)."""
+        key = request_key(req)
         with self.store.lock:
-            existing = self.store.get(request_key(req))
+            existing = self.store.get(key)
             adds_depth = existing is None or existing.state in (FAILED,
                                                                 CANCELLED)
-            if adds_depth and len(self.store.by_state(QUEUED)) >= \
-                    self.max_depth:
+            if adds_depth and self.depth() >= self.max_depth:
                 raise QueueFull(
                     f"job queue is at capacity ({self.max_depth} queued)"
                 )
-            job, created = self.store.submit(
-                request_key(req), req.canonical()
-            )
-        if created:
+            job, created = self.store.submit(key, req.canonical())
+            if not created:
+                self.jobs_deduped += 1
+        if created and not self._answer_at_door(job, req):
             self._q.put(job.job_id)
-        else:
-            self.jobs_deduped += 1
         return job, created
+
+    def _answer_at_door(self, job: Job, req: SweepRequest) -> bool:
+        """Walk ``job`` in the submitting thread when that costs no
+        simulation and no waiting; False leaves it to the queue.
+
+        The memo probe only tests presence — it counts nothing, so the
+        walk's own lookups are the job's only hits — and it may be fooled
+        by a corrupt entry: that point is then simulated right here and
+        the job still ends ``done`` with the direct bytes.
+        """
+        if self._thread is None or not self._thread.is_alive():
+            return False  # nothing executes without a started runner
+        if not (req.specs and all(spec in self.memo for spec in req.specs)):
+            return False  # something to simulate (or a hand-built request)
+        if not self._running.acquire(blocking=False):
+            return False  # a job is executing: queue up behind it
+        try:
+            self._walk(job, req)
+        finally:
+            self._running.release()
+        return True
 
     def cancel(self, job_id: str) -> Job:
         return self.store.request_cancel(job_id)
 
     def depth(self) -> int:
-        return len(self.store.by_state(QUEUED))
+        return self.store.counts()[QUEUED]
 
     # -- runner --------------------------------------------------------
 
@@ -434,7 +466,7 @@ class JobQueue:
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if self._q.empty() and not self.store.by_state(RUNNING):
+            if self._q.empty() and not self.store.counts()[RUNNING]:
                 return True
             time.sleep(0.01)
         return False
@@ -444,31 +476,34 @@ class JobQueue:
             job_id = self._q.get()
             if job_id is None:
                 return
-            job = self.store.get(job_id)
-            if job is None or job.state != QUEUED:
-                continue  # cancelled (or revived elsewhere) while queued
-            if job.cancel_requested:
-                self.store.transition(job_id, CANCELLED)
-                continue
-            self.store.transition(job_id, RUNNING)
-            try:
-                self._execute(job)
-            except JobCancelled:
-                self.store.transition(job_id, CANCELLED)
-            except Exception as exc:  # noqa: BLE001 - job verdict, not crash
-                self.store.transition(
-                    job_id, FAILED, f"{type(exc).__name__}: {exc}"
-                )
+            with self._running:
+                self._walk(self.store.get(job_id))
 
-    def _execute(self, job: Job) -> None:
+    def _walk(self, job: Job, req: SweepRequest | None = None) -> None:
+        """``queued -> running -> done | failed | cancelled``, for a caller
+        holding ``_running``: the one place a job executes.
+
+        ``req`` is the validated request a submission arrived with.  The
+        runner's queued and recovered jobs have only the journal: its
+        canonical form is itself a valid raw request, so they pass the
+        same door a fresh submission did.
+        """
+        with self.store.lock:
+            if job.state != QUEUED:
+                return  # cancelled, or already run, since it was queued
+            self.store.transition(job.job_id, RUNNING)
+        try:
+            self._execute(job, req or build_request(job.request))
+        except JobCancelled:
+            self.store.transition(job.job_id, CANCELLED)
+        except Exception as exc:  # noqa: BLE001 - job verdict, not crash
+            self.store.transition(
+                job.job_id, FAILED, f"{type(exc).__name__}: {exc}"
+            )
+
+    def _execute(self, job: Job, req: SweepRequest) -> None:
         """Run one sweep exactly as a direct caller would, memo-backed."""
         from ..analysis.sweep import sweep_load
-        from .spec import build_request, build_scenario
-
-        # The journaled canonical form is itself a valid raw request, so a
-        # replayed job passes the same door a fresh submission did.
-        req = build_request(job.request)
-        topo, algo, patt = build_scenario(req)
 
         def on_point(i, n, point):
             if job.cancel_requested:
@@ -476,7 +511,7 @@ class JobQueue:
 
         hits0, misses0 = self.memo.hits, self.memo.misses
         sweep = sweep_load(
-            topo, algo, patt, list(req.rates),
+            *req.scenario, list(req.rates),
             stop_after_unstable=req.stop_after_unstable,
             total_cycles=req.total_cycles, seed=req.seed,
             workers=self.workers, memo=self.memo, progress=on_point,

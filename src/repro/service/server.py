@@ -13,7 +13,9 @@ Endpoints (see docs/SERVICE.md for the full schema):
 ====== ========================= ===========================================
 method path                      behaviour
 ====== ========================= ===========================================
-POST   ``/jobs``                 submit a sweep request; 202 new, 200 known
+POST   ``/jobs``                 submit a sweep request; 202 new, 200 known;
+                                 the snapshot's ``state`` may already be
+                                 ``done`` (read it before polling)
 GET    ``/jobs``                 list all jobs (snapshots, submission order)
 GET    ``/jobs/<id>``            one job's status snapshot
 POST   ``/jobs/<id>/cancel``     cancel (no-op past terminal states)
@@ -27,6 +29,11 @@ Error contract: malformed requests are 400 with ``{"error": ...}``;
 unknown jobs 404; a result fetched before ``done`` is 409; a throttled
 client gets 429 with a ``Retry-After`` header; a full queue gets 503 with
 ``Retry-After``.  The service never returns a traceback.
+
+A submission whose points are all memoised needs no simulation and so no
+queue: with the runner idle it is finished inside its ``POST /jobs`` round
+trip (:meth:`repro.service.jobs.JobQueue.submit`) and the 202 reply reads
+``state: "done"``.
 
 The result endpoint's byte-identity with a direct
 :func:`~repro.analysis.sweep.sweep_load` call — for any worker count,

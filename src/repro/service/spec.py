@@ -14,7 +14,10 @@ make the service honest:
   the job id: resubmitting the same sweep *is* the same job.
 * **validation by construction** — :func:`build_request` actually builds
   the topology/algorithm/pattern (and rejects unknown keys), so every
-  request that enters the queue is one the workers can execute.
+  request that enters the queue is one the workers can execute.  What it
+  built stays on the request (``scenario``, ``specs``): the queue probes
+  the memo with those specs and executes with those objects instead of
+  building them again.
 
 Example::
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..faults.model import faults_from_json, faults_to_json
 
@@ -58,6 +61,13 @@ class SweepRequest:
     stop_after_unstable: bool = True
     #: declarative faults, already parsed to frozen fault objects
     faults: tuple = field(default=())
+    #: what :func:`build_request`'s validation built, kept for whoever
+    #: executes the request: the live ``(topology, algorithm, pattern)`` and
+    #: the :class:`~repro.analysis.parallel.PointSpec` list a direct
+    #: ``sweep_load(..., workers=N)`` call builds.  Not part of the request's
+    #: identity — canonical form, equality and hash ignore them.
+    scenario: tuple = field(default=(), compare=False, repr=False)
+    specs: tuple = field(default=(), compare=False, repr=False)
 
     def canonical(self) -> dict:
         """The JSON-able canonical form — the :func:`request_key` preimage."""
@@ -81,9 +91,12 @@ def build_request(raw: dict) -> SweepRequest:
     combination the simulator cannot execute (unknown algorithm/pattern,
     bad widths, faults that disconnect the network) — the 400 path of the
     service.  Validation is *by construction*: the topology, algorithm,
-    pattern, and point specs are actually built, so acceptance here means
-    the queue runner cannot fail on reconstruction later.
+    pattern, and point specs are actually built — and returned on the
+    request (``scenario``, ``specs``) — so acceptance here means the queue
+    runner cannot fail on reconstruction later.
     """
+    from ..analysis.parallel import point_specs
+
     if not isinstance(raw, dict):
         raise ValueError("request body must be a JSON object")
     unknown = sorted(set(raw) - set(REQUEST_FIELDS))
@@ -116,8 +129,12 @@ def build_request(raw: dict) -> SweepRequest:
         raise ValueError("rates must be positive offered loads")
     if req.total_cycles < 10:
         raise ValueError("total_cycles must be >= 10")
-    build_specs(req)  # validate by construction; result discarded
-    return req
+    scenario = build_scenario(req)
+    specs = point_specs(
+        *scenario, list(req.rates),
+        total_cycles=req.total_cycles, seed=req.seed,
+    )
+    return replace(req, scenario=scenario, specs=tuple(specs))
 
 
 def build_scenario(req: SweepRequest) -> tuple:
@@ -130,18 +147,6 @@ def build_scenario(req: SweepRequest) -> tuple:
         req.widths, req.terminals_per_router, req.algorithm, req.pattern,
         req.rates[0], faults=req.faults,
     ).build()
-
-
-def build_specs(req: SweepRequest) -> list:
-    """The :class:`~repro.analysis.parallel.PointSpec` list for ``req`` —
-    the same specs a direct ``sweep_load(..., workers=N)`` call builds."""
-    from ..analysis.parallel import point_specs
-
-    topo, algo, patt = build_scenario(req)
-    return point_specs(
-        topo, algo, patt, list(req.rates),
-        total_cycles=req.total_cycles, seed=req.seed,
-    )
 
 
 def request_key(req: SweepRequest) -> str:

@@ -200,9 +200,11 @@ def test_warm_replies_reach_the_socket_as_one_write(tmp_path, monkeypatch):
 def test_restarted_service_warm_starts_from_shared_memo(tmp_path):
     svc = _service(tmp_path, workers=1).start()
     try:
-        _, _, body = _call(svc, "POST", "/jobs", BASE_REQ)
+        # Every rate measured (BASE_REQ itself stops at its first point).
+        _, _, body = _call(svc, "POST", "/jobs",
+                           {**BASE_REQ, "stop_after_unstable": False})
         first = _wait_done(svc, json.loads(body)["job_id"])
-        assert first["points_simulated"] > 0
+        assert first["points_simulated"] == len(BASE_REQ["rates"])
     finally:
         svc.shutdown()
 
@@ -210,17 +212,64 @@ def test_restarted_service_warm_starts_from_shared_memo(tmp_path):
     svc2 = _service(tmp_path, workers=1,
                     job_log=str(tmp_path / "jobs2.jsonl")).start()
     try:
-        _, _, body = _call(svc2, "POST", "/jobs", BASE_REQ)
+        status, _, body = _call(svc2, "POST", "/jobs", BASE_REQ)
         snap = json.loads(body)
-        assert snap["created"]  # new job log: a brand-new job...
-        done = _wait_done(svc2, snap["job_id"])
-        assert done["state"] == "done"
-        assert done["points_simulated"] == 0  # ...but zero simulated points
-        assert done["memo_hits"] >= done["points_total"] >= 1
+        assert status == 202 and snap["created"]  # a brand-new job...
+        # ...born done: nothing to simulate, so nothing to queue or poll.
+        assert snap["state"] == "done" and snap["has_result"]
+        assert snap["points_simulated"] == 0 and snap["runs"] == 1
+        assert snap["memo_hits"] >= snap["points_total"] >= 1
         status, _, served = _call(svc2, "GET",
                                   f"/jobs/{snap['job_id']}/result")
         assert status == 200
         assert served == _direct_curve(BASE_REQ, 1).encode("utf-8")
+    finally:
+        svc2.shutdown()
+
+
+def test_corrupt_memo_entry_is_simulated_at_the_door(tmp_path):
+    """The door's probe tests presence only; a truncated file under a
+    present key is a miss when read — simulated in the POST's own thread,
+    and the job is still born done with the direct bytes."""
+    from repro.analysis.memo import point_key
+
+    svc = _service(tmp_path, workers=1).start()
+    try:
+        _, _, body = _call(svc, "POST", "/jobs",
+                           {**BASE_REQ, "stop_after_unstable": False})
+        assert _wait_done(svc, json.loads(body)["job_id"])["state"] == "done"
+        raw = {**BASE_REQ, "rates": BASE_REQ["rates"][1:]}
+        (spec,) = build_request(raw).specs
+        path = tmp_path / "memo" / f"{point_key(spec)}.json"
+        path.write_text(path.read_text()[:40])
+        misses = svc.memo.misses
+
+        status, _, body = _call(svc, "POST", "/jobs", raw)
+        snap = json.loads(body)
+        assert status == 202 and snap["state"] == "done", snap["error"]
+        assert snap["points_simulated"] == 1 and snap["memo_hits"] == 0
+        assert svc.memo.misses == misses + 1
+        _, _, served = _call(svc, "GET", f"/jobs/{snap['job_id']}/result")
+        assert served == _direct_curve(raw, 1).encode("utf-8")
+    finally:
+        svc.shutdown()
+
+
+def test_without_a_runner_a_memo_complete_job_stays_queued(tmp_path):
+    svc = _service(tmp_path, workers=1).start()
+    try:
+        _, _, body = _call(svc, "POST", "/jobs",
+                           {**BASE_REQ, "stop_after_unstable": False})
+        assert _wait_done(svc, json.loads(body)["job_id"])["state"] == "done"
+    finally:
+        svc.shutdown()
+    svc2 = _service(tmp_path, workers=1,
+                    job_log=str(tmp_path / "jobs2.jsonl")).start(runner=False)
+    try:
+        status, _, body = _call(svc2, "POST", "/jobs", BASE_REQ)
+        snap = json.loads(body)
+        assert status == 202 and snap["state"] == "queued"
+        assert snap["runs"] == 0 and svc2.memo.hits == 0
     finally:
         svc2.shutdown()
 

@@ -89,6 +89,10 @@ def _apply(store, op, jid):
         assert job.result_json == RESULT  # the cached curve survives
 
 
+def _recount(store):
+    return {s: sum(j.state == s for j in store.jobs.values()) for s in STATES}
+
+
 @given(st.data())
 @settings(max_examples=120)
 def test_legal_sequences_and_log_replay(data):
@@ -103,6 +107,7 @@ def test_legal_sequences_and_log_replay(data):
                 assert job.result_json is not None
             if job.state == QUEUED:
                 assert job.result_json is None
+        assert store.counts() == _recount(store)  # kept, not recomputed
 
     # The journal replays to the same states, seqs, and results.
     replayed = JobStore.replay(store.log_lines())
@@ -112,6 +117,7 @@ def test_legal_sequences_and_log_replay(data):
         {j.job_id: j.seq for j in replayed.ordered()}
     assert {j.job_id: j.result_json for j in store.ordered()} == \
         {j.job_id: j.result_json for j in replayed.ordered()}
+    assert replayed.counts() == _recount(replayed) == store.counts()
 
 
 def _store_in_state(state):
@@ -308,3 +314,215 @@ def test_torn_log_tail_degrades_to_prefix(tmp_path):
 def test_missing_log_file_is_empty_store(tmp_path):
     store = JobStore.load(str(tmp_path / "absent.jsonl"))
     assert store.ordered() == [] and store.recover() == []
+
+
+# ---------------------------------------------------------------------------
+# Answered at the door: a memo-complete submission is walked by its submitter
+# ---------------------------------------------------------------------------
+
+WARM_BASE = {"widths": [2, 2], "rates": [0.1, 0.2, 0.3], "total_cycles": 100,
+             "seed": 11, "stop_after_unstable": False}
+
+
+def _direct(req):
+    """The bytes a caller bypassing the queue would archive."""
+    from repro.analysis.sweep import sweep_load
+    from repro.service.spec import build_scenario
+
+    return sweep_load(
+        *build_scenario(req), list(req.rates), total_cycles=req.total_cycles,
+        stop_after_unstable=req.stop_after_unstable, seed=req.seed,
+    ).to_json()
+
+
+def _warm_queue(tmp_path, **kw):
+    """A started queue whose memo holds every point of ``WARM_BASE``."""
+    queue = JobQueue(JobStore(), _memo(tmp_path), **kw).start()
+    cold, created = queue.submit(build_request(WARM_BASE))
+    assert created and queue.join() and cold.state == DONE, cold.error
+    return queue, cold
+
+
+def test_probe_is_not_a_replay(tmp_path):
+    queue = JobQueue(JobStore(), _memo(tmp_path)).start()
+    memo = queue.memo
+    try:
+        cold, _ = queue.submit(build_request(WARM_BASE))
+        assert queue.join() and cold.state == DONE
+        # the door probed all three points and found none: no count moved
+        assert (memo.hits, memo.misses) == (0, 3)
+        assert (cold.memo_hits, cold.points_simulated) == (0, 3)
+
+        warm, created = queue.submit(
+            build_request({**WARM_BASE, "rates": [0.3, 0.1]}))
+        assert created and warm.state == DONE and warm.runs == 1
+        assert (memo.hits, memo.misses) == (2, 3)  # its lookups, once each
+        assert (warm.memo_hits, warm.points_simulated) == (2, 0)
+        assert warm.result_json == _direct(build_request(warm.request))
+    finally:
+        queue.stop()
+
+
+def test_door_job_journal_is_the_runners_and_replays(tmp_path):
+    queue, cold = _warm_queue(tmp_path)
+    try:
+        warm, _ = queue.submit(
+            build_request({**WARM_BASE, "stop_after_unstable": True}))
+        assert warm.state == DONE
+    finally:
+        queue.stop()
+
+    def events(job):
+        return [(ev["event"], ev.get("state")) for ev in
+                map(json.loads, queue.store.log_lines())
+                if ev["job_id"] == job.job_id]
+
+    walk = [("submit", None), ("state", RUNNING), ("result", None),
+            ("state", DONE)]
+    assert events(cold) == walk  # through the runner thread
+    assert events(warm) == walk  # in the submitting thread
+    replayed = JobStore.replay(queue.store.log_lines())
+    for job in (cold, warm):
+        twin = replayed.jobs[job.job_id]
+        assert (twin.state, twin.runs, twin.result_json, twin.memo_hits) == \
+            (DONE, 1, job.result_json, job.memo_hits)
+    assert replayed.counts() == queue.store.counts()
+
+
+def test_warm_submission_queues_behind_a_running_job(tmp_path, monkeypatch):
+    """One job runs at a time: the door never executes beside the runner,
+    and each job's memo accounting is its own."""
+    import threading
+
+    from repro.analysis import parallel
+
+    queue, _ = _warm_queue(tmp_path)
+    started, release = threading.Event(), threading.Event()
+    real_run_point = parallel.run_point
+
+    def held_run_point(spec):
+        started.set()
+        assert release.wait(60)
+        return real_run_point(spec)
+
+    monkeypatch.setattr(parallel, "run_point", held_run_point)
+    try:
+        cold, _ = queue.submit(build_request({**WARM_BASE, "rates": [0.15]}))
+        assert started.wait(60) and cold.state == RUNNING
+        warm, created = queue.submit(
+            build_request({**WARM_BASE, "rates": [0.2]}))
+        assert created and warm.state == QUEUED and warm.runs == 0
+        assert cold.state == RUNNING and queue.depth() == 1
+        release.set()
+        assert queue.join()
+    finally:
+        release.set()
+        queue.stop()
+    assert (cold.state, cold.points_simulated, cold.memo_hits) == (DONE, 1, 0)
+    assert (warm.state, warm.points_simulated, warm.memo_hits) == (DONE, 0, 1)
+    assert cold.runs == warm.runs == 1
+
+
+def test_unstarted_runner_leaves_a_memo_complete_job_queued(tmp_path):
+    queue, _ = _warm_queue(tmp_path)
+    queue.stop()
+    hits = queue.memo.hits
+    job, created = queue.submit(build_request({**WARM_BASE, "rates": [0.1]}))
+    assert created and job.state == QUEUED and job.runs == 0
+    assert queue.depth() == 1 and queue.memo.hits == hits
+
+
+def test_cancel_between_submit_and_walk_never_runs(tmp_path):
+    from repro.analysis.memo import SweepMemo
+
+    req = build_request({**WARM_BASE, "rates": [0.2]})
+
+    class CancellingMemo(SweepMemo):
+        """Cancels the job while the door is still probing for it."""
+
+        def __contains__(self, spec):
+            queue.cancel(request_key(req))
+            return super().__contains__(spec)
+
+    queue, _ = _warm_queue(tmp_path)
+    queue.memo = CancellingMemo(root=queue.memo.root)
+    try:
+        job, created = queue.submit(req)
+        assert created and job.state == CANCELLED and job.runs == 0
+    finally:
+        queue.stop()
+
+    # ...and the queued twin: cancelled before the runner ever reaches it.
+    idle = JobQueue(JobStore(), _memo(tmp_path))
+    job, _ = idle.submit(req)
+    assert idle.cancel(job.job_id).state == CANCELLED
+    idle.start()
+    try:
+        assert idle.join()
+    finally:
+        idle.stop()
+    assert job.state == CANCELLED and job.runs == 0
+    for store in (queue.store, idle.store):
+        assert RUNNING not in [
+            ev.get("state") for ev in map(json.loads, store.log_lines())
+            if ev["job_id"] == job.job_id]
+
+
+def test_concurrent_submitters_never_run_two_jobs_at_once(tmp_path):
+    """8 threads, 2 cores, a 10 us switch interval: every submission is
+    counted once, every lookup belongs to exactly one job, and the door and
+    the runner never execute side by side."""
+    import random
+    import sys
+    import threading
+
+    queue, cold = _warm_queue(tmp_path)
+    rates = WARM_BASE["rates"]
+    variants = [{**WARM_BASE, "rates": list(sub), "stop_after_unstable": flag}
+                for n in (1, 2) for sub in itertools.combinations(rates, n)
+                for flag in (True, False)]
+    active, peak, errors = [], [0], []
+    real_execute = queue._execute
+
+    def tracked_execute(job, req):
+        active.append(job.job_id)
+        peak[0] = max(peak[0], len(active))
+        try:
+            real_execute(job, req)
+        finally:
+            active.pop()
+
+    queue._execute = tracked_execute
+
+    def client(k):
+        order = list(variants)
+        random.Random(k).shuffle(order)
+        try:
+            for raw in order:
+                queue.submit(build_request(raw))
+        except Exception as exc:  # noqa: BLE001 - reported by the assert
+            errors.append(exc)
+
+    hits0, misses0 = queue.memo.hits, queue.memo.misses
+    threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert queue.join()
+    finally:
+        sys.setswitchinterval(interval)
+        queue.stop()
+    assert not errors
+    assert peak[0] == 1
+    jobs = [j for j in queue.store.ordered() if j is not cold]
+    assert len(jobs) == len(variants)
+    assert queue.jobs_deduped == 8 * len(variants) - len(variants)
+    assert all(j.state == DONE and j.runs == 1 for j in jobs)
+    assert sum(j.memo_hits for j in jobs) == queue.memo.hits - hits0
+    assert queue.memo.misses == misses0
+    assert queue.store.counts()[DONE] == len(variants) + 1
