@@ -15,18 +15,39 @@ neighbours.  The pass/fail on performance is the end-to-end pair protocol
 
 Timings are wall-clock over several rounds; the table shows the min (the
 noise-floor estimator: interference can only *slow* a round) and the
-median, and the cycles/s and flits/s columns are taken at the min.
+median, and the cycles/s and flits/s columns are taken at the min.  The
+point-assembly probe also reports its census: the GC-tracked objects an
+assembled 8x8x8 point holds (:func:`tracked_objects`, taken once, outside
+the timer).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import time
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from platform import python_version
+from typing import Callable
 
 from .report import format_table
+
+
+def tracked_objects(make: Callable[[], object]) -> Counter:
+    """GC-tracked objects, by type name, that the result of ``make()``
+    holds: the census after one collection minus the census before, so
+    only what survives a collection — and the collector tracks — counts."""
+    def census() -> Counter:
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.get_objects())
+
+    before = census()
+    held = make()
+    after = census()  # taken while ``held`` is alive
+    del held
+    return after - before
 
 
 # ----------------------------------------------------------------------
@@ -87,10 +108,13 @@ def _bench_point_assembly_8x8x8():
     point = _point_8x8x8()
 
     def assemble():
-        with point():
+        with point() as run:
             pass
+        return run  # thawed, still alive: what the census counts
 
-    return assemble, {"rounds": 5, "iterations": 1}
+    census = tracked_objects(assemble)
+    return assemble, {"rounds": 5, "iterations": 1,
+                      "tracked_objects": census.total()}
 
 
 def _bench_cold_chunk_8x8x8():
@@ -513,7 +537,7 @@ def _time_scenario(fn, rounds: int, iterations: int, warmup_rounds: int = 0,
 
 def run_benchmarks(names=None, xl=False) -> list[dict]:
     """Run the probes; one ``{name, min_s, median_s[, cycles_per_s
-    [, flits_per_s]]}`` row each, in execution order.
+    [, flits_per_s]][, tracked_objects]}`` row each, in execution order.
 
     ``names`` restricts to a subset (unknown names raise ValueError before
     anything runs) and may name ``SCENARIOS_XL`` entries directly;
@@ -548,6 +572,8 @@ def run_benchmarks(names=None, xl=False) -> list[dict]:
             fpc = opts.get("flits_per_cycle")
             if fpc is not None:
                 row["flits_per_s"] = int(fpc * cycles / row["min_s"])
+        if "tracked_objects" in opts:
+            row["tracked_objects"] = opts["tracked_objects"]
         rows.append(row)
     return rows
 
@@ -557,11 +583,13 @@ def format_summary(rows: list[dict]) -> str:
         return f"{value:,}" if value is not None else "—"
 
     return format_table(
-        ["benchmark", "min (s)", "median (s)", "cycles/s", "flits/s"],
+        ["benchmark", "min (s)", "median (s)", "cycles/s", "flits/s",
+         "tracked"],
         [
             [
                 r["name"], f"{r['min_s']:.3e}", f"{r['median_s']:.3e}",
                 count(r.get("cycles_per_s")), count(r.get("flits_per_s")),
+                count(r.get("tracked_objects")),
             ]
             for r in rows
         ],

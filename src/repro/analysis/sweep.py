@@ -145,9 +145,9 @@ class frozen_build:
     A built network is ~10^5..10^6 long-lived objects, and the cyclic
     collector re-walks them every time an allocation trips it.  So the
     constructor (1) thaws and collects once *first* — a dead predecessor is
-    cyclic garbage (router -> channel -> sink closure -> peer router), and
-    with the collector paused nothing else would return it before the new
-    network is allocated beside it; (2) calls ``build()`` with the collector
+    cyclic garbage (router -> channel -> bound sink -> peer input unit ->
+    peer router), and with the collector paused nothing else would return
+    it before the new network is allocated beside it; (2) calls ``build()`` with the collector
     paused, restoring the caller's ``gc.isenabled()`` state; (3)
     ``gc.freeze()`` s what it built, so run-time collections walk run-time
     garbage only.  Leaving the ``with`` block thaws, on every exit path; a

@@ -15,7 +15,8 @@ Checkers (each individually switchable):
   (fail-stop at routing granularity with lossless drain), so the
   dropped-by-fault term is structurally zero and the identity is strict.
 * **credits** — per credit-flow-controlled hop (the network's
-  :class:`~repro.network.network.LinkRecord` wiring map), per VC::
+  :class:`~repro.network.network.LinkRecord` wiring map,
+  :attr:`~repro.network.network.Network.links`), per VC::
 
       tracker.occupied(vc) == upstream staged flits + data flits in flight
                               + downstream buffer occupancy
@@ -282,12 +283,12 @@ class Sanitizer:
             for vc in rec.credit.pending_payloads():
                 credit_counts[vc] += 1
             staged = rec.staged
-            downstream = rec.downstream.vcs
+            downstream = rec.downstream.fifos
             for vc in range(num_vcs):
                 expected = (
                     data_counts[vc]
                     + credit_counts[vc]
-                    + downstream[vc].occupancy
+                    + len(downstream[vc])
                     + (len(staged[vc]) if staged is not None else 0)
                 )
                 have = tracker.occupied(vc)
@@ -298,7 +299,7 @@ class Sanitizer:
                         f"says {have} slots consumed but "
                         f"staged+in-flight+buffered+returning = {expected} "
                         f"({len(staged[vc]) if staged is not None else 0}+"
-                        f"{data_counts[vc]}+{downstream[vc].occupancy}+"
+                        f"{data_counts[vc]}+{len(downstream[vc])}+"
                         f"{credit_counts[vc]}); a credit leaked or a flit "
                         f"bypassed flow control",
                     )
@@ -341,8 +342,7 @@ class Sanitizer:
         for r in self.network.routers:
             rid = r.router_id
             for port, unit in enumerate(r.inputs):
-                for vc, state in enumerate(unit.vcs):
-                    route = state.route
+                for vc, route in enumerate(unit.routes):
                     if route is None:
                         continue
                     down = self._down_of.get((rid, route.out_port))
@@ -373,10 +373,10 @@ class Sanitizer:
 
     def _describe_node(self, node, cycle: int) -> str:
         rid, port, vc = node
-        router = self.network.routers[rid]
-        state = router.inputs[port].vcs[vc]
-        route = state.route
-        head = state.fifo[0] if state.fifo else None
+        unit = self.network.routers[rid].inputs[port]
+        route = unit.routes[vc]
+        fifo = unit.fifos[vc]
+        head = fifo[0] if fifo else None
         if head is not None:
             pkt = head.packet
             age = cycle - pkt.create_cycle
@@ -400,8 +400,8 @@ class Sanitizer:
         blocked = []
         for r in self.network.routers:
             for port, unit in enumerate(r.inputs):
-                for vc, state in enumerate(unit.vcs):
-                    if state.fifo:
+                for vc, fifo in enumerate(unit.fifos):
+                    if fifo:
                         blocked.append(
                             self._describe_node((r.router_id, port, vc), cycle)
                         )

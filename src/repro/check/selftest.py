@@ -121,9 +121,9 @@ def canary_flit_drop() -> tuple[bool, str]:
             sim.run(16)
             for router in net.routers:
                 for unit in router.inputs:
-                    for state in unit.vcs:
-                        if len(state.fifo) > 1:
-                            state.fifo.pop()  # drop the tail-most flit
+                    for fifo in unit.fifos:
+                        if len(fifo) > 1:
+                            fifo.pop()  # drop the tail-most flit
                             sim.run(32)
                             return
         raise RuntimeError("no buffered flit found to drop")
@@ -145,8 +145,8 @@ def canary_wait_cycle() -> tuple[bool, str]:
     (r0, p0), (r1, p1) = rec.src, rec.dst
     pkt = Packet(src_terminal=0, dst_terminal=1, size=4, create_cycle=0)
     net.routers[r0].inputs[p0].receive(0, Flit(pkt, 1))
-    net.routers[r0].inputs[p0].vcs[0].route = VcRoute(p0, 1, pkt.pid)
-    net.routers[r1].inputs[p1].vcs[1].route = VcRoute(p1, 0, pkt.pid)
+    net.routers[r0].inputs[p0].routes[0] = VcRoute(p0, 1, pkt.pid)
+    net.routers[r1].inputs[p1].routes[1] = VcRoute(p1, 0, pkt.pid)
     if san.find_wait_cycle() is None:
         return False, "wait-for graph missed the hand-built cycle"
 

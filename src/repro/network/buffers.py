@@ -4,15 +4,22 @@ An :class:`InputUnit` models the buffered input side of one router (or
 terminal) port: one FIFO per virtual channel, with per-VC routing state for
 the packet currently at the head of each VC.  A :class:`CreditTracker` counts
 the free slots the upstream side believes exist in a downstream
-:class:`InputUnit` — the essence of credit-based flow control.
+:class:`InputUnit` — the essence of credit-based flow control.  Each owns
+the channel sink that writes it (:meth:`InputUnit.accept`,
+:meth:`CreditTracker.restore`): a bound method, never a closure.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .types import Flit
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .router import Router
 
 
 @dataclass
@@ -30,7 +37,7 @@ class VcRoute:
     deroute: bool = False
 
 
-#: What every queue of a built network (:attr:`VcState.fifo`,
+#: What every queue of a built network (``InputUnit.fifos[vc]``,
 #: ``Router.staged[port][vc]``, ``Channel._pipe``, ``Terminal.source_queue``)
 #: holds until its first item.  An empty ``deque`` pre-allocates a 64-slot
 #: block (760 B) and most queues of a large network never carry a flit, so
@@ -42,62 +49,74 @@ class VcRoute:
 NEVER_USED: tuple = ()
 
 
-class VcState:
-    """One virtual channel of an input unit.
+class InputUnit:
+    """Per-VC buffered input of a port, as two per-VC tables.
 
-    ``fifo`` is :data:`NEVER_USED` until the VC's first flit arrives and a
-    ``deque`` from then on; read it freely, write it only through a flit
-    sink or :meth:`InputUnit.receive`.
+    ``fifos[vc]`` is :data:`NEVER_USED` until the VC's first flit arrives
+    and a ``deque`` from then on; ``routes[vc]`` is the :class:`VcRoute`
+    committed for the packet at that VC's head (``None`` while unrouted).
+    The port's sink, the router's work entries and :meth:`receive` all
+    share these tables: one copy of each queue.  A router's unit knows its
+    ``router`` and ``port`` (its :meth:`accept` is that port's flit sink); a
+    terminal's receive unit has neither (``Terminal.accept`` writes it).
     """
 
-    __slots__ = ("fifo", "route")
+    __slots__ = ("num_vcs", "depth", "fifos", "routes", "router", "port")
 
-    def __init__(self) -> None:
-        self.fifo: "deque[Flit] | tuple" = NEVER_USED
-        self.route: VcRoute | None = None
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
-
-    @property
-    def head(self) -> Flit | None:
-        return self.fifo[0] if self.fifo else None
-
-
-class InputUnit:
-    """Per-VC buffered input of a port."""
-
-    __slots__ = ("num_vcs", "depth", "vcs")
-
-    def __init__(self, num_vcs: int, depth: int):
+    def __init__(self, num_vcs: int, depth: int,
+                 router: "Router | None" = None, port: int = 0):
         if num_vcs < 1 or depth < 1:
             raise ValueError("need >= 1 VC and >= 1 buffer slot")
         self.num_vcs = num_vcs
         self.depth = depth
-        self.vcs = [VcState() for _ in range(num_vcs)]
+        self.fifos: "list[deque[Flit] | tuple]" = [NEVER_USED] * num_vcs
+        self.routes: list[VcRoute | None] = [None] * num_vcs
+        self.router = router
+        self.port = port
 
-    def receive(self, vc: int, flit: Flit) -> None:
-        """Buffer one flit (standalone units and white-box tests; a wired
-        port's channel sink inlines this and keeps its own reference to each
-        queue, so do not mix the two on one VC)."""
-        state = self.vcs[vc]
-        if len(state.fifo) >= self.depth:
+    def accept(self, item: tuple[int, Flit]) -> None:
+        """Flit sink of a router input port: buffer ``(vc, flit)``; on the
+        VC's empty->busy transition make its flat key live (a non-empty FIFO
+        implies it already is) and, on its first flit, the preresolved
+        ``(routes, fifo, port, vc)`` work entry the input pass reads."""
+        vc, flit = item
+        fifos = self.fifos
+        fifo = fifos[vc]
+        n = len(fifo)
+        if n >= self.depth:
             raise RuntimeError(
                 f"buffer overflow on VC {vc}: credit protocol violated"
             )
-        if state.fifo is NEVER_USED:
-            state.fifo = deque()
-        state.fifo.append(flit)
+        if n == 0:
+            router = self.router
+            key = self.port * self.num_vcs + vc
+            if fifo is NEVER_USED:
+                fifo = fifos[vc] = deque()
+                router._in_ents[key] = (self.routes, fifo, self.port, vc)
+            insort(router._active_in, key)
+            router._wake_registry[router] = None
+        fifo.append(flit)
+
+    def receive(self, vc: int, flit: Flit) -> None:
+        """Buffer one flit without waking anyone (standalone units and
+        white-box tests).  It writes the same table as the port's sink."""
+        fifos = self.fifos
+        if len(fifos[vc]) >= self.depth:
+            raise RuntimeError(
+                f"buffer overflow on VC {vc}: credit protocol violated"
+            )
+        if fifos[vc] is NEVER_USED:
+            fifos[vc] = deque()
+        fifos[vc].append(flit)
 
     def occupancy(self, vc: int | None = None) -> int:
         if vc is not None:
-            return self.vcs[vc].occupancy
-        return sum(v.occupancy for v in self.vcs)
+            return len(self.fifos[vc])
+        return sum(map(len, self.fifos))
 
     @property
     def empty(self) -> bool:
-        return all(not v.fifo for v in self.vcs)
+        return not any(self.fifos)
 
 
 class CreditTracker:
@@ -106,14 +125,19 @@ class CreditTracker:
     ``occupied_total`` is maintained incrementally so that the congestion
     estimators on the routing hot path read total occupancy in O(1) instead
     of summing the per-VC credit counters every candidate evaluation.
+    A router output port's tracker also holds its credit waiters, set by
+    ``Router.attach_output``: ``waiters[vc]`` is the flat input key asleep
+    on this VC's next credit, ``asleep`` the router's set of such keys.
     """
 
-    __slots__ = ("depth", "credits", "occupied_total")
+    __slots__ = ("depth", "credits", "occupied_total", "waiters", "asleep")
 
     def __init__(self, num_vcs: int, depth: int):
         self.depth = depth
         self.credits = [depth] * num_vcs
         self.occupied_total = 0
+        self.waiters: list[int | None] | None = None
+        self.asleep: set[int] | None = None
 
     def available(self, vc: int) -> int:
         return self.credits[vc]
@@ -125,10 +149,21 @@ class CreditTracker:
         self.occupied_total += 1
 
     def restore(self, vc: int) -> None:
-        if self.credits[vc] >= self.depth:
+        """Return one credit: the credit channel's sink.  It re-arms the
+        input VC asleep on this credit the moment it returns — the cycle a
+        polling router would have succeeded, since credits are delivered in
+        the channel phase before routers step."""
+        credits = self.credits
+        if credits[vc] >= self.depth:
             raise RuntimeError(f"credit overflow on VC {vc}")
-        self.credits[vc] += 1
+        credits[vc] += 1
         self.occupied_total -= 1
+        waiters = self.waiters
+        if waiters is not None:
+            k = waiters[vc]
+            if k is not None:
+                waiters[vc] = None
+                self.asleep.discard(k)
 
     def occupied(self, vc: int) -> int:
         """Downstream slots believed to be occupied (incl. flits in flight)."""

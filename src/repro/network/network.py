@@ -15,6 +15,7 @@ terminating cross-shard links in boundary channels the sharded engine
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class LinkRecord:
-    """One credit-flow-controlled hop, recorded at wiring time.
+    """One credit-flow-controlled hop, read off the wiring by
+    :attr:`Network.links`.
 
     The record pairs everything a per-link audit needs: the upstream credit
     tracker, the upstream staging queues that hold flits which have already
@@ -158,8 +160,7 @@ class Network:
             else None
             for t in range(topology.num_terminals)
         ]
-        # Replace the components' private registries with the shared ones
-        # BEFORE wiring: the flit sinks capture the registry at creation.
+        # Replace the components' private registries with the shared ones.
         for router in self.routers:
             if router is not None:
                 router._wake_registry = self._active_routers
@@ -167,13 +168,6 @@ class Network:
             if terminal is not None:
                 terminal._wake_registry = self._active_terminals
         self.channels: list[Channel] = []
-        #: wiring map, one :class:`LinkRecord` per credit-flow-controlled
-        #: hop; built once here, consumed by the repro.check sanitizer.
-        #: Boundary half-links of a partial build are *not* recorded — the
-        #: sanitizer audits complete credit loops, which a shard does not
-        #: have at its edges (the sharded engine falls back to unsharded
-        #: execution whenever the sanitizer is requested).
-        self.links: list[LinkRecord] = []
         #: boundary channels of a partial build, keyed by
         #: ``(kind, pushing_router, pushing_port)`` with kind ``"d"`` (data)
         #: or ``"c"`` (credits).  ``boundary_out`` holds channels pushed by
@@ -208,10 +202,11 @@ class Network:
         lat_rt = cfg.network.channel_latency_rt
         routers = self.routers
         terminals = self.terminals
-        links_append = self.links.append
         channel = self._channel
         ports_of = self._ports_of
 
+        # Every sink is a bound method of the state it writes: a router
+        # input port's InputUnit, a terminal, or the upstream CreditTracker.
         for r in range(topo.num_routers):
             a = routers[r]
             if a is None:
@@ -229,51 +224,36 @@ class Network:
                         )
                         continue
                     data = channel(
-                        lat_rr, b.make_flit_sink(rp.port),
+                        lat_rr, b.inputs[rp.port].accept,
                         ("r%dp%d->r%d", r, port, rp.router),
                     )
                     tracker = CreditTracker(num_vcs, depth)
                     a.attach_output(port, data, tracker)
-                    cred = channel(
-                        lat_rr, a.make_credit_sink(port),
+                    b.attach_credit_return(rp.port, channel(
+                        lat_rr, tracker.restore,
                         ("cr r%d->r%dp%d", rp.router, r, port), limit_rate=False,
-                    )
-                    b.attach_credit_return(rp.port, cred)
-                    links_append(LinkRecord(
-                        "rr", (r, port), (rp.router, rp.port), tracker,
-                        a.staged[port], data, cred, b.inputs[rp.port],
                     ))
                 elif peer.is_terminal:
                     t = terminals[peer.terminal]
                     # Terminal -> router (injection).
                     inj = channel(
-                        lat_rt, a.make_flit_sink(port), ("t%d->r%d", t.terminal_id, r)
+                        lat_rt, a.inputs[port].accept, ("t%d->r%d", t.terminal_id, r)
                     )
                     inj_tracker = CreditTracker(num_vcs, depth)
                     t.attach_injection(inj, inj_tracker)
-                    inj_cred = channel(
-                        lat_rt, t.make_credit_sink(),
+                    a.attach_credit_return(port, channel(
+                        lat_rt, inj_tracker.restore,
                         ("cr r%d->t%d", r, t.terminal_id), limit_rate=False,
-                    )
-                    a.attach_credit_return(port, inj_cred)
-                    links_append(LinkRecord(
-                        "inj", t.terminal_id, (r, port), inj_tracker,
-                        None, inj, inj_cred, a.inputs[port],
                     ))
                     # Router -> terminal (ejection).
                     ej = channel(
-                        lat_rt, t.make_flit_sink(), ("r%d->t%d", r, t.terminal_id)
+                        lat_rt, t.accept, ("r%d->t%d", r, t.terminal_id)
                     )
                     ej_tracker = CreditTracker(num_vcs, depth)
                     a.attach_output(port, ej, ej_tracker)
-                    ej_cred = channel(
-                        lat_rt, a.make_credit_sink(port),
+                    t.attach_ejection_credit(channel(
+                        lat_rt, ej_tracker.restore,
                         ("cr t%d->r%d", t.terminal_id, r), limit_rate=False,
-                    )
-                    t.attach_ejection_credit(ej_cred)
-                    links_append(LinkRecord(
-                        "ej", (r, port), t.terminal_id, ej_tracker,
-                        a.staged[port], ej, ej_cred, t.receive,
                     ))
 
     def _wire_boundary(self, a: Router, r: int, port: int, q: int, q_port: int,
@@ -297,11 +277,12 @@ class Network:
         data_out = self._channel(
             lat_rr, _poison_sink(key), ("r%dp%d->shard", r, port)
         )
-        a.attach_output(port, data_out, CreditTracker(num_vcs, depth))
+        tracker = CreditTracker(num_vcs, depth)
+        a.attach_output(port, data_out, tracker)
         self.boundary_out[key] = data_out
 
         data_in = self._channel(
-            lat_rr, a.make_flit_sink(port), ("shard->r%dp%d", r, port)
+            lat_rr, a.inputs[port].accept, ("shard->r%dp%d", r, port)
         )
         self.boundary_in[("d", q, q_port)] = data_in
         self._boundary_in_dst[("d", q, q_port)] = (r, port)
@@ -315,7 +296,7 @@ class Network:
         self.boundary_out[key] = cred_out
 
         cred_in = self._channel(
-            lat_rr, a.make_credit_sink(port),
+            lat_rr, tracker.restore,
             ("cr shard->r%dp%d", r, port), limit_rate=False,
         )
         self.boundary_in[("c", q, q_port)] = cred_in
@@ -324,6 +305,50 @@ class Network:
     # ------------------------------------------------------------------
     # Introspection used by tests and the measurement harness
     # ------------------------------------------------------------------
+
+    @cached_property
+    def links(self) -> list[LinkRecord]:
+        """The wiring map: one :class:`LinkRecord` per credit-flow-controlled
+        hop, in the order ``_wire`` made them (per router, per port; a
+        terminal port's injection hop before its ejection hop).
+
+        Only the repro.check sanitizer and the repro.obs tracer read it, so
+        it is derived from the wiring on first read and kept.  A
+        router-to-router hop's downstream end is the owner of its data
+        channel's sink (an :class:`InputUnit`); the tracer reads this map
+        before it wraps any sink.  Boundary half-links of a partial build
+        are *not* recorded — the sanitizer audits complete credit loops,
+        which a shard does not have at its edges (the sharded engine falls
+        back to unsharded execution whenever the sanitizer is requested).
+        """
+        links = []
+        for a in self.routers:
+            if a is None:
+                continue
+            r = a.router_id
+            for port, data in enumerate(a.out_channels):
+                if data is None or ("d", r, port) in self.boundary_out:
+                    continue  # unwired (failed) port, or a shard edge
+                tracker, staged = a.credit_trackers[port], a.staged[port]
+                tid = a.terminal_of_port.get(port)
+                if tid is None:
+                    unit = data._sink.__self__
+                    b = unit.router
+                    links.append(LinkRecord(
+                        "rr", (r, port), (b.router_id, unit.port), tracker,
+                        staged, data, b._credit_return[unit.port], unit,
+                    ))
+                    continue
+                t = self.terminals[tid]
+                links.append(LinkRecord(
+                    "inj", tid, (r, port), t.inject_credits,
+                    None, t.inject_channel, a._credit_return[port], a.inputs[port],
+                ))
+                links.append(LinkRecord(
+                    "ej", (r, port), tid, tracker,
+                    staged, data, t.eject_credit_channel, t.receive,
+                ))
+        return links
 
     def flits_in_flight(self) -> int:
         """Flits anywhere between source-queue exit and terminal consumption."""

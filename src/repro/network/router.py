@@ -103,8 +103,11 @@ class Router:
                 self.terminal_of_port[port] = peer.terminal
                 self.port_of_terminal[peer.terminal] = port
 
-        # Input side.
-        self.inputs = [InputUnit(self.num_vcs, rc.buffer_depth) for _ in range(self.radix)]
+        # Input side: each unit's accept() is its port's flit sink.
+        self.inputs = [
+            InputUnit(self.num_vcs, rc.buffer_depth, self, p)
+            for p in range(self.radix)
+        ]
         self._credit_return: list[Channel | None] = [None] * self.radix
 
         # Output side.
@@ -118,7 +121,7 @@ class Router:
         ]
         # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
         # NEVER_USED until _step_inputs first stages a flit there.  Whoever
-        # needs a port's queues later (_out_ent, candidate skeletons, the
+        # needs a port's queues later (_out_ent, candidate skeletons, a
         # LinkRecord) holds the staged[port] *list*, never its elements.
         self.staged: list[list] = [
             [NEVER_USED] * self.num_vcs for _ in range(self.radix)
@@ -128,9 +131,9 @@ class Router:
         # Active-set bookkeeping.  _active_in is a *sorted* list of live
         # flat input keys (``port * num_vcs + vc``); the input pass iterates
         # it in ascending (port, vc) order and resolves each key through
-        # _in_ents, the preresolved (VcState, fifo, port, vc) entries the
-        # flit sink makes on a VC's first flit (None until then, like the
-        # VC's queue).  Keeping the schedule
+        # _in_ents, the preresolved (routes table, fifo, port, vc) entries
+        # InputUnit.accept makes on a VC's first flit (None until then, like
+        # the VC's queue).  Keeping the schedule
         # canonical — a static property of the wiring, not of arrival
         # history — makes every within-cycle delivery interleaving
         # observationally equivalent, which is what lets the sharded engine
@@ -224,11 +227,11 @@ class Router:
 
         # Event-driven stage scheduling (see _step_inputs/_step_outputs):
         # an input VC whose committed route is blocked on downstream credits
-        # goes to sleep and is woken by the credit sink the cycle the credit
-        # returns; per output port, only VCs with staged payload are scanned
-        # and a port whose staged heads are all still in the crossbar (or
-        # whose degraded link is in its min_gap window) is skipped until
-        # `_stage_ready`.  The output pass itself is armed, not polled:
+        # goes to sleep and is woken by the credit sink (CreditTracker.restore)
+        # the cycle the credit returns; per output port, only VCs with staged
+        # payload are scanned and a port whose staged heads are all still in
+        # the crossbar (or whose degraded link is in its min_gap window) is
+        # skipped until `_stage_ready`.  The output pass itself is armed, not polled:
         # `_out_wake` never exceeds the earliest `_stage_ready` over the
         # active ports, and step() enters _step_outputs only at or past it.
         # Staging onto an empty port sets that port's bound to the flit's
@@ -244,10 +247,9 @@ class Router:
         # round-robin arbiter leaves `_stage_ready` untouched on a no-grant
         # pass, keeping it <= cycle — a standing veto, so staleness is
         # conservative there too.
-        self._asleep: set[int] = set()  # flat input keys, as in _active_in
-        self._credit_waiter: list[list[int | None]] = [
-            [None] * self.num_vcs for _ in range(self.radix)
-        ]
+        # Flat input keys, as in _active_in; each sleeper is also the waiter
+        # on its output port's tracker (CreditTracker.waiters).
+        self._asleep: set[int] = set()
         self._staged_live: list[list[int]] = [[] for _ in range(self.radix)]
         self._stage_ready = [0] * self.radix
         self._out_wake = 0
@@ -286,6 +288,8 @@ class Router:
     def attach_output(self, port: int, data: Channel, credits: CreditTracker) -> None:
         self.out_channels[port] = data
         self.credit_trackers[port] = credits
+        credits.waiters = [None] * self.num_vcs
+        credits.asleep = self._asleep
         self._out_ent[port] = (data, self.staged[port], self._staged_live[port])
 
     def attach_credit_return(self, port: int, channel: Channel) -> None:
@@ -328,77 +332,11 @@ class Router:
         self._forward_hooks.remove(hook)
         self._forward_hook = _hook_fanout(self._forward_hooks)
 
-    # ------------------------------------------------------------------
-    # Channel sinks
-    # ------------------------------------------------------------------
-
-    def make_flit_sink(self, port: int):
-        vcs = self.inputs[port].vcs
-        depth = self.inputs[port].depth
-        active = self._active_in
-        wake = self._wake_registry
-        in_ents = self._in_ents
-        first_key = port * self.num_vcs
-
-        def sink(item: tuple[int, Flit]) -> None:
-            # InputUnit.receive inlined (per-flit hot path).
-            vc, flit = item
-            state = vcs[vc]
-            fifo = state.fifo
-            n = len(fifo)
-            if n >= depth:
-                raise RuntimeError(
-                    f"buffer overflow on VC {vc}: credit protocol violated"
-                )
-            if n == 0:
-                # Empty->busy transition; a non-empty FIFO implies the key
-                # is already registered (a key leaves the live list only in
-                # the pass that observes its FIFO empty).
-                key = first_key + vc
-                if fifo is NEVER_USED:
-                    # The VC's first flit: create its queue and the
-                    # preresolved (state, fifo, port, vc) work entry the
-                    # input pass resolves this key through.
-                    fifo = state.fifo = deque()
-                    in_ents[key] = (state, fifo, port, vc)
-                insort(active, key)
-                wake[self] = None
-            fifo.append(flit)
-
-        return sink
-
     def active_input_keys(self) -> list[tuple[int, int]]:
         """The live input VCs as (port, vc) pairs, in schedule order
         (introspection for tests and tools; the hot path keeps flat keys)."""
         nv = self.num_vcs
         return [divmod(k, nv) for k in self._active_in]
-
-    def make_credit_sink(self, port: int):
-        """Sink for credits (bare VC ids) returned downstream of ``port``.
-
-        Doubles as the wake-up path for event-driven input scheduling: an
-        input VC that went to sleep blocked on this (port, vc) credit is
-        re-armed the moment the credit returns — the same cycle the polling
-        implementation would have succeeded, since credits are delivered in
-        the channel phase before routers step.
-        """
-        tracker_ref = self.credit_trackers
-        waiters = self._credit_waiter[port]
-        asleep = self._asleep
-
-        def sink(vc: int) -> None:
-            # CreditTracker.restore inlined (per-flit hot path).
-            tracker = tracker_ref[port]
-            if tracker.credits[vc] >= tracker.depth:
-                raise RuntimeError(f"credit overflow on VC {vc}")
-            tracker.credits[vc] += 1
-            tracker.occupied_total -= 1
-            k = waiters[vc]
-            if k is not None:
-                waiters[vc] = None
-                asleep.discard(k)
-
-        return sink
 
     # ------------------------------------------------------------------
     # Congestion observation (RouterView protocol)
@@ -483,13 +421,13 @@ class Router:
         for key in active:
             if check_asleep and key in asleep:
                 continue  # blocked on credits; the credit sink wakes it
-            state, fifo, port, vc = in_ents[key]
+            routes, fifo, port, vc = in_ents[key]
             if not fifo:
                 dead.append(key)
                 continue
             if budget[port] >= speedup:
                 continue
-            route = state.route
+            route = routes[vc]
             if route is None:
                 head = fifo[0]
                 if not head.is_head:
@@ -498,7 +436,7 @@ class Router:
                 if route is None:
                     self.route_stalls += 1
                     continue
-                state.route = route
+                routes[vc] = route
             # Switch allocation + crossbar traversal, inlined (this is the
             # per-flit hot path; it was a _try_forward method once).
             out_port = route.out_port
@@ -509,7 +447,7 @@ class Router:
                 # The single waiter slot is sound because an output VC is
                 # owned by exactly one in-flight packet (wormhole VC
                 # allocation).
-                self._credit_waiter[out_port][out_vc] = key
+                tracker.waiters[out_vc] = key
                 asleep.add(key)
                 continue
             sc = staged_count[out_port]
@@ -566,7 +504,7 @@ class Router:
                 forward_hook(cycle, self, port, vc, out_port, out_vc, flit)
             if flit.tail:
                 self.out_vc_owner[out_port][out_vc] = None
-                state.route = None
+                routes[vc] = None
             if not fifo:
                 dead.append(key)
         if forwarded:
@@ -885,22 +823,22 @@ class Router:
         number of routes revoked.
         """
         revoked = 0
-        for port in range(self.radix):
-            unit = self.inputs[port]
-            for vc, state in enumerate(unit.vcs):
-                route = state.route
+        for port, unit in enumerate(self.inputs):
+            routes, fifos = unit.routes, unit.fifos
+            for vc, route in enumerate(routes):
                 if route is None or route.out_port not in ports:
                     continue
-                head = state.fifo[0] if state.fifo else None
+                fifo = fifos[vc]
+                head = fifo[0] if fifo else None
                 if head is None or not head.is_head or head.index != 0:
                     continue  # transfer started (or head already moved on): drain
                 flat = port * self.num_vcs + vc
                 self.out_vc_owner[route.out_port][route.out_vc] = None
                 # The revoked route may be asleep waiting on a credit that
                 # will never matter again; wake it so the re-route runs.
-                self._credit_waiter[route.out_port][route.out_vc] = None
+                self.credit_trackers[route.out_port].waiters[route.out_vc] = None
                 self._asleep.discard(flat)
-                state.route = None
+                routes[vc] = None
                 packet = head.packet
                 packet.hops -= 1
                 if route.deroute:
@@ -912,7 +850,7 @@ class Router:
                 # already live; the re-point and the membership check are
                 # defensive (cold path; a hand-crafted route on an unwired
                 # or never-used VC has no current entry).
-                self._in_ents[flat] = (state, state.fifo, port, vc)
+                self._in_ents[flat] = (routes, fifo, port, vc)
                 if flat not in self._active_in:
                     insort(self._active_in, flat)
                 self._wake_registry[self] = None

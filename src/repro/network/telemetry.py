@@ -199,8 +199,7 @@ class TelemetryProbe:
         occ = []
         for r in self.network.routers:
             for iu in r.inputs:
-                for vc in iu.vcs:
-                    occ.append(vc.occupancy)
+                occ.extend(map(len, iu.fifos))
         if not occ:
             return {"mean": 0.0, "max": 0.0}
         return {"mean": sum(occ) / len(occ), "max": float(max(occ))}
@@ -211,6 +210,6 @@ class TelemetryProbe:
         out = {k: 0 for k in range(vc_map.num_classes)}
         for r in self.network.routers:
             for iu in r.inputs:
-                for vc_id, vc in enumerate(iu.vcs):
-                    out[vc_map.class_of(vc_id)] += vc.occupancy
+                for vc_id, fifo in enumerate(iu.fifos):
+                    out[vc_map.class_of(vc_id)] += len(fifo)
         return out

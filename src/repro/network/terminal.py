@@ -97,40 +97,28 @@ class Terminal:
     def attach_ejection_credit(self, channel: Channel) -> None:
         self.eject_credit_channel = channel
 
-    def make_flit_sink(self):
-        wake = self._wake_registry
-        vcs = self.receive.vcs
-        depth = self.receive.depth
-        rx_live = self._rx_live
-
-        fifos = [vcs[v].fifo for v in range(self.num_vcs)]
-
-        def sink(item: tuple[int, Flit]) -> None:
-            # InputUnit.receive inlined (per-flit hot path).
-            vc, flit = item
-            fifo = fifos[vc]
-            n = len(fifo)
-            if n >= depth:
-                raise RuntimeError(
-                    f"buffer overflow on VC {vc}: credit protocol violated"
-                )
-            if n == 0:
-                # Empty->busy transition; a non-empty FIFO implies rx_count
-                # was already positive, so the terminal is already awake.
-                if fifo is NEVER_USED:  # the VC's first flit: create its queue
-                    fifo = fifos[vc] = self.receive.vcs[vc].fifo = deque()
-                insort(rx_live, vc)
-                wake[self] = None
-            fifo.append(flit)
-            self._rx_count += 1
-
-        return sink
-
-    def make_credit_sink(self):
-        def sink(vc: int) -> None:
-            self.inject_credits.restore(vc)
-
-        return sink
+    def accept(self, item: tuple[int, Flit]) -> None:
+        """Flit sink of the ejection channel: buffer ``(vc, flit)`` in the
+        receive unit's table (the injection channel's credit sink is
+        ``inject_credits.restore``)."""
+        vc, flit = item
+        unit = self.receive
+        fifos = unit.fifos
+        fifo = fifos[vc]
+        n = len(fifo)
+        if n >= unit.depth:
+            raise RuntimeError(
+                f"buffer overflow on VC {vc}: credit protocol violated"
+            )
+        if n == 0:
+            # Empty->busy transition; a non-empty FIFO implies rx_count
+            # was already positive, so the terminal is already awake.
+            if fifo is NEVER_USED:  # the VC's first flit: create its queue
+                fifo = fifos[vc] = deque()
+            insort(self._rx_live, vc)
+            self._wake_registry[self] = None
+        fifo.append(flit)
+        self._rx_count += 1
 
     # ------------------------------------------------------------------
     # API for traffic generators / the application engine
@@ -237,7 +225,7 @@ class Terminal:
 
     def _step_ejection(self, cycle: int) -> None:
         budget = self._eject_rate
-        vcs = self.receive.vcs
+        fifos = self.receive.fifos
         while budget > 0 and self._rx_count > 0:
             if self._age:
                 # Inlined age-based pick (the generic arbiter's request-list
@@ -253,7 +241,7 @@ class Terminal:
                     best_vc = -1
                     bc = bp = 0
                     for v in live:
-                        p = vcs[v].fifo[0].packet
+                        p = fifos[v][0].packet
                         c = p.create_cycle
                         if best_vc < 0 or c < bc or (c == bc and p.pid < bp):
                             bc = c
@@ -261,9 +249,7 @@ class Terminal:
                             best_vc = v
             else:
                 requests = [
-                    (v, vcs[v].head)
-                    for v in range(self.num_vcs)
-                    if vcs[v].head is not None
+                    (v, fifos[v][0]) for v in range(self.num_vcs) if fifos[v]
                 ]
                 pick = self._eject_arbiter.pick(requests, key=lambda r: (r[0],))
                 if pick is None:
@@ -271,7 +257,7 @@ class Terminal:
                 best_vc = pick[0]
             if best_vc < 0:
                 return
-            fifo = vcs[best_vc].fifo
+            fifo = fifos[best_vc]
             flit = fifo.popleft()
             if not fifo:
                 self._rx_live.remove(best_vc)

@@ -189,7 +189,7 @@ class TimeSeriesSampler:
         lat = self._latencies
         occupancy = tuple(
             tuple(
-                sum(iu.vcs[v].occupancy for iu in r.inputs)
+                sum(len(iu.fifos[v]) for iu in r.inputs)
                 for v in range(r.num_vcs)
             )
             for r in net.routers

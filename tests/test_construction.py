@@ -1,7 +1,10 @@
-"""How a measured point is built: per-VC queues exist only once a flit has
-needed them, and ``frozen_build`` (``PointRun``, ``run_stencil_once``) owns
-the cyclic collector's state around the assembly (docs/PERFORMANCE.md,
-"Construction without the collector")."""
+"""How a measured point is built: the built graph holds the simulator's state
+and nothing else (channel sinks are bound methods of the per-port objects,
+``Network.links`` is derived when read), per-VC queues exist only once a
+flit has needed them, and ``frozen_build`` (``PointRun``,
+``run_stencil_once``) owns the cyclic collector's state around the assembly
+(docs/PERFORMANCE.md, "Construction without the collector" and "A built
+network is its state")."""
 
 import gc
 import weakref
@@ -11,14 +14,20 @@ import pytest
 
 import repro.analysis.sweep as sweep
 import repro.experiments.fig8_stencil as fig8_stencil
+from repro.analysis.bench import tracked_objects
 from repro.analysis.sweep import PointRun, measure_point
 from repro.config import default_config
 from repro.core.base import NoRouteError
 from repro.core.registry import make_algorithm
 from repro.experiments.faults import run_fault_transient
 from repro.experiments.fig8_stencil import run_stencil_once
+from repro.faults import (
+    DegradedTopology, FaultEvent, FaultInjector, FaultSchedule, FaultSet,
+)
 from repro.network.buffers import NEVER_USED
 from repro.network.network import Network
+from repro.network.simulator import Simulator
+from repro.network.types import Flit, Packet
 from repro.topology.hyperx import HyperX
 from repro.traffic.patterns import UniformRandom
 
@@ -35,14 +44,12 @@ def _queues(net):
         yield ch._pipe
     for r in net.routers:
         for unit in r.inputs:
-            for state in unit.vcs:
-                yield state.fifo
+            yield from unit.fifos
         for per_port in r.staged:
             yield from per_port
     for t in net.terminals:
         yield t.source_queue
-        for state in t.receive.vcs:
-            yield state.fifo
+        yield from t.receive.fifos
 
 
 @pytest.fixture
@@ -50,8 +57,8 @@ def networks_seen(monkeypatch):
     """Watch every ``Network`` that ``PointRun`` and ``run_stencil_once``
     build: at each build's entry, is its predecessor still resident?  The
     probe is a router — the ``Network`` object itself dies by reference
-    count, the graph it built (router -> channel -> sink closure -> peer
-    router) only by collection."""
+    count, the graph it built (router -> channel -> bound sink -> peer input
+    unit -> peer router) only by collection."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -106,7 +113,7 @@ def test_append_on_a_never_used_queue_raises():
     topo, algo, _ = _scenario()
     r = Network(topo, algo, default_config()).routers[0]
     with pytest.raises(AttributeError):
-        r.inputs[0].vcs[0].fifo.append(None)
+        r.inputs[0].fifos[0].append(None)
     with pytest.raises(AttributeError):
         r.staged[0][0].append(None)
 
@@ -125,12 +132,118 @@ def test_loaded_run_materialises_exactly_the_used_queues():
     for r in net.routers:
         for key, ent in enumerate(r._in_ents):
             port, vc = divmod(key, r.num_vcs)
-            state = r.inputs[port].vcs[vc]
-            if state.fifo is NEVER_USED:
+            unit = r.inputs[port]
+            if unit.fifos[vc] is NEVER_USED:
                 assert ent is None
             else:
-                assert ent[0] is state and ent[1] is state.fifo
+                assert ent[0] is unit.routes and ent[1] is unit.fifos[vc]
                 assert ent[2:] == (port, vc)
+
+
+def test_a_built_8x8x8_holds_its_state_and_nothing_else():
+    """The census of a fresh 8x8x8 t=1 build (the paper's 512 routers): under
+    220k GC-tracked objects — 438,553 when every channel sink was a closure
+    over per-port cells and every input VC a ``VcState`` object — and no
+    cell or function per port (11,264 router ports here)."""
+    topo = HyperX((8, 8, 8), 1)
+    algo = make_algorithm("DimWAR", topo)
+    census = tracked_objects(lambda: Network(topo, algo, default_config()))
+    assert census.total() < 220_000, census.most_common(8)
+    assert census["cell"] + census["function"] < topo.num_routers
+
+
+def test_one_queue_per_vc_whichever_way_a_flit_arrives():
+    """The wired sink and ``InputUnit.receive`` write one table, so a VC fed
+    through both reads one consistent queue."""
+    topo = HyperX((2, 2), 1)
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config())
+    src, dst = net.terminals[0], net.terminals[3]
+    port = topo.terminal_port(0)
+    r, unit = net.routers[0], net.routers[0].inputs[port]
+    pkt = Packet(0, 3, size=2, create_cycle=0)
+    head, tail = Flit(pkt, 0), Flit(pkt, 1)
+    src.inject_credits.consume(0)  # the two slots the flits occupy
+    src.inject_credits.consume(0)
+    src.inject_channel._sink((0, head))  # wired sink: wakes router 0
+    unit.receive(0, tail)
+    assert list(unit.fifos[0]) == [head, tail]
+    assert r._in_ents[port * r.num_vcs][1] is unit.fifos[0]
+    Simulator(net).run(200)
+    assert dst.flits_ejected == 2 and pkt.eject_cycle is not None
+    assert src.inject_credits.occupied_total == 0
+
+    # A terminal's receive unit, in the other order: receive first, then
+    # the ejection channel's sink (which once kept a private queue list).
+    t = net.terminals[1]
+    ej = net.routers[1].out_channels[topo.terminal_port(0)]
+    other = Packet(0, 1, size=2, create_cycle=0)
+    first, second = Flit(other, 0), Flit(other, 1)
+    t.receive.receive(2, first)
+    ej._sink((2, second))
+    assert list(t.receive.fifos[2]) == [first, second]
+
+
+def _reference_links(net):
+    """(kind, src, dst) per credit loop, walked the way ``_wire`` wires."""
+    want = []
+    for r, router in enumerate(net.routers):
+        if router is None:
+            continue
+        for port, peer in net.topology.router_ports(r):
+            rp = peer.router_port
+            if peer.is_router and net.routers[rp.router] is not None:
+                want.append(("rr", (r, port), (rp.router, rp.port)))
+            elif peer.is_terminal:
+                want.append(("inj", peer.terminal, (r, port)))
+                want.append(("ej", (r, port), peer.terminal))
+    return want
+
+
+@pytest.mark.parametrize("owned", [None, {0, 1, 5}])
+def test_links_are_read_off_the_wiring(owned):
+    topo = DegradedTopology(
+        HyperX((4, 4), 2), FaultSet().fail_link(0, 0).fail_router(6)
+    )
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config(),
+                  owned_routers=owned)
+    assert "links" not in vars(net)  # nothing built until read
+    want = _reference_links(net)
+    links = net.links
+    assert links is net.links
+    assert [(rec.kind, rec.src, rec.dst) for rec in links] == want
+    for rec in links:
+        if rec.kind == "inj":
+            t, (r, port) = net.terminals[rec.src], rec.dst
+            assert rec.tracker is t.inject_credits and rec.staged is None
+            assert rec.data is t.inject_channel
+            assert rec.credit is net.routers[r]._credit_return[port]
+            assert rec.downstream is net.routers[r].inputs[port]
+            continue
+        (r, port), a = rec.src, net.routers[rec.src[0]]
+        assert rec.tracker is a.credit_trackers[port]
+        assert rec.staged is a.staged[port] and rec.data is a.out_channels[port]
+        if rec.kind == "ej":
+            t = net.terminals[rec.dst]
+            assert rec.credit is t.eject_credit_channel
+            assert rec.downstream is t.receive
+        else:
+            b, bp = net.routers[rec.dst[0]], rec.dst[1]
+            assert rec.credit is b._credit_return[bp]
+            assert rec.downstream is b.inputs[bp]
+
+
+def test_a_link_failed_mid_run_keeps_its_record():
+    """The map is the wiring, not the topology's current view: a port that
+    fails mid-run is masked by the topology but still wired (its wormholes
+    drain over it), so a first read after the fault still records it."""
+    topo = DegradedTopology(HyperX((4, 4), 1))
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config())
+    want = _reference_links(net)
+    sim = Simulator(net)
+    sim.add_process(FaultInjector(net, FaultSchedule([FaultEvent(5, "link", 0, port=0)])))
+    sim.run(10)
+    assert topo.faults.events_applied == 1 and "links" not in vars(net)
+    assert [(rec.kind, rec.src, rec.dst) for rec in net.links] == want
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])

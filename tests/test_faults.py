@@ -382,12 +382,12 @@ def _craft_unstarted_route(r, create_cycle=0):
     (1, 0)."""
     pkt = Packet(0, 3, size=2, create_cycle=create_cycle)
     pkt.hops = 1
-    state = r.inputs[0].vcs[0]
-    r.inputs[0].receive(0, Flit(pkt, 0))
-    r.inputs[0].receive(0, Flit(pkt, 1))
-    state.route = VcRoute(1, 0, pkt.pid)
+    unit = r.inputs[0]
+    unit.receive(0, Flit(pkt, 0))
+    unit.receive(0, Flit(pkt, 1))
+    unit.routes[0] = VcRoute(1, 0, pkt.pid)
     r.out_vc_owner[1][0] = pkt.pid
-    return pkt, state
+    return pkt, unit.routes
 
 
 def test_revoke_unstarted_routes_direct():
@@ -395,10 +395,10 @@ def test_revoke_unstarted_routes_direct():
     topo = DegradedTopology(base)
     net = Network(topo, make_algorithm("DimWAR", topo), SimConfig())
     r = net.routers[0]
-    pkt, state = _craft_unstarted_route(r)
+    pkt, routes = _craft_unstarted_route(r)
 
     assert r.revoke_unstarted_routes({1}) == 1
-    assert state.route is None
+    assert routes[0] is None
     assert r.out_vc_owner[1][0] is None
     assert pkt.hops == 0  # telemetry un-counted
     assert (0, 0) in r.active_input_keys()  # re-woken for rerouting
@@ -406,11 +406,10 @@ def test_revoke_unstarted_routes_direct():
     # A started wormhole (head flit already forwarded) must drain, not revoke.
     pkt2 = Packet(0, 3, size=2, create_cycle=0)
     pkt2.hops = 1
-    state2 = r.inputs[0].vcs[1]
     r.inputs[0].receive(1, Flit(pkt2, 1))  # body flit at the FIFO head
-    state2.route = VcRoute(1, 1, pkt2.pid)
+    routes[1] = VcRoute(1, 1, pkt2.pid)
     assert r.revoke_unstarted_routes({1}) == 0
-    assert state2.route is not None
+    assert routes[1] is not None
     assert pkt2.hops == 1
 
 
@@ -430,7 +429,7 @@ def test_revoked_route_recovers_credit_exact():
     sim = Simulator(net)
     sim.run(20)
     r = net.routers[0]
-    pkt, state = _craft_unstarted_route(r, create_cycle=sim.cycle)
+    pkt, routes = _craft_unstarted_route(r, create_cycle=sim.cycle)
     # consume the upstream credits the crafted flits logically hold, so the
     # credit returns emitted during recovery balance exactly
     upstream = next(rec for rec in net.links if rec.downstream is r.inputs[0])
@@ -438,7 +437,7 @@ def test_revoked_route_recovers_credit_exact():
     upstream.tracker.consume(0)
 
     assert r.revoke_unstarted_routes({1}) == 1
-    assert state.route is None and r.out_vc_owner[1][0] is None
+    assert routes[0] is None and r.out_vc_owner[1][0] is None
     assert (0, 0) in r.active_input_keys()
 
     dst = net.terminals[3]
