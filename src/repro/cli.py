@@ -37,7 +37,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .analysis.parallel import PointSpec
@@ -106,11 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="fan load points over N worker processes "
                    "(0 = all cores; default: serial)")
-    p.add_argument("--shards", type=int,
-                   default=int(os.environ.get("REPRO_SHARDS", "0")),
+    p.add_argument("--shards", type=int, default=0,
                    help="split each point across N shard processes "
-                   "(repro.network.shard; default: $REPRO_SHARDS or 0 "
-                   "= single process)")
+                   "(repro.network.shard; default: 0 = single process)")
     p.add_argument("--check", action="store_true",
                    help="attach the runtime sanitizer to every point "
                    "(invariant audits; see docs/TESTING.md)")

@@ -38,22 +38,16 @@ class NoRouteError(RuntimeError):
 
 
 class RouterView(Protocol):
-    """The slice of router state a routing algorithm may observe.
+    """The slice of router state a routing algorithm may observe: where the
+    packet is, and nothing else.
 
-    Everything here is *local* to the router — the paper's point is that both
-    source-adaptive and incremental algorithms only ever see local congestion;
-    they differ in *where along the path* they get to look.
+    An algorithm names the *valid* candidates; only the router scores them
+    by local congestion (Sec 5.1 step 3).  Source-adaptive and incremental
+    algorithms differ in *where along the path* that scoring happens, not in
+    what the algorithm itself reads.
     """
 
     router_id: int
-
-    def class_congestion(self, out_port: int, vc_class: int) -> float:
-        """Congestion estimate for (output port, resource class)."""
-        ...
-
-    def port_congestion(self, out_port: int) -> float:
-        """Congestion estimate for an output port across all VCs."""
-        ...
 
 
 class RouteCandidate:

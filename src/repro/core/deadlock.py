@@ -42,13 +42,6 @@ from .base import RouteContext, RoutingAlgorithm
 class _MockRouterView:
     router_id: int
 
-    def class_congestion(self, out_port: int, vc_class: int) -> float:
-        raise RuntimeError(
-            "routing candidates must not depend on congestion state"
-        )
-
-    port_congestion = class_congestion
-
 
 def _channel_node(router: int, port: int, klass: int) -> tuple[int, int, int]:
     """Node id for (outgoing channel of router.port, resource class)."""

@@ -57,17 +57,9 @@ class TableEntry:
 
 @dataclass
 class _Probe:
-    """Mock router view: table compilation must never read congestion."""
+    """Mock router view (the whole :class:`RouterView`: a router id)."""
 
     router_id: int
-
-    def class_congestion(self, out_port: int, vc_class: int) -> float:
-        raise TableCompilationError(
-            "algorithm consulted congestion during candidate enumeration; "
-            "its candidate *set* is not table-expressible"
-        )
-
-    port_congestion = class_congestion
 
 
 @dataclass

@@ -178,9 +178,6 @@ class Network:
         #: build.
         self.boundary_out: dict[tuple, Channel] = {}
         self.boundary_in: dict[tuple, Channel] = {}
-        #: import key -> (owned router id, port) the import terminates at;
-        #: used by the tracer to label cross-shard link events.
-        self._boundary_in_dst: dict[tuple, tuple[int, int]] = {}
         self._wire()
         self._ports_of = []  # construction scratch; drop the peer objects
 
@@ -285,7 +282,6 @@ class Network:
             lat_rr, a.inputs[port].accept, ("shard->r%dp%d", r, port)
         )
         self.boundary_in[("d", q, q_port)] = data_in
-        self._boundary_in_dst[("d", q, q_port)] = (r, port)
 
         key = ("c", r, port)
         cred_out = self._channel(
@@ -300,7 +296,6 @@ class Network:
             ("cr shard->r%dp%d", r, port), limit_rate=False,
         )
         self.boundary_in[("c", q, q_port)] = cred_in
-        self._boundary_in_dst[("c", q, q_port)] = (r, port)
 
     # ------------------------------------------------------------------
     # Introspection used by tests and the measurement harness

@@ -339,33 +339,6 @@ class Router:
         return [divmod(k, nv) for k in self._active_in]
 
     # ------------------------------------------------------------------
-    # Congestion observation (RouterView protocol)
-    # ------------------------------------------------------------------
-
-    def class_congestion(self, out_port: int, vc_class: int) -> float:
-        vcs = self._vcs_of[vc_class]
-        tracker = self.credit_trackers[out_port]
-        staged = self.staged[out_port]
-        credits = tracker.credits
-        depth = tracker.depth
-        occ = 0
-        stg = 0
-        for v in vcs:
-            occ += depth - credits[v]
-            stg += len(staged[v])
-        if self._sequential:
-            stg += self._pending_commit[out_port]
-        return self._estimator(occ, stg, len(vcs), self._buffer_depth)
-
-    def port_congestion(self, out_port: int) -> float:
-        tracker = self.credit_trackers[out_port]
-        occ = tracker.occupied_total
-        stg = self._staged_count[out_port]
-        if self._sequential:
-            stg += self._pending_commit[out_port]
-        return self._estimator(occ, stg, self.num_vcs, self._buffer_depth)
-
-    # ------------------------------------------------------------------
     # Per-cycle pipeline
     # ------------------------------------------------------------------
 
@@ -698,16 +671,17 @@ class Router:
         """The scoring loop: weight every feasible candidate of a skeleton
         and commit the minimum (Sec 5.1 step 3, Sec 5.2 step 4).
 
-        Per candidate this is :meth:`_allocate_vc`, then
-        :meth:`port_congestion` / :meth:`class_congestion`, then
-        :func:`repro.core.weights.route_weight`, with every attribute chain
-        and call hoisted out of the loop: the same VC scan, the same
-        (occ + stg) / (group * depth) estimate with the same integer
-        denominator, the same (congestion + 1.0) * hops weight, one jitter
-        draw per *feasible* candidate (the ring is grown once per call to
-        cover the whole skeleton, never tested per candidate).  The
-        reference model in the test tree re-scores every decision through
-        those methods and demands bit-equal weights, so keep the two in step.
+        Per candidate: the free VC of its class group with the most credits
+        (as :meth:`_allocate_vc`), the configured estimator over the whole
+        port or the group (``congestion_scope``; the default credit_queue
+        estimate inlined with the same integer denominator), and the
+        (congestion + 1.0) * hops weight of
+        :func:`repro.core.weights.route_weight`; one jitter draw per
+        *feasible* candidate (the ring is grown once per call to cover the
+        whole skeleton, never tested per candidate).  The reference
+        functions in ``tests/test_scoring_kernel.py`` re-score every
+        decision from router state and demand bit-equal weights, so keep
+        the two in step.
         """
         port_scope = self._port_scope
         seq = self._sequential

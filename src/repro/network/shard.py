@@ -52,13 +52,6 @@ telemetry (hops, deroutes, create cycle) travels with its head flit.
 Merged statistics are byte-identical to single-process runs for any shard
 count — the ``shard-on-vs-off`` differential oracle in ``repro.check``
 enforces it.
-
-**Tracing.**  ``ShardEngine(..., trace=TraceOptions(pid_ids=True))``
-attaches a :class:`~repro.obs.tracer.Tracer` inside every worker; each
-lifecycle event is recorded by exactly one shard, :func:`merged_trace`
-concatenates the per-shard streams from the finish reports, and
-:func:`~repro.obs.export.canonical_jsonl` renders them byte-identical to
-a canonicalized unsharded trace of the same run.
 """
 
 from __future__ import annotations
@@ -144,22 +137,14 @@ class ShardPlan:
 class _WorkerState:
     """One shard's live simulation plus the cross-shard packet replica map."""
 
-    def __init__(self, spec: "PointSpec", owned: frozenset[int], schedule,
-                 trace=None):
+    def __init__(self, spec: "PointSpec", owned: frozenset[int], schedule):
         from ..analysis.sweep import PointRun
 
-        if trace is not None and (not trace.pid_ids or trace.window):
-            raise ValueError(
-                "sharded tracing needs TraceOptions(pid_ids=True) and no "
-                "sampler window: trace-local ids cannot identify a packet "
-                "whose inject happened in another shard, and a time series "
-                "reads the whole network"
-            )
         #: the same assembly ``measure_point`` runs, over this shard's routers
         self.point = PointRun(
             *spec.build(mid_run_faults=schedule is not None), spec.rate,
             cfg=spec.cfg, size_dist=spec.size_dist, seed=spec.seed,
-            trace=trace, owned_routers=owned, schedule=schedule,
+            owned_routers=owned, schedule=schedule,
         )
         self.net, self.sim = self.point.net, self.point.sim
         # pid -> [replica Packet, transits-in-flight]; a head import creates
@@ -268,7 +253,7 @@ class _WorkerState:
         (:func:`run_point_sharded` folds the reports back together)."""
         done = self.point.finish()
         stats = done["stats"]
-        rep = {
+        return {
             "samples": [
                 (s.create_cycle, s.latency, s.hops, s.deroutes)
                 for s in stats.samples
@@ -280,21 +265,13 @@ class _WorkerState:
             "routes_computed": done["routes_computed"],
             "route_stalls": done["route_stalls"],
         }
-        tracer = self.point.tracer
-        if tracer is not None:
-            rep["trace_events"] = [
-                (ev.cycle, ev.type, ev.pkt, ev.where, ev.data)
-                for ev in tracer.events()
-            ]
-            rep["trace_dropped"] = tracer.ring.dropped
-        return rep
 
 
-def _shard_worker(conn, spec: "PointSpec", owned: frozenset[int], schedule,
-                  trace=None) -> None:
+def _shard_worker(conn, spec: "PointSpec", owned: frozenset[int],
+                  schedule) -> None:
     """Worker process entry: build one shard, then serve chunk requests."""
     try:
-        state = _WorkerState(spec, owned, schedule, trace)
+        state = _WorkerState(spec, owned, schedule)
         net, sim = state.net, state.sim
         conn.send(("ok", (list(net.boundary_in), list(net.boundary_out))))
         while True:
@@ -346,7 +323,7 @@ class ShardEngine:
     """
 
     def __init__(self, spec: "PointSpec", shards: int,
-                 schedule: "FaultSchedule | None" = None, trace=None):
+                 schedule: "FaultSchedule | None" = None):
         topo = spec.build()[0]
         self.plan = ShardPlan(topo, shards)
         self.shards = shards
@@ -361,7 +338,7 @@ class ShardEngine:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(child, spec, self.plan.owned_routers(s), schedule, trace),
+                args=(child, spec, self.plan.owned_routers(s), schedule),
                 daemon=True,
             )
             proc.start()
@@ -524,29 +501,6 @@ class ShardEngine:
 # ----------------------------------------------------------------------
 
 
-def merged_trace(reports: list) -> tuple[list, int]:
-    """Merge per-shard trace payloads from :meth:`ShardEngine.finish`.
-
-    Returns ``(events, dropped)``: every shard's
-    :class:`~repro.obs.events.TraceEvent` records in one list (shard order,
-    not globally sorted — feed them to
-    :func:`~repro.obs.export.canonical_jsonl` for comparable bytes) and the
-    summed ring-drop count.  Each lifecycle event is recorded by exactly
-    one shard — inject/eject by the terminal's owner, route/sa by the
-    router's, link by the receiving end — so the merge is a plain
-    concatenation with no dedup.
-    """
-    from ..obs.events import TraceEvent
-
-    events = []
-    dropped = 0
-    for rep in reports:
-        dropped += rep.get("trace_dropped", 0)
-        for cycle, type_, pkt, where, data in rep.get("trace_events", ()):
-            events.append(TraceEvent(cycle, type_, pkt, where, data))
-    return events, dropped
-
-
 def shard_fallback_reason(spec: "PointSpec") -> str | None:
     """Why this spec cannot run sharded, or None when it can.
 
@@ -558,9 +512,8 @@ def shard_fallback_reason(spec: "PointSpec") -> str | None:
         return "sanitizer audits complete credit loops, which shard boundaries split"
     if spec.trace is not None:
         return (
-            "traced sweep points take the single-process path (their "
-            "golden-pinned JSONL depends on recording order; sharded "
-            "tracing is the explicit ShardEngine(trace=...) API)"
+            "traced points take the single-process path: a tracer reads "
+            "the whole network"
         )
     if max(spec.widths) < spec.shards:
         return (

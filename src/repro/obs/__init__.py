@@ -29,7 +29,6 @@ See docs/OBSERVABILITY.md for the event schema and workflow examples.
 
 from .events import EVENT_TYPES, EventRing, TraceEvent, TraceOptions
 from .export import (
-    canonical_jsonl,
     chrome_trace,
     event_line,
     events_jsonl,
@@ -56,7 +55,6 @@ __all__ = [
     "GOLDEN_ALGORITHMS",
     "golden_tracer",
     "golden_jsonl",
-    "canonical_jsonl",
     "chrome_trace",
     "event_line",
     "events_jsonl",

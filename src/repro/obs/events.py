@@ -56,14 +56,6 @@ class TraceOptions:
     ``out_dir``/``chrome`` control export when threaded through the
     sweep/experiment drivers: traces are written as JSONL (and optionally
     Chrome trace-event JSON) under ``out_dir`` with deterministic names.
-    ``pid_ids`` stamps events with the simulator's global ``Packet.pid``
-    instead of the trace-local injection-order id: the sharded engine's
-    per-worker tracers never see another shard's injections, so only the
-    globally aligned pid identifies one packet across shards.  Raw pids
-    depend on where the process-wide counter happens to stand, so streams
-    recorded this way are compared through the canonical export
-    (:func:`~repro.obs.export.canonical_jsonl`), which renumbers them; it
-    requires every packet traced, hence ``sample_every`` must be 1.
     """
 
     sample_every: int = 1
@@ -73,13 +65,10 @@ class TraceOptions:
     window: int = 0
     out_dir: str | None = None
     chrome: bool = False
-    pid_ids: bool = False
 
     def __post_init__(self) -> None:
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.pid_ids and self.sample_every != 1:
-            raise ValueError("pid_ids requires sample_every == 1")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
         if self.start < 0:

@@ -20,7 +20,7 @@ import os
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..analysis.ascii_plot import ascii_heatmap
-from .events import EVENT_TYPES, TraceEvent
+from .events import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from .timeseries import WindowSample
@@ -60,44 +60,6 @@ def read_jsonl(path: str) -> list[TraceEvent]:
             d = json.loads(line)
             out.append(TraceEvent(d["cycle"], d["type"], d["pkt"], d["where"], d["data"]))
     return out
-
-
-def canonical_jsonl(events: Iterable[TraceEvent], dropped: int = 0) -> str:
-    """Order- and id-base-independent canonical JSONL of a complete stream.
-
-    The plain :func:`events_jsonl` bytes depend on recording order and (in
-    ``pid_ids`` mode) on where the process-wide packet-id counter happened
-    to stand — both of which differ between an unsharded run and the merged
-    per-shard streams of the same simulation.  This export removes exactly
-    those two degrees of freedom and nothing else: packet ids are
-    renumbered 0, 1, 2, … by ascending original id (pids are consecutive
-    in injection order, so the rank *is* the injection order), and events
-    are sorted by ``(packet rank, cycle, lifecycle stage, line bytes)``.
-    Two runs of the same simulation canonicalize to identical bytes no
-    matter how the work was sharded.
-
-    Canonicalization is only sound on a *lossless* stream — a ring that
-    dropped events loses them from one run's stream but maybe not the
-    other's — so a non-zero ``dropped`` count raises.
-    """
-    events = list(events)
-    if dropped:
-        raise ValueError(
-            f"cannot canonicalize a lossy trace: the ring dropped {dropped} "
-            f"events; raise TraceOptions.capacity"
-        )
-    rank = {pid: i for i, pid in enumerate(sorted({ev.pkt for ev in events}))}
-    stage = {t: i for i, t in enumerate(EVENT_TYPES)}
-    keyed = []
-    for ev in events:
-        d = ev.to_dict()
-        d["pkt"] = rank[ev.pkt]
-        line = json.dumps(d, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-        keyed.append((d["pkt"], ev.cycle, stage.get(ev.type, len(stage)), line))
-    keyed.sort()
-    lines = [k[3] for k in keyed]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------

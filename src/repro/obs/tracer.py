@@ -69,9 +69,6 @@ class Tracer:
         self._seq = 0  # packets seen at injection (sampling counter)
         self._next_tid = 0  # next trace-local id (doubles as sampled count)
         self._tids: dict[int, int] = {}  # live sampled packets: pid -> tid
-        # pid_ids mode: events carry the global Packet.pid, so flits whose
-        # inject happened in another shard's tracer are still attributable.
-        self._pid_ids = self.options.pid_ids
         self._wrapped: list[tuple[object, object]] = []  # (channel, orig sink)
         # Bind every callback exactly once: registration and removal work by
         # identity, so a fresh bound method at detach time would not match.
@@ -97,28 +94,14 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def attach(self) -> "Tracer":
-        """Register every observation hook; chainable.
-
-        Partial networks (the sharded engine's ``owned_routers=`` builds)
-        have ``None`` holes for unowned terminals and routers — those are
-        skipped — and their cross-shard links terminate in boundary
-        channels that never appear in ``net.links``.  The *import* side of
-        each data boundary is wrapped like any other link sink: its sink
-        fires at exactly the cycle the unsharded channel's would, so the
-        merged per-shard streams carry the same link events the unsharded
-        tracer records.
-        """
+        """Register every observation hook; chainable."""
         if self._attached:
             raise RuntimeError("tracer already attached")
         net = self.network
         for t in net.terminals:
-            if t is None:
-                continue
             t.inject_listeners.append(self._inject_cb)
             t.delivery_listeners.append(self._eject_cb)
         for r in net.routers:
-            if r is None:
-                continue
             r.add_route_hook(self._route_cb)
             r.add_forward_hook(self._forward_cb)
         for rec in net.links:
@@ -127,14 +110,6 @@ class Tracer:
             ch = rec.data
             orig = ch._sink
             ch._sink = self._make_link_sink(rec, orig)
-            self._wrapped.append((ch, orig))
-        for key, ch in net.boundary_in.items():
-            if key[0] != "d":
-                continue
-            src = (key[1], key[2])  # pushing (router, port) in the peer shard
-            dst = net._boundary_in_dst[key]
-            orig = ch._sink
-            ch._sink = self._make_boundary_sink(src, dst, orig)
             self._wrapped.append((ch, orig))
         self._attached = True
         return self
@@ -145,15 +120,11 @@ class Tracer:
             return
         net = self.network
         for t in net.terminals:
-            if t is None:
-                continue
             if self._inject_cb in t.inject_listeners:
                 t.inject_listeners.remove(self._inject_cb)
             if self._eject_cb in t.delivery_listeners:
                 t.delivery_listeners.remove(self._eject_cb)
         for r in net.routers:
-            if r is None:
-                continue
             if self._route_cb in r._route_hooks:
                 r.remove_route_hook(self._route_cb)
             if self._forward_cb in r._forward_hooks:
@@ -178,12 +149,9 @@ class Tracer:
             return
         tid = self._next_tid
         self._next_tid = tid + 1
-        if self._pid_ids:
-            tid = packet.pid
-        else:
-            # Assign the id even outside the cycle window so ids stay
-            # stable no matter where the window lies.
-            self._tids[packet.pid] = tid
+        # Assign the id even outside the cycle window so ids stay stable no
+        # matter where the window lies.
+        self._tids[packet.pid] = tid
         if not self._in_window(cycle):
             return
         self.ring.append(TraceEvent(cycle, "inject", tid, packet.src_terminal, {
@@ -193,13 +161,8 @@ class Tracer:
             "src": packet.src_terminal,
         }))
 
-    def _tid_of(self, pid: int) -> int | None:
-        """The event id for ``pid``: the pid itself in pid_ids mode (every
-        packet is traced there), else the trace-local id if sampled."""
-        return pid if self._pid_ids else self._tids.get(pid)
-
     def _on_route(self, cycle, router, port, vc, ctx, cand, out_vc, scored) -> None:
-        tid = self._tid_of(ctx.packet.pid)
+        tid = self._tids.get(ctx.packet.pid)
         if tid is None or not self._in_window(cycle):
             return
         weight = None
@@ -224,7 +187,7 @@ class Tracer:
         }))
 
     def _on_forward(self, cycle, router, port, vc, out_port, out_vc, flit) -> None:
-        tid = self._tid_of(flit.packet.pid)
+        tid = self._tids.get(flit.packet.pid)
         if tid is None or not self._in_window(cycle):
             return
         self.ring.append(TraceEvent(cycle, "sa", tid, router.router_id, {
@@ -236,14 +199,11 @@ class Tracer:
         }))
 
     def _make_link_sink(self, rec, orig):
-        return self._make_boundary_sink(rec.src, rec.dst, orig)
-
-    def _make_boundary_sink(self, src, dst, orig):
-        tid_of = self._tid_of
+        tid_of = self._tids.get
         ring = self.ring
         sim = self.sim
-        src_router, src_port = src
-        dst_router, dst_port = dst
+        src_router, src_port = rec.src
+        dst_router, dst_port = rec.dst
         in_window = self._in_window
 
         def sink(item):
@@ -264,10 +224,7 @@ class Tracer:
         return sink
 
     def _on_eject(self, packet, cycle: int) -> None:
-        if self._pid_ids:
-            tid = packet.pid
-        else:
-            tid = self._tids.pop(packet.pid, None)  # prune: bounded live set
+        tid = self._tids.pop(packet.pid, None)  # prune: bounded live set
         if tid is None or not self._in_window(cycle):
             return
         self.ring.append(TraceEvent(cycle, "eject", tid, packet.dst_terminal, {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 def test_list(capsys):
@@ -74,6 +74,19 @@ def test_bad_command_rejected():
         main(["figure", "fig99"])
     with pytest.raises(SystemExit):
         main(["sweep", "--algorithm", "NOPE"])
+
+
+@pytest.mark.parametrize("value", ["abc", "3"])
+def test_shards_env_var_is_not_read(value, monkeypatch, capsys):
+    """``--shards`` is the one way to shard a sweep: no environment
+    variable feeds its default, so a malformed one cannot break the
+    parser of every subcommand."""
+    monkeypatch.setenv("REPRO_SHARDS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["stencil", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert _build_parser().parse_args(["sweep"]).shards == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.types import Packet
 from repro.topology.hyperx import HyperX
+from test_scoring_kernel import class_congestion, port_congestion
 
 
 def _two_router_net(algo="DOR", **cfg_over):
@@ -32,14 +33,14 @@ def test_congestion_rises_with_traffic():
     sim = Simulator(net)
     r0 = net.routers[0]
     port = topo.dim_port(0, 0, 1)  # channel 0 -> 1
-    idle = r0.port_congestion(port)
+    idle = port_congestion(r0, port)
     assert idle == 0.0
     # big packets from both router-0 terminals to router 1
     for t in (0, 1):
         net.terminals[t].offer(Packet(t, 2, 16, create_cycle=0))
         net.terminals[t].offer(Packet(t, 3, 16, create_cycle=0))
     sim.run(30)
-    assert r0.port_congestion(port) > idle
+    assert port_congestion(r0, port) > idle
 
 
 def test_out_vc_held_until_tail():
@@ -171,11 +172,11 @@ def test_sequential_allocation_sees_same_cycle_commitments():
     net = Network(topo, make_algorithm("DOR", topo), cfg)
     r0 = net.routers[0]
     port = topo.dim_port(0, 0, 1)
-    base = r0.class_congestion(port, 0)
+    base = class_congestion(r0, port, 0)
     r0._pending_commit[port] = 8  # as set by an earlier same-cycle decision
-    assert r0.class_congestion(port, 0) > base
+    assert class_congestion(r0, port, 0) > base
     r0._pending_commit[port] = 0
-    assert r0.class_congestion(port, 0) == base
+    assert class_congestion(r0, port, 0) == base
 
 
 def test_round_robin_arbiter_config_actually_used():

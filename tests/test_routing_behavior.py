@@ -14,11 +14,13 @@ These verify the properties the paper *claims* for each algorithm:
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import default_config
-from repro.core.registry import make_algorithm
+from repro.core.base import RouteContext
+from repro.core.registry import algorithm_names, make_algorithm
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.types import Packet
@@ -286,3 +288,25 @@ def test_omniwar_configurable_budget_reflected_in_classes():
     assert make_algorithm("OmniWAR", topo, deroutes=5).num_classes == 7
     with pytest.raises(ValueError):
         make_algorithm("OmniWAR", topo, deroutes=-1)
+
+
+@pytest.mark.parametrize("name", algorithm_names())
+def test_candidates_read_only_the_router_id(name):
+    """``RouterView`` is a router id and nothing else: every registered
+    algorithm names its injection candidates for every (source, destination)
+    router pair from a view that has no other attribute, so one that read
+    congestion would fail here with ``AttributeError``."""
+    topo = HyperX((3, 3), 1)
+    algo = make_algorithm(name, topo)
+    for src in range(topo.num_routers):
+        port = topo.terminal_attachment(src).port
+        for dst in range(topo.num_routers):
+            if dst == src:
+                continue
+            packet = Packet(src_terminal=src, dst_terminal=dst, size=1,
+                            create_cycle=0)
+            ctx = RouteContext(
+                router=SimpleNamespace(router_id=src), packet=packet,
+                input_port=port, input_vc_class=0, from_terminal=True,
+            )
+            assert algo.candidates(ctx), (name, src, dst)

@@ -2,14 +2,15 @@
 eviction and telemetry.
 
 ``Router._choose`` is the one loop every routing decision goes through.  It
-inlines, per candidate, what the router's public surface spells out:
-``_allocate_vc`` picks the output VC, ``port_congestion`` /
-``class_congestion`` (the ``RouterView`` protocol) estimate congestion, and
+inlines, per candidate, what the reference functions below spell out from
+router state alone: :func:`allocate_vc` picks the output VC,
+:func:`port_congestion` / :func:`class_congestion` estimate congestion (the
+paper's locally observable credits consumed plus flits staged), and
 ``repro.core.weights.route_weight`` turns that into the paper's
 ``congestion x hopcount`` weight; ties break on a pre-drawn jitter stream.
-:class:`ReferenceModel` below re-scores **every** decision of a loaded run
-through exactly those calls, from its own copy of each router's jitter
-stream, and demands the record the route hook delivers — chosen candidate,
+:class:`ReferenceModel` re-scores **every** decision of a loaded run through
+exactly those functions, from its own copy of each router's jitter stream,
+and demands the record the route hook delivers — chosen candidate,
 allocated VC, and the bit-exact float weight of every candidate — match.
 A divergence is localised to the routing decision that produced it.
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from repro.config import RouterConfig, SimConfig
 from repro.core.base import RouteCandidate, RouteContext
 from repro.core.registry import make_algorithm
-from repro.core.weights import estimator_modes, route_weight
+from repro.core.weights import estimator_modes, get_estimator, route_weight
 from repro.network.network import Network
 from repro.network.router import JITTER_RING
 from repro.network.simulator import Simulator
@@ -42,8 +43,51 @@ CACHEABLE_ALGOS = ["DOR", "MIN-AD", "DimWAR", "OmniWAR"]
 STATEFUL_ALGOS = ["VAL", "UGAL", "UGAL+", "ROMM", "O1Turn"]
 
 
+# ---------------------------------------------------------------------------
+# Reference functions over router state
+# ---------------------------------------------------------------------------
+
+
+def allocate_vc(router, out_port, vc_class):
+    """The free VC of the class group with the most credits (lowest index
+    on ties), or None when every VC of the group is owned or uncredited."""
+    credits = router.credit_trackers[out_port].credits
+    owner = router.out_vc_owner[out_port]
+    best = None
+    for v in router.vc_map.vcs_of(vc_class):
+        if owner[v] is None and credits[v] > 0 and (
+            best is None or credits[v] > credits[best]
+        ):
+            best = v
+    return best
+
+
+def _estimate(router, out_port, vcs):
+    """Congestion of ``vcs`` on ``out_port``: downstream slots whose credit
+    is consumed plus flits staged here (plus, under sequential allocation,
+    flits committed earlier this cycle), through the configured estimator."""
+    rc = router.cfg.router
+    credits = router.credit_trackers[out_port].credits
+    staged = router.staged[out_port]
+    occ = sum(rc.buffer_depth - credits[v] for v in vcs)
+    stg = sum(len(staged[v]) for v in vcs)
+    if rc.sequential_allocation:
+        stg += router._pending_commit[out_port]
+    return get_estimator(rc.congestion_mode)(occ, stg, len(vcs), rc.buffer_depth)
+
+
+def port_congestion(router, out_port):
+    """Congestion over every VC of an output port."""
+    return _estimate(router, out_port, range(router.cfg.router.num_vcs))
+
+
+def class_congestion(router, out_port, vc_class):
+    """Congestion over the VC group of one resource class."""
+    return _estimate(router, out_port, router.vc_map.vcs_of(vc_class))
+
+
 class ReferenceModel:
-    """Route hook that re-derives each decision from the RouterView surface.
+    """Route hook that re-derives each decision from router state.
 
     Attach before the first cycle: the tie-break jitter is replayed from a
     copy of each router's generator (one block of 4096 draws, consumed one
@@ -78,14 +122,14 @@ class ReferenceModel:
             expected = []
             best = None
             for c, _, _ in scored:
-                v = router._allocate_vc(c.out_port, c.vc_class)
+                v = allocate_vc(router, c.out_port, c.vc_class)
                 if v is None:
                     expected.append((c, None, None))
                     continue
                 if rc.congestion_scope == "port":
-                    congestion = router.port_congestion(c.out_port)
+                    congestion = port_congestion(router, c.out_port)
                 else:
-                    congestion = router.class_congestion(c.out_port, c.vc_class)
+                    congestion = class_congestion(router, c.out_port, c.vc_class)
                 w = route_weight(congestion, c.hops)
                 j = jitter[jidx]
                 jidx = (jidx + 1) % 4096

@@ -9,8 +9,6 @@ tests pin that contract:
 * equivalence — fixed scenarios (pristine, statically faulted, a mid-run
   fault schedule) and Hypothesis-drawn loads/seeds/shard counts all
   produce results identical to the single-process path;
-* tracing — per-shard lifecycle streams, merged and canonicalized,
-  byte-match a canonicalized unsharded trace of the same run;
 * memoisation — ``shards`` is an execution detail: specs differing only
   in shard count share one memo key, so a point memoised unsharded
   replays for a sharded request (and vice versa);
@@ -38,13 +36,12 @@ from repro.network.network import Network
 from repro.network.shard import (
     ShardEngine,
     ShardPlan,
-    merged_trace,
     run_point_sharded,
     shard_fallback_reason,
 )
 from repro.network.simulator import Simulator
 from repro.network.stats import PacketStats
-from repro.obs import TraceOptions, Tracer, canonical_jsonl
+from repro.obs import TraceOptions
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import pattern_by_name
@@ -199,53 +196,6 @@ def test_shard_count_invariance_with_mid_run_fault(seed, flip_cycle, shards):
     )
     base = _unsharded_report(spec, schedule, spec.total_cycles)
     assert _merged_report(spec, schedule, spec.total_cycles, shards) == base
-
-
-# ----------------------------------------------------------------------
-# Sharded tracing
-# ----------------------------------------------------------------------
-
-
-def _canonical_unsharded_trace(spec, cycles, opts):
-    topo = HyperX(spec.widths, spec.terminals_per_router)
-    net = Network(topo, make_algorithm(spec.algorithm, topo), default_config())
-    sim = Simulator(net)
-    sim.processes.append(SyntheticTraffic(
-        net, pattern_by_name(spec.pattern, topo), spec.rate,
-        spec.size_dist or UniformSize(1, 16), seed=spec.seed,
-    ))
-    tracer = Tracer(sim, opts).attach()
-    sim.run(cycles)
-    tracer.detach()
-    return canonical_jsonl(tracer.events(), tracer.ring.dropped)
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_trace_canonical_bytes_match(shards):
-    spec = dataclasses.replace(SPEC, rate=0.25, seed=7, total_cycles=240)
-    opts = TraceOptions(pid_ids=True)
-    base = _canonical_unsharded_trace(spec, spec.total_cycles, opts)
-    assert base.count("\n") > 1000  # a real stream, not a trivial pass
-    with ShardEngine(spec, shards, trace=opts) as engine:
-        engine.run(spec.total_cycles)
-        reports = engine.finish()
-    events, dropped = merged_trace(reports)
-    assert canonical_jsonl(events, dropped) == base
-
-
-def test_pid_ids_requires_full_sampling():
-    with pytest.raises(ValueError, match="sample_every"):
-        TraceOptions(pid_ids=True, sample_every=2)
-
-
-def test_sharded_trace_rejects_trace_local_ids():
-    with pytest.raises(RuntimeError, match="pid_ids"):
-        ShardEngine(SPEC, 2, trace=TraceOptions())
-
-
-def test_canonical_jsonl_refuses_lossy_streams():
-    with pytest.raises(ValueError, match="dropped"):
-        canonical_jsonl([], dropped=3)
 
 
 # ----------------------------------------------------------------------
