@@ -270,39 +270,47 @@ def run_points(
         return results
 
     window = workers + max(workers, MIN_SPECULATION)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Built on the first memo miss: a fully memoised sweep starts no worker.
+    pool: ProcessPoolExecutor | None = None
 
-        def submit(i: int):
-            """A memo hit is carried as a plain result, a miss as a future."""
-            if memo is not None:
-                cached = memo.get(specs[i])
-                if cached is not None:
-                    return (cached, None)
-            return (None, pool.submit(run_point, specs[i]))
+    def submit(i: int):
+        """A memo hit is carried as a plain result, a miss as a future."""
+        nonlocal pool
+        if memo is not None:
+            cached = memo.get(specs[i])
+            if cached is not None:
+                return (cached, None)
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        return (None, pool.submit(run_point, specs[i]))
 
-        futures = {i: submit(i) for i in range(min(window, n))}
+    futures: dict = {}
+    try:
+        for i in range(min(window, n)):
+            futures[i] = submit(i)
         next_submit = len(futures)
-        try:
-            for i in range(n):
-                cached, fut = futures.pop(i)
-                if fut is None:
-                    point = cached
-                else:
-                    point = fut.result()
-                    if memo is not None:
-                        memo.put(specs[i], point)
-                if progress is not None:
-                    progress(i, n, point)
-                results.append(point)
-                if stop_on_unstable and not point.stable:
-                    break
-                if next_submit < n:
-                    futures[next_submit] = submit(next_submit)
-                    next_submit += 1
-        finally:
-            for _, fut in futures.values():
-                if fut is not None:
-                    fut.cancel()
+        for i in range(n):
+            cached, fut = futures.pop(i)
+            if fut is None:
+                point = cached
+            else:
+                point = fut.result()
+                if memo is not None:
+                    memo.put(specs[i], point)
+            if progress is not None:
+                progress(i, n, point)
+            results.append(point)
+            if stop_on_unstable and not point.stable:
+                break
+            if next_submit < n:
+                futures[next_submit] = submit(next_submit)
+                next_submit += 1
+    finally:
+        for _, fut in futures.values():
+            if fut is not None:
+                fut.cancel()
+        if pool is not None:
+            pool.shutdown()
     return results
 
 

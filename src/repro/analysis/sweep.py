@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 from ..config import SimConfig, default_config
 from ..network.network import Network
 from ..network.simulator import Simulator
-from ..network.stats import LatencyMonitor, PacketStats
+from ..network.stats import LatencyMonitor, PacketStats, nearest_rank
 from ..traffic.injection import SyntheticTraffic
 from ..traffic.sizes import SizeDistribution
 
@@ -123,16 +123,14 @@ class SweepResult:
 
 
 def nearest_rank_p99(values: list[float]) -> float:
-    """Nearest-rank 99th percentile: ``sorted(values)[ceil(0.99 n) - 1]``.
+    """Nearest-rank 99th percentile: ``sorted(values)[ceil(0.99 n) - 1]``
+    (:func:`~repro.network.stats.nearest_rank`).
 
     The index is clamped to the last element for tiny windows.  (The earlier
     truncating form ``int(0.99 n) - 1`` underestimates the rank: at n=100 it
     picked index 97, i.e. the p98 sample.)
     """
-    if not values:
-        return math.nan
-    idx = min(len(values) - 1, math.ceil(0.99 * len(values)) - 1)
-    return float(sorted(values)[idx])
+    return nearest_rank(values, 0.99)
 
 
 class frozen_build:

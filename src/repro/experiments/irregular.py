@@ -25,7 +25,7 @@ from ..analysis.report import format_table
 from ..analysis.sweep import frozen_build
 from ..network.network import Network
 from ..network.simulator import Simulator
-from ..network.stats import PacketStats
+from ..network.stats import PacketStats, nearest_rank
 from ..network.types import Packet
 from ..core.registry import make_algorithm
 from ..traffic.sizes import UniformSize
@@ -151,7 +151,7 @@ def run_one(
     return JobResult(
         algorithm=algorithm,
         large_job_latency=float(np.mean(lat)),
-        large_job_p99=float(lat[min(len(lat) - 1, int(0.99 * len(lat)))]),
+        large_job_p99=nearest_rank(lat, 0.99),
         large_job_hops=float(np.mean([s[1] for s in large_samples])),
         large_job_deroutes=float(np.mean([s[2] for s in large_samples])),
         small_job_latency=float(np.mean([s[0] for s in small_samples]))

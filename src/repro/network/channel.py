@@ -81,7 +81,8 @@ class Channel:
         return name if isinstance(name, str) else name[0] % name[1:]
 
     def push(self, cycle: int, item: Any) -> None:
-        """Send ``item`` down the channel at ``cycle``."""
+        """Send ``item`` down the channel at ``cycle``: every router and
+        terminal push comes through here."""
         if self.limit_rate:
             if cycle <= self._last_push_cycle:
                 raise RuntimeError(

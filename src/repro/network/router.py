@@ -93,13 +93,13 @@ class Router:
         # The Network builder passes its own (port, peer) walk in via
         # ``ports`` so topology.peer() runs once per port per build instead
         # of twice; standalone routers (unit tests) walk it themselves.
-        self.terminal_ports: set[int] = set()
+        self._is_term_port = [False] * self.radix
         self.terminal_of_port: dict[int, int] = {}
         self.port_of_terminal: dict[int, int] = {}
         for port, peer in (ports if ports is not None
                            else topology.router_ports(router_id)):
             if peer.is_terminal:
-                self.terminal_ports.add(port)
+                self._is_term_port[port] = True
                 self.terminal_of_port[port] = peer.terminal
                 self.port_of_terminal[peer.terminal] = port
 
@@ -175,7 +175,6 @@ class Router:
         # per router was a measurable slice of large-network construction.
         self._vcs_of = vc_map._groups
         self._class_of = vc_map._class_of
-        self._is_term_port = [p in self.terminal_ports for p in range(self.radix)]
         # Destination router per terminal, tabulated: _compute_route resolves
         # the dest router with one list index instead of a topology call per
         # routing decision.  The table is identical for every router of a
@@ -453,26 +452,10 @@ class Router:
             if budget[port] == 0:
                 touched.append(port)
             budget[port] += 1
-            # Return a credit (bare VC id) upstream for the freed input slot
-            # (Channel.push inlined; credit channels are not rate limited).
+            # Return a credit (bare VC id) upstream for the freed input slot.
             cr = credit_return[port]
             if cr is not None:
-                if cr.limit_rate:
-                    if cycle <= cr._last_push_cycle:
-                        raise RuntimeError(
-                            f"channel {cr.name!r} pushed twice in cycle {cycle}"
-                        )
-                    cr._last_push_cycle = cycle
-                cr.utilization_count += 1
-                ready = cycle + cr.latency
-                pipe = cr._pipe
-                if not pipe:
-                    if pipe is NEVER_USED:
-                        pipe = cr._pipe = deque()
-                    cr._next_ready = ready
-                    if cr._active_set is not None:
-                        cr._active_set[cr] = None
-                pipe.append((ready, vc))
+                cr.push(cycle, vc)
             if forward_hook is not None:
                 forward_hook(cycle, self, port, vc, out_port, out_vc, flit)
             if flit.tail:
@@ -569,23 +552,7 @@ class Router:
             if not q:
                 live.remove(best_vc)
             staged_count[port] -= 1
-            # Channel.push inlined (per-flit hot path).
-            if ch.limit_rate:
-                if cycle <= ch._last_push_cycle:
-                    raise RuntimeError(
-                        f"channel {ch.name!r} pushed twice in cycle {cycle}"
-                    )
-                ch._last_push_cycle = cycle
-            ch.utilization_count += 1
-            ready = cycle + ch.latency
-            pipe = ch._pipe
-            if not pipe:
-                if pipe is NEVER_USED:
-                    pipe = ch._pipe = deque()
-                ch._next_ready = ready
-                if ch._active_set is not None:
-                    ch._active_set[ch] = None
-            pipe.append((ready, (best_vc, flit)))
+            ch.push(cycle, (best_vc, flit))
             if staged_count[port] == 0:
                 dead.append(port)
         if dead:

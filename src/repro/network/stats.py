@@ -16,6 +16,20 @@ from dataclasses import dataclass, field
 from .types import Packet
 
 
+def nearest_rank(values, q: float) -> float:
+    """Nearest-rank percentile ``sorted(values)[ceil(q n) - 1]``, clamped to
+    the last element; ``nan`` for no values.
+
+    The one percentile estimator of the package.  (The truncating form
+    ``sorted(values)[int(q n)]`` reads one rank high whenever ``q n`` is an
+    integer: at n=100 its p99 is the maximum.)
+    """
+    if not values:
+        return math.nan
+    idx = min(len(values) - 1, math.ceil(q * len(values)) - 1)
+    return float(sorted(values)[idx])
+
+
 @dataclass
 class LatencySample:
     create_cycle: int
@@ -53,13 +67,6 @@ class PacketStats:
     def mean_latency(self, since: int = 0, until: int | None = None) -> float:
         ls = self.latencies(since, until)
         return sum(ls) / len(ls) if ls else math.nan
-
-    def percentile_latency(self, q: float, since: int = 0) -> float:
-        ls = sorted(self.latencies(since))
-        if not ls:
-            return math.nan
-        idx = min(len(ls) - 1, int(q * len(ls)))
-        return float(ls[idx])
 
     def mean_hops(self, since: int = 0) -> float:
         hs = [s.hops for s in self.samples if s.create_cycle >= since]

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..topology.hyperx import HyperX
+from .stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
@@ -89,7 +90,8 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
 
     def utilization_summary(self, cycle: int) -> dict[str, float]:
-        """min / mean / max / p95 utilization across router channels."""
+        """min / mean / max / p95 (nearest rank) utilization across router
+        channels."""
         stats = sorted(s.utilization for s in self.link_stats(cycle))
         if not stats:
             return {"min": 0.0, "mean": 0.0, "max": 0.0, "p95": 0.0}
@@ -97,7 +99,7 @@ class TelemetryProbe:
             "min": stats[0],
             "mean": sum(stats) / len(stats),
             "max": stats[-1],
-            "p95": stats[min(len(stats) - 1, int(0.95 * len(stats)))],
+            "p95": nearest_rank(stats, 0.95),
         }
 
     def dimension_utilization(self, cycle: int) -> dict[int, float]:

@@ -17,7 +17,6 @@ from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from .arbiter import make_arbiter
 from .buffers import NEVER_USED, CreditTracker, InputUnit
 from .channel import Channel
 from .types import Flit, Packet
@@ -59,8 +58,8 @@ class Terminal:
         # Ejection side.
         self.receive = InputUnit(self.num_vcs, cfg.router.buffer_depth)
         self.eject_credit_channel: Channel | None = None
-        self._eject_arbiter = make_arbiter(cfg.router.arbiter, self.num_vcs)
         self._age = cfg.router.arbiter == "age"
+        self._rr_next = 0  # rotating VC priority (round-robin ejection)
         self._eject_rate = cfg.network.ejection_rate
 
         # Telemetry / hooks.
@@ -78,7 +77,7 @@ class Terminal:
         # Buffered receive-flit count: makes the hot idle check O(1) instead
         # of scanning every VC FIFO (profiled; see guide_00's measure-first).
         self._rx_count = 0
-        # VCs with buffered flits, kept sorted: the ejection arbiter scans
+        # VCs with buffered flits, kept sorted: the age-based pick scans
         # only these instead of every VC (usually one or two are non-empty).
         self._rx_live: list[int] = []
         # Simulator activity registry.  The owning Network replaces this with
@@ -185,27 +184,11 @@ class Terminal:
         packet = self._active_packet
         idx = self._next_flit_index
         flit = Flit(packet, idx)
-        # CreditTracker.consume and Channel.push inlined (per-flit hot
-        # path); the underflow check is the credit test above.
+        # CreditTracker.consume inlined (per-flit hot path); the underflow
+        # check is the credit test above.
         credits.credits[vc] -= 1
         credits.occupied_total += 1
-        ch = self.inject_channel
-        if ch.limit_rate:
-            if cycle <= ch._last_push_cycle:
-                raise RuntimeError(
-                    f"channel {ch.name!r} pushed twice in cycle {cycle}"
-                )
-            ch._last_push_cycle = cycle
-        ch.utilization_count += 1
-        ready = cycle + ch.latency
-        pipe = ch._pipe
-        if not pipe:
-            if pipe is NEVER_USED:
-                pipe = ch._pipe = deque()
-            ch._next_ready = ready
-            if ch._active_set is not None:
-                ch._active_set[ch] = None
-        pipe.append((ready, (vc, flit)))
+        self.inject_channel.push(cycle, (vc, flit))
         self.flits_injected += 1
         idx += 1
         if idx >= packet.size:
@@ -227,18 +210,16 @@ class Terminal:
         budget = self._eject_rate
         fifos = self.receive.fifos
         while budget > 0 and self._rx_count > 0:
+            best_vc = -1
             if self._age:
-                # Inlined age-based pick (the generic arbiter's request-list
-                # build dominated ejection cost under load), over the live
-                # VCs only.  One live VC — the common case — needs no
-                # arbitration at all; the multi-VC scan compares the
-                # (create_cycle, pid) age key as two ints (pids are unique,
-                # so the order is total).
+                # Age-based pick over the live VCs only.  One live VC — the
+                # common case — needs no arbitration at all; the multi-VC
+                # scan compares the (create_cycle, pid) age key as two ints
+                # (pids are unique, so the order is total).
                 live = self._rx_live
                 if len(live) == 1:
                     best_vc = live[0]
                 else:
-                    best_vc = -1
                     bc = bp = 0
                     for v in live:
                         p = fifos[v][0].packet
@@ -248,13 +229,17 @@ class Terminal:
                             bp = p.pid
                             best_vc = v
             else:
-                requests = [
-                    (v, fifos[v][0]) for v in range(self.num_vcs) if fifos[v]
-                ]
-                pick = self._eject_arbiter.pick(requests, key=lambda r: (r[0],))
-                if pick is None:
-                    return
-                best_vc = pick[0]
+                # Round-robin: the router's output rotation — the first
+                # non-empty VC at or past the priority pointer, which then
+                # moves just past the grant.
+                nv = self.num_vcs
+                base = self._rr_next
+                for off in range(nv):
+                    v = (base + off) % nv
+                    if fifos[v]:
+                        best_vc = v
+                        self._rr_next = (v + 1) % nv
+                        break
             if best_vc < 0:
                 return
             fifo = fifos[best_vc]
@@ -277,24 +262,7 @@ class Terminal:
             budget -= 1
             cr = self.eject_credit_channel
             if cr is not None:
-                # Credit channels carry the bare VC id (cheaper than a
-                # Credit object on the per-flit path); Channel.push inlined.
-                if cr.limit_rate:
-                    if cycle <= cr._last_push_cycle:
-                        raise RuntimeError(
-                            f"channel {cr.name!r} pushed twice in cycle {cycle}"
-                        )
-                    cr._last_push_cycle = cycle
-                cr.utilization_count += 1
-                ready = cycle + cr.latency
-                pipe = cr._pipe
-                if not pipe:
-                    if pipe is NEVER_USED:
-                        pipe = cr._pipe = deque()
-                    cr._next_ready = ready
-                    if cr._active_set is not None:
-                        cr._active_set[cr] = None
-                pipe.append((ready, best_vc))
+                cr.push(cycle, best_vc)  # credit channels carry the bare VC id
             if flit.is_tail:
                 self._complete_packet(flit.packet, cycle)
 

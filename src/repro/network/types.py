@@ -1,11 +1,12 @@
-"""Core datatypes of the flit-level simulator: packets, flits, credits.
+"""Core datatypes of the flit-level simulator: packets, flits, messages.
 
 The simulator models *flit-granularity* transfer with credit-based virtual-
 channel flow control, matching the modelling level of the paper's SuperSim
 simulator.  A :class:`Packet` is injected by a terminal, segmented into
 :class:`Flit` s, wormhole-routed through the network, and reassembled at the
-destination terminal.  A :class:`Message` groups packets for the application
-model (halo exchanges, collectives).
+destination terminal; a credit travels upstream as its bare VC id.  A
+:class:`Message` groups packets for the application model (halo exchanges,
+collectives).
 """
 
 from __future__ import annotations
@@ -160,10 +161,3 @@ class Flit:
         if self.is_head and self.is_tail:
             kind = "HT"
         return f"Flit(p{self.packet.pid}#{self.index}{kind})"
-
-
-@dataclass(frozen=True)
-class Credit:
-    """A credit returned upstream when a buffer slot frees."""
-
-    vc: int

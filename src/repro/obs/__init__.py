@@ -27,6 +27,7 @@ speed, and with it attached results are byte-identical to an untraced run
 See docs/OBSERVABILITY.md for the event schema and workflow examples.
 """
 
+from ..network.stats import nearest_rank
 from .events import EVENT_TYPES, EventRing, TraceEvent, TraceOptions
 from .export import (
     chrome_trace,
@@ -40,7 +41,7 @@ from .export import (
 )
 from .golden import GOLDEN_ALGORITHMS, golden_jsonl, golden_tracer
 from .profile import PhaseProfiler
-from .timeseries import TimeSeriesSampler, WindowSample, nearest_rank
+from .timeseries import TimeSeriesSampler, WindowSample
 from .tracer import Tracer
 
 __all__ = [

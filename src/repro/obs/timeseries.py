@@ -42,20 +42,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..network.stats import nearest_rank
 from ..network.telemetry import TelemetryProbe
 from ..topology.hyperx import HyperX
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.simulator import Simulator
-
-
-def nearest_rank(values, q: float) -> float:
-    """Nearest-rank percentile ``sorted(values)[ceil(q n) - 1]`` (clamped);
-    the same estimator as :func:`repro.analysis.sweep.nearest_rank_p99`."""
-    if not values:
-        return math.nan
-    idx = min(len(values) - 1, math.ceil(q * len(values)) - 1)
-    return float(sorted(values)[idx])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
-"""Tests for channels, buffers, credit trackers, arbiters, and core types."""
+"""Tests for channels, buffers, credit trackers, arbitration, and core types."""
 
 import pytest
 
-from repro.network.arbiter import AgeBasedArbiter, RoundRobinArbiter, make_arbiter
+from repro.config import RouterConfig, SimConfig
+from repro.core.registry import make_algorithm
+from repro.core.vcmap import VcMap
 from repro.network.buffers import CreditTracker, InputUnit
 from repro.network.channel import Channel
-from repro.network.types import Credit, Flit, Message, Packet
+from repro.network.network import Network
+from repro.network.terminal import Terminal
+from repro.network.types import Flit, Message, Packet
+from repro.topology.hyperx import HyperX
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +54,10 @@ def test_channel_rate_limit():
 def test_credit_channel_allows_bursts():
     out = []
     ch = Channel(1, out.append, limit_rate=False)
-    ch.push(5, Credit(0))
-    ch.push(5, Credit(1))
+    ch.push(5, 0)
+    ch.push(5, 1)
     ch.deliver(6)
-    assert out == [Credit(0), Credit(1)]
+    assert out == [0, 1]
 
 
 def test_channel_rejects_zero_latency():
@@ -120,41 +125,51 @@ def test_credit_tracker_underflow_overflow():
 
 
 # ---------------------------------------------------------------------------
-# Arbiters
+# Arbitration (age order is pinned by the trace goldens)
 # ---------------------------------------------------------------------------
 
 
-def test_age_arbiter_picks_oldest():
-    arb = AgeBasedArbiter()
-    reqs = [(5, 1), (3, 2), (7, 0)]
-    assert arb.pick(reqs, key=lambda r: r) == (3, 2)
-    assert arb.pick([], key=lambda r: r) is None
+def _arbiter_cfg(kind, num_vcs=8):
+    return SimConfig(router=RouterConfig(num_vcs=num_vcs, arbiter=kind))
+
+
+def _eject_grants(flits_per_vc, num_vcs):
+    """Fill a standalone round-robin terminal's receive VCs (one-flit
+    packets, ``flits_per_vc[vc]`` of them per VC), eject them all, and
+    return the grant order read off its ejection credit channel."""
+    topo = HyperX((2,), 1)
+    algo = make_algorithm("DOR", topo)
+    cfg = _arbiter_cfg("round_robin", num_vcs)
+    term = Terminal(0, algo, VcMap(algo.num_classes, num_vcs), cfg)
+    credits = Channel(1, lambda vc: None, limit_rate=False)
+    term.attach_ejection_credit(credits)
+    for vc, n in enumerate(flits_per_vc):
+        for _ in range(n):
+            term.accept((vc, _flit()))
+    for cycle in range(sum(flits_per_vc)):
+        term.step(cycle)
+    assert term.idle
+    return list(credits.pending_payloads())
 
 
 def test_round_robin_rotates():
-    arb = RoundRobinArbiter(4)
-    reqs = [(0,), (2,)]
-    first = arb.pick(reqs, key=lambda r: r)
-    assert first == (0,)
-    # priority moved past 0 -> 2 wins next
-    assert arb.pick(reqs, key=lambda r: r) == (2,)
-    assert arb.pick(reqs, key=lambda r: r) == (0,)
+    # VCs 0 and 2 request; priority moves just past each grant.
+    assert _eject_grants([3, 0, 2, 0], num_vcs=4) == [0, 2, 0, 2, 0]
 
 
 def test_round_robin_no_starvation():
-    arb = RoundRobinArbiter(3)
-    reqs = [(0,), (1,), (2,)]
-    grants = [arb.pick(reqs, key=lambda r: r)[0] for _ in range(9)]
-    assert sorted(set(grants)) == [0, 1, 2]
+    grants = _eject_grants([3, 3, 3], num_vcs=3)
+    assert grants == [0, 1, 2] * 3
     for g in (0, 1, 2):
         assert grants.count(g) == 3
 
 
-def test_make_arbiter():
-    assert isinstance(make_arbiter("age", 4), AgeBasedArbiter)
-    assert isinstance(make_arbiter("round_robin", 4), RoundRobinArbiter)
-    with pytest.raises(ValueError):
-        make_arbiter("priority", 4)
+def test_arbiter_kind_checked_at_build():
+    topo = HyperX((2,), 1)
+    for kind in ("age", "round_robin"):
+        Network(topo, make_algorithm("DOR", topo), _arbiter_cfg(kind))
+    with pytest.raises(ValueError, match="unknown arbiter"):
+        Network(topo, make_algorithm("DOR", topo), _arbiter_cfg("priority"))
 
 
 # ---------------------------------------------------------------------------

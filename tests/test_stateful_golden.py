@@ -10,6 +10,8 @@ shared scoring loop; the test re-runs the sweep and compares bytes, so any
 change to their VC allocation, congestion reads, weights or jitter
 consumption shows up as a diff.  UGAL+ is pinned under port scope, class
 scope and sequential allocation — the three branches of the weight pass.
+``DimWAR_round_robin`` pins the round-robin output rotation, recorded
+while a separate arbiter class still served the terminal's ejection.
 
 When a behaviour change is *intended*, regenerate with::
 
@@ -65,6 +67,7 @@ CASES = {
     "UGALplus_seq": _hyperx("UGAL+", sequential_allocation=True),
     "ROMM": _hyperx("ROMM"),
     "O1Turn": _hyperx("O1Turn"),
+    "DimWAR_round_robin": _hyperx("DimWAR", arbiter="round_robin"),
     "DragonflyUgal": _dragonfly,
     "TorusDOR": _torus,
 }

@@ -284,6 +284,25 @@ def test_run_points_parallel_consumes_memo_hits(tmp_path, monkeypatch):
     assert _strip(pooled) == _strip(serial)
 
 
+def test_memo_warm_parallel_sweep_builds_no_pool(tmp_path, monkeypatch):
+    # A fully memoised sweep answers from disk: the pool is built on the
+    # first miss, so it is never built here.
+    topo, algo, patt = _scenario()
+    monkeypatch.setattr(
+        "repro.analysis.parallel.run_point", _fake_run_point_factory([])
+    )
+    memo = SweepMemo(root=str(tmp_path))
+    specs = point_specs(topo, algo, patt, [0.1, 0.2, 0.3])
+    serial = run_points(specs, workers=1, memo=memo)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a memo-warm sweep built a process pool")
+
+    monkeypatch.setattr("repro.analysis.parallel.ProcessPoolExecutor", no_pool)
+    pooled = run_points(specs, workers=2, memo=memo)
+    assert _strip(pooled) == _strip(serial)
+
+
 def test_failed_memo_write_keeps_the_sweep_alive(tmp_path):
     # A memo root that is a regular file makes every put fail in makedirs,
     # as a full or read-only directory would: the finished points must

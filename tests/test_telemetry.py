@@ -46,6 +46,25 @@ def test_utilization_tracks_traffic():
     assert s["min"] <= s["p95"] <= s["max"]
 
 
+def test_utilization_p95_is_nearest_rank():
+    # 20 router links carrying 0..19 flits over 100 cycles: the nearest-rank
+    # p95 is the 19th value (rank ceil(0.95 * 20) = 19), not the maximum.
+    topo, net, sim = _sim(widths=(5,), tpr=1)
+    probe = TelemetryProbe(net)
+    links = [
+        ch
+        for r in net.routers
+        for port, ch in enumerate(r.out_channels)
+        if topo.peer(r.router_id, port).is_router
+    ]
+    assert len(links) == 20
+    for flits, ch in enumerate(links):
+        ch.utilization_count = flits
+    s = probe.utilization_summary(cycle=100)
+    assert s["max"] == 0.19
+    assert s["p95"] == 0.18
+
+
 def test_single_flow_lights_one_link():
     topo, net, sim = _sim()
     probe = TelemetryProbe(net)
