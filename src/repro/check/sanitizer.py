@@ -10,8 +10,8 @@ completed, so the invariants below hold *exactly*, not approximately.
 Checkers (each individually switchable):
 
 * **conservation** — every flit ever injected is either ejected or still in
-  flight somewhere (channel pipelines, input buffers, staging queues,
-  terminal receive buffers).  Faults never drop flits in this simulator
+  flight somewhere (channel pipelines, input buffers, staging queues, a
+  terminal's arrived flit).  Faults never drop flits in this simulator
   (fail-stop at routing granularity with lossless drain), so the
   dropped-by-fault term is structurally zero and the identity is strict.
 * **credits** — per credit-flow-controlled hop (the network's
@@ -283,12 +283,12 @@ class Sanitizer:
             for vc in rec.credit.pending_payloads():
                 credit_counts[vc] += 1
             staged = rec.staged
-            downstream = rec.downstream.fifos
+            buffered = rec.downstream.occupancy
             for vc in range(num_vcs):
                 expected = (
                     data_counts[vc]
                     + credit_counts[vc]
-                    + len(downstream[vc])
+                    + buffered(vc)
                     + (len(staged[vc]) if staged is not None else 0)
                 )
                 have = tracker.occupied(vc)
@@ -299,7 +299,7 @@ class Sanitizer:
                         f"says {have} slots consumed but "
                         f"staged+in-flight+buffered+returning = {expected} "
                         f"({len(staged[vc]) if staged is not None else 0}+"
-                        f"{data_counts[vc]}+{len(downstream[vc])}+"
+                        f"{data_counts[vc]}+{buffered(vc)}+"
                         f"{credit_counts[vc]}); a credit leaked or a flit "
                         f"bypassed flow control",
                     )

@@ -43,8 +43,6 @@ class NetworkConfig:
 
     channel_latency_rr: int = 8  # router-to-router channel, cycles
     channel_latency_rt: int = 2  # router-to-terminal channel, cycles
-    ejection_rate: int = 1  # flits/cycle a terminal consumes
-    track_vc_trace: bool = False  # record per-hop VC/port on every packet
 
 
 @dataclass
@@ -68,8 +66,6 @@ class SimConfig:
             raise ValueError("buffers must hold at least one flit")
         if n.channel_latency_rr < 1 or n.channel_latency_rt < 1:
             raise ValueError("channel latencies must be >= 1 cycle")
-        if n.ejection_rate < 1:
-            raise ValueError("ejection rate must be >= 1 flit/cycle")
         return self
 
 

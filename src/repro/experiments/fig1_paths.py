@@ -16,7 +16,6 @@ traced probe packets under each algorithm and report the paths taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import replace
 
 from ..analysis.report import format_table
 from ..analysis.sweep import frozen_build
@@ -49,12 +48,14 @@ def _congest_and_probe(
     probes: int = 12,
     seed: int = 2,
 ) -> list[ProbeTrace]:
+    from ..obs import record_hops  # on use: repro.cli imports this module
+
     topo = HyperX((width, width), tpr)
     algo = make_algorithm(algo_name, topo)
     cfg = default_config(seed=seed)
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
     probe_packets = []
     with frozen_build(lambda: Network(topo, algo, cfg)) as net:
+        hops = record_hops(net)
         sim = Simulator(net)
 
         src_router = topo.router_id((0, 0))
@@ -91,14 +92,8 @@ def _congest_and_probe(
     for p in probe_packets:
         if p.eject_cycle is None:
             continue
-        path = [topo.coords(src_router)]
-        router = src_router
-        for port in p.port_trace or []:
-            d, coord = topo.port_target(router, port)
-            c = list(topo.coords(router))
-            c[d] = coord
-            router = topo.router_id(c)
-            path.append(tuple(c))
+        path = [topo.coords(r) for r, _, _ in hops.get(p.pid, ())]
+        path.append(topo.coords(dst_router))
         traces.append(
             ProbeTrace(
                 algorithm=algo_name,

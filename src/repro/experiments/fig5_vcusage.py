@@ -13,7 +13,6 @@ hop-by-hop (dimension, move type, resource class) sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import replace
 
 from ..analysis.report import format_table
 from ..analysis.sweep import frozen_build
@@ -45,12 +44,14 @@ class Fig5Result:
 
 def trace_example(algo_name: str, widths=(4, 4), tpr=4, seed=3,
                   cycles=2500, rate=0.5) -> list[HopRecord]:
+    from ..obs import record_hops  # on use: repro.cli imports this module
+
     topo = HyperX(widths, tpr)
     algo = make_algorithm(algo_name, topo)
     cfg = default_config(seed=seed)
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
     delivered = []
     with frozen_build(lambda: Network(topo, algo, cfg)) as net:
+        hops = record_hops(net)
         sim = Simulator(net)
         for t in net.terminals:
             t.delivery_listeners.append(lambda p, c: delivered.append(p))
@@ -70,9 +71,8 @@ def trace_example(algo_name: str, widths=(4, 4), tpr=4, seed=3,
         raise RuntimeError(f"no derouted packet observed for {algo_name}")
 
     records = []
-    router = topo.router_of_terminal(best.src_terminal)
     dest = topo.coords(topo.router_of_terminal(best.dst_terminal))
-    for i, (port, vc) in enumerate(zip(best.port_trace, best.vc_trace)):
+    for i, (router, port, vc) in enumerate(hops[best.pid]):
         d, coord = topo.port_target(router, port)
         frm = topo.coords(router)
         c = list(frm)
@@ -88,7 +88,6 @@ def trace_example(algo_name: str, widths=(4, 4), tpr=4, seed=3,
                 vc_class=net.vc_map.class_of(vc),
             )
         )
-        router = topo.router_id(c)
     return records
 
 

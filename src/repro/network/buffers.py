@@ -58,7 +58,7 @@ class InputUnit:
     The port's sink, the router's work entries and :meth:`receive` all
     share these tables: one copy of each queue.  A router's unit knows its
     ``router`` and ``port`` (its :meth:`accept` is that port's flit sink); a
-    terminal's receive unit has neither (``Terminal.accept`` writes it).
+    standalone unit has neither.
     """
 
     __slots__ = ("num_vcs", "depth", "fifos", "routes", "router", "port")

@@ -40,9 +40,11 @@ class LinkRecord:
     The record pairs everything a per-link audit needs: the upstream credit
     tracker, the upstream staging queues that hold flits which have already
     consumed a credit (``None`` for terminal injection, which has no
-    crossbar), the data and credit channels, and the downstream input unit
-    the credits account for.  ``repro.check``'s credit-reconciliation
-    sanitizer walks :attr:`Network.links` and asserts, per VC,
+    crossbar), the data and credit channels, and the downstream end the
+    credits account for: a router's input unit, or the terminal itself for
+    an ejection hop (both answer ``occupancy(vc)``).  ``repro.check``'s
+    credit-reconciliation sanitizer walks :attr:`Network.links` and
+    asserts, per VC,
 
         ``tracker.occupied(vc) == staged + data-in-flight +
         downstream occupancy + credits-in-flight``
@@ -57,7 +59,7 @@ class LinkRecord:
     staged: list | None  # upstream per-VC staging deques ("rr"/"ej" only)
     data: Channel
     credit: Channel
-    downstream: InputUnit
+    downstream: "InputUnit | Terminal"
 
     @property
     def label(self) -> str:
@@ -155,7 +157,7 @@ class Network:
             for r in range(topology.num_routers)
         ]
         self.terminals: list[Terminal | None] = [
-            Terminal(t, algorithm, self.vc_map, cfg)
+            Terminal(t, algorithm, self.vc_map)
             if owned is None or dest_router[t] in owned
             else None
             for t in range(topology.num_terminals)
@@ -341,7 +343,7 @@ class Network:
                 ))
                 links.append(LinkRecord(
                     "ej", (r, port), tid, tracker,
-                    staged, data, t.eject_credit_channel, t.receive,
+                    staged, data, t.eject_credit_channel, t,
                 ))
         return links
 
@@ -359,7 +361,7 @@ class Network:
             n += sum(r._staged_count)
         for t in self.terminals:
             if t is not None:
-                n += t.receive.occupancy()
+                n += t.occupancy()
         return n
 
     def total_injected_flits(self) -> int:

@@ -169,7 +169,6 @@ class Router:
         self._xbar_lat = rc.xbar_latency
         self._stage_cap = rc.output_queue_depth * self.num_vcs
         self._port_scope = rc.congestion_scope == "port"
-        self._track_vc_trace = cfg.network.track_vc_trace
         # Shared references into the VcMap's own tables: identical for every
         # router of a network, read-only on this side, and rebuilding them
         # per router was a measurable slice of large-network construction.
@@ -728,12 +727,6 @@ class Router:
         packet.hops += 1
         if best_cand.deroute:
             packet.deroutes += 1
-        if self._track_vc_trace:
-            if packet.vc_trace is None:
-                packet.vc_trace = []
-                packet.port_trace = []
-            packet.vc_trace.append(best_out_vc)
-            packet.port_trace.append(out_port)
         if hook is not None:
             hook(cycle, self, port, vc, ctx, best_cand, best_out_vc, scored)
         return VcRoute(out_port, best_out_vc, packet.pid, best_cand.deroute)
@@ -784,9 +777,6 @@ class Router:
                 packet.hops -= 1
                 if route.deroute:
                     packet.deroutes -= 1
-                if self._track_vc_trace and packet.vc_trace:
-                    packet.vc_trace.pop()
-                    packet.port_trace.pop()
                 # A revocable head implies a non-empty FIFO, so the key is
                 # already live; the re-point and the membership check are
                 # defensive (cold path; a hand-crafted route on an unwired

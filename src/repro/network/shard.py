@@ -177,8 +177,7 @@ class _WorkerState:
             else:
                 for ready, vc, index, info in items:
                     if index == 0:
-                        (src, dst, size, cc, pid, inj, hops, der,
-                         rs, vt, pt) = info
+                        src, dst, size, cc, pid, inj, hops, der, rs = info
                         ent = replicas.get(pid)
                         if ent is None:
                             ent = replicas[pid] = [
@@ -189,8 +188,6 @@ class _WorkerState:
                         pkt.hops = hops
                         pkt.deroutes = der
                         pkt._routing_state = rs
-                        pkt.vc_trace = vt
-                        pkt.port_trace = pt
                         ent[1] += 1
                     else:
                         ent = replicas.get(info)
@@ -237,7 +234,6 @@ class _WorkerState:
                             p.src_terminal, p.dst_terminal, p.size,
                             p.create_cycle, p.pid, p.inject_cycle,
                             p.hops, p.deroutes, p._routing_state,
-                            p.vc_trace, p.port_trace,
                         )))
                     else:
                         items.append((ready, vc, flit.index, p.pid))

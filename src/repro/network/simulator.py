@@ -164,7 +164,7 @@ class Simulator:
                 for t in list(active_terminals):
                     t.step(cycle)
                     if (
-                        t._rx_count == 0
+                        t._arrived is None
                         and not t.source_queue
                         and t._active_packet is None
                     ):

@@ -13,16 +13,14 @@ virtual channel drawn from the routing algorithm's injection classes.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from .buffers import NEVER_USED, CreditTracker, InputUnit
+from .buffers import NEVER_USED, CreditTracker
 from .channel import Channel
 from .types import Flit, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..config import SimConfig
     from ..core.base import RoutingAlgorithm
     from ..core.vcmap import VcMap
 
@@ -35,13 +33,10 @@ class Terminal:
         terminal_id: int,
         algorithm: "RoutingAlgorithm",
         vc_map: "VcMap",
-        cfg: "SimConfig",
     ):
         self.terminal_id = terminal_id
         self.algorithm = algorithm
         self.vc_map = vc_map
-        self.cfg = cfg
-        self.num_vcs = cfg.router.num_vcs
 
         # Injection side.
         # NEVER_USED until the first offer(), like every other queue.
@@ -55,12 +50,13 @@ class Terminal:
         self.inject_channel: Channel | None = None
         self.inject_credits: CreditTracker | None = None
 
-        # Ejection side.
-        self.receive = InputUnit(self.num_vcs, cfg.router.buffer_depth)
+        # Ejection side: the one flit the ejection channel delivered this
+        # cycle.  The channel carries at most one flit per cycle and a
+        # terminal with an arrival steps in the same cycle's compute phase,
+        # which consumes it, so a single slot is the whole receive buffer
+        # and there is never a choice to arbitrate.
+        self._arrived: tuple[int, Flit] | None = None
         self.eject_credit_channel: Channel | None = None
-        self._age = cfg.router.arbiter == "age"
-        self._rr_next = 0  # rotating VC priority (round-robin ejection)
-        self._eject_rate = cfg.network.ejection_rate
 
         # Telemetry / hooks.
         self.flits_injected = 0
@@ -74,12 +70,6 @@ class Terminal:
         # control guarantees in-order per-packet delivery; this check turns a
         # violation (a simulator bug) into an immediate error.
         self._expected_index: dict[int, int] = {}
-        # Buffered receive-flit count: makes the hot idle check O(1) instead
-        # of scanning every VC FIFO (profiled; see guide_00's measure-first).
-        self._rx_count = 0
-        # VCs with buffered flits, kept sorted: the age-based pick scans
-        # only these instead of every VC (usually one or two are non-empty).
-        self._rx_live: list[int] = []
         # Simulator activity registry.  The owning Network replaces this with
         # its shared registry before wiring; standalone terminals (unit
         # tests) keep the private throwaway dict.
@@ -97,27 +87,22 @@ class Terminal:
         self.eject_credit_channel = channel
 
     def accept(self, item: tuple[int, Flit]) -> None:
-        """Flit sink of the ejection channel: buffer ``(vc, flit)`` in the
-        receive unit's table (the injection channel's credit sink is
+        """Flit sink of the ejection channel: hold ``(vc, flit)`` for this
+        cycle's step (the injection channel's credit sink is
         ``inject_credits.restore``)."""
-        vc, flit = item
-        unit = self.receive
-        fifos = unit.fifos
-        fifo = fifos[vc]
-        n = len(fifo)
-        if n >= unit.depth:
+        if self._arrived is not None:
             raise RuntimeError(
-                f"buffer overflow on VC {vc}: credit protocol violated"
+                f"terminal {self.terminal_id} received a flit before "
+                f"consuming the last one: ejection protocol violated"
             )
-        if n == 0:
-            # Empty->busy transition; a non-empty FIFO implies rx_count
-            # was already positive, so the terminal is already awake.
-            if fifo is NEVER_USED:  # the VC's first flit: create its queue
-                fifo = fifos[vc] = deque()
-            insort(self._rx_live, vc)
-            self._wake_registry[self] = None
-        fifo.append(flit)
-        self._rx_count += 1
+        self._arrived = item
+        self._wake_registry[self] = None
+
+    def occupancy(self, vc: int | None = None) -> int:
+        """Flits held (0 or 1), on ``vc`` only if given: the downstream
+        count of the ejection hop's credit loop."""
+        item = self._arrived
+        return int(item is not None and (vc is None or item[0] == vc))
 
     # ------------------------------------------------------------------
     # API for traffic generators / the application engine
@@ -148,7 +133,7 @@ class Terminal:
     @property
     def idle(self) -> bool:
         return (
-            self._rx_count == 0
+            self._arrived is None
             and not self.source_queue
             and self._active_packet is None
         )
@@ -160,8 +145,8 @@ class Terminal:
     def step(self, cycle: int) -> None:
         if self._active_packet is not None or self.source_queue:
             self._step_injection(cycle)
-        if self._rx_count:
-            self._step_ejection(cycle)
+        if self._arrived is not None:
+            self._eject(cycle)
 
     def _step_injection(self, cycle: int) -> None:
         if self._active_packet is None:
@@ -206,65 +191,26 @@ class Terminal:
                     best_credits, best_vc = c, v
         return best_vc
 
-    def _step_ejection(self, cycle: int) -> None:
-        budget = self._eject_rate
-        fifos = self.receive.fifos
-        while budget > 0 and self._rx_count > 0:
-            best_vc = -1
-            if self._age:
-                # Age-based pick over the live VCs only.  One live VC — the
-                # common case — needs no arbitration at all; the multi-VC
-                # scan compares the (create_cycle, pid) age key as two ints
-                # (pids are unique, so the order is total).
-                live = self._rx_live
-                if len(live) == 1:
-                    best_vc = live[0]
-                else:
-                    bc = bp = 0
-                    for v in live:
-                        p = fifos[v][0].packet
-                        c = p.create_cycle
-                        if best_vc < 0 or c < bc or (c == bc and p.pid < bp):
-                            bc = c
-                            bp = p.pid
-                            best_vc = v
-            else:
-                # Round-robin: the router's output rotation — the first
-                # non-empty VC at or past the priority pointer, which then
-                # moves just past the grant.
-                nv = self.num_vcs
-                base = self._rr_next
-                for off in range(nv):
-                    v = (base + off) % nv
-                    if fifos[v]:
-                        best_vc = v
-                        self._rr_next = (v + 1) % nv
-                        break
-            if best_vc < 0:
-                return
-            fifo = fifos[best_vc]
-            flit = fifo.popleft()
-            if not fifo:
-                self._rx_live.remove(best_vc)
-            self._rx_count -= 1
-            pid = flit.packet.pid
-            expected = self._expected_index.get(pid, 0)
-            if flit.index != expected:
-                raise RuntimeError(
-                    f"flit reordering within packet {pid}: got flit "
-                    f"{flit.index}, expected {expected}"
-                )
-            if flit.is_tail:
-                self._expected_index.pop(pid, None)
-            else:
-                self._expected_index[pid] = expected + 1
-            self.flits_ejected += 1
-            budget -= 1
-            cr = self.eject_credit_channel
-            if cr is not None:
-                cr.push(cycle, best_vc)  # credit channels carry the bare VC id
-            if flit.is_tail:
-                self._complete_packet(flit.packet, cycle)
+    def _eject(self, cycle: int) -> None:
+        vc, flit = self._arrived
+        self._arrived = None
+        pid = flit.packet.pid
+        expected = self._expected_index.get(pid, 0)
+        if flit.index != expected:
+            raise RuntimeError(
+                f"flit reordering within packet {pid}: got flit "
+                f"{flit.index}, expected {expected}"
+            )
+        if flit.is_tail:
+            self._expected_index.pop(pid, None)
+        else:
+            self._expected_index[pid] = expected + 1
+        self.flits_ejected += 1
+        cr = self.eject_credit_channel
+        if cr is not None:
+            cr.push(cycle, vc)  # credit channels carry the bare VC id
+        if flit.is_tail:
+            self._complete_packet(flit.packet, cycle)
 
     def _complete_packet(self, packet: Packet, cycle: int) -> None:
         packet.eject_cycle = cycle

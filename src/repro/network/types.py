@@ -72,8 +72,6 @@ class Packet:
         "eject_cycle",  # tail flit consumed at destination
         "hops",  # router-to-router hops taken
         "deroutes",  # non-minimal hops taken
-        "vc_trace",  # per-hop VCs (enabled for debugging)
-        "port_trace",  # per-hop output ports
         "_routing_state",
     )
 
@@ -98,8 +96,6 @@ class Packet:
         self.eject_cycle: int | None = None
         self.hops = 0
         self.deroutes = 0
-        self.vc_trace: list[int] | None = None
-        self.port_trace: list[int] | None = None
         self._routing_state: dict[str, Any] | None = None
 
     @property

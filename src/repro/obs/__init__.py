@@ -7,6 +7,8 @@ perturbing it:
   (inject, route decision with candidate weights, VC alloc, switch alloc,
   link traversal, eject) into a bounded ring buffer, with per-packet 1/N
   and cycle-window sampling (:class:`~repro.obs.events.TraceOptions`);
+* :func:`~repro.obs.tracer.record_hops` — every packet's committed
+  ``(router, out_port, out_vc)`` hops, for path and VC-class checks;
 * :class:`~repro.obs.timeseries.TimeSeriesSampler` — windowed
   offered/accepted throughput, latency percentiles, per-dimension link
   utilization, and per-(router, VC) occupancy;
@@ -42,7 +44,7 @@ from .export import (
 from .golden import GOLDEN_ALGORITHMS, golden_jsonl, golden_tracer
 from .profile import PhaseProfiler
 from .timeseries import TimeSeriesSampler, WindowSample
-from .tracer import Tracer
+from .tracer import Tracer, record_hops
 
 __all__ = [
     "EVENT_TYPES",
@@ -50,6 +52,7 @@ __all__ = [
     "TraceEvent",
     "TraceOptions",
     "Tracer",
+    "record_hops",
     "TimeSeriesSampler",
     "WindowSample",
     "PhaseProfiler",

@@ -54,7 +54,33 @@ from typing import TYPE_CHECKING
 from .events import EventRing, TraceEvent, TraceOptions
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..network.network import Network
     from ..network.simulator import Simulator
+
+
+def record_hops(network: "Network") -> dict[int, list[tuple[int, int, int]]]:
+    """Log every packet's router-to-router hops through the route hooks.
+
+    Returns ``hops``, filled as the run goes: ``hops[pid]`` is the packet's
+    committed routes in path order, one ``(router, out_port, out_vc)`` per
+    hop (ejection is not a hop).  A route the fault injector revokes is
+    decided again at the same router, and that decision replaces it —
+    consecutive hops are otherwise never at one router.  The hook stays
+    registered for the network's lifetime.
+    """
+    hops: dict[int, list[tuple[int, int, int]]] = {}
+
+    def hook(cycle, router, port, vc, ctx, cand, out_vc, scored):
+        path = hops.setdefault(ctx.packet.pid, [])
+        rid = router.router_id
+        if path and path[-1][0] == rid:
+            path.pop()
+        path.append((rid, cand.out_port, out_vc))
+
+    for r in network.routers:
+        if r is not None:
+            r.add_route_hook(hook)
+    return hops
 
 
 class Tracer:

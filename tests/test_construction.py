@@ -38,8 +38,8 @@ def _scenario(widths=(4, 4), tpr=2):
 
 
 def _queues(net):
-    """Every queue of ``net``: channel pipes, input fifos, staging, terminal
-    receive and source queues."""
+    """Every queue of ``net``: channel pipes, input fifos, staging and
+    terminal source queues."""
     for ch in net.channels:
         yield ch._pipe
     for r in net.routers:
@@ -49,7 +49,6 @@ def _queues(net):
             yield from per_port
     for t in net.terminals:
         yield t.source_queue
-        yield from t.receive.fifos
 
 
 @pytest.fixture
@@ -172,16 +171,6 @@ def test_one_queue_per_vc_whichever_way_a_flit_arrives():
     assert dst.flits_ejected == 2 and pkt.eject_cycle is not None
     assert src.inject_credits.occupied_total == 0
 
-    # A terminal's receive unit, in the other order: receive first, then
-    # the ejection channel's sink (which once kept a private queue list).
-    t = net.terminals[1]
-    ej = net.routers[1].out_channels[topo.terminal_port(0)]
-    other = Packet(0, 1, size=2, create_cycle=0)
-    first, second = Flit(other, 0), Flit(other, 1)
-    t.receive.receive(2, first)
-    ej._sink((2, second))
-    assert list(t.receive.fifos[2]) == [first, second]
-
 
 def _reference_links(net):
     """(kind, src, dst) per credit loop, walked the way ``_wire`` wires."""
@@ -225,7 +214,7 @@ def test_links_are_read_off_the_wiring(owned):
         if rec.kind == "ej":
             t = net.terminals[rec.dst]
             assert rec.credit is t.eject_credit_channel
-            assert rec.downstream is t.receive
+            assert rec.downstream is t
         else:
             b, bp = net.routers[rec.dst[0]], rec.dst[1]
             assert rec.credit is b._credit_return[bp]

@@ -114,11 +114,7 @@ def test_routing_delivers_everything(algo_cls):
 def test_minimal_paths_are_at_most_3_hops():
     df = balanced_dragonfly(2)
     algo = DragonflyMinimal(df)
-    from dataclasses import replace
-
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(df, algo, cfg)
+    net = Network(df, algo, default_config())
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -144,16 +140,14 @@ def test_ugal_requires_dragonfly():
 
 
 def test_par_delivers_and_bounded_hops():
-    from dataclasses import replace
-
     from repro.core.dragonfly_routing import DragonflyPar
+    from repro.obs import record_hops
 
     df = balanced_dragonfly(2)
     algo = DragonflyPar(df)
     assert algo.num_classes == 7
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(df, algo, cfg)
+    net = Network(df, algo, default_config())
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -167,7 +161,7 @@ def test_par_delivers_and_bounded_hops():
     assert delivered
     for p in delivered:
         assert p.hops <= 7
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for _, _, v in hops.get(p.pid, ())]
         assert classes == sorted(classes)  # distance classes never decrease
 
 

@@ -98,13 +98,12 @@ def test_routing_delivers_everything(algo_cls):
 
 def test_paths_never_bounce():
     """Up/down routing: once a packet starts descending it never goes up."""
-    from dataclasses import replace
+    from repro.obs import record_hops
 
     ft = FatTree(2, 3)
     algo = FatTreeAdaptive(ft)
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(ft, algo, cfg)
+    net = Network(ft, algo, default_config())
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -116,14 +115,12 @@ def test_paths_never_bounce():
     sim.drain(max_cycles=100_000)
     assert delivered
     for p in delivered:
-        router = ft.router_of_terminal(p.src_terminal)
         descending = False
-        for port in p.port_trace or []:
+        for router, port, _ in hops.get(p.pid, ()):
             if ft.is_up_port(router, port):
                 assert not descending, "packet went up after descending"
             else:
                 descending = True
-            router = ft.peer(router, port).router_port.router
         # and the path length matches the NCA geometry
         nca = ft.nca_level(p.src_terminal, p.dst_terminal)
         assert p.hops == 2 * nca

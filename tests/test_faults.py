@@ -452,6 +452,35 @@ def test_revoked_route_recovers_credit_exact():
     assert upstream.tracker.occupied_total == 0
 
 
+def test_hop_log_keeps_the_decision_that_replaced_a_revoked_one():
+    """``record_hops`` logs a route the router commits; when that route is
+    revoked and decided again at the same router, the new decision replaces
+    it, so the log stays one entry per hop the packet is counted for."""
+    from repro.obs import record_hops
+
+    topo = DegradedTopology(HyperX((2, 2), 1))
+    net = Network(topo, make_algorithm("DimWAR", topo), SimConfig())
+    hops = record_hops(net)
+    sim = Simulator(net)
+    r = net.routers[0]
+    pkt = Packet(0, 3, size=2, create_cycle=0)
+    r.inputs[0].receive(0, Flit(pkt, 0))
+    r.inputs[0].receive(0, Flit(pkt, 1))
+    upstream = next(rec for rec in net.links if rec.downstream is r.inputs[0])
+    upstream.tracker.consume(0)
+    upstream.tracker.consume(0)
+    route = r._compute_route(0, 0, 0, r.inputs[0].fifos[0][0])
+    r.inputs[0].routes[0] = route
+    assert hops[pkt.pid] == [(0, route.out_port, route.out_vc)]
+
+    assert r.revoke_unstarted_routes({route.out_port}) == 1
+    sim.run(300)
+    assert pkt.eject_cycle is not None
+    path = hops[pkt.pid]
+    assert len(path) == pkt.hops == 2
+    assert path[0][0] == 0 and path[1][0] != 0
+
+
 def test_fault_revocation_credit_exact_after_drain():
     """Mid-run failures and a degrade under load must leave no phantom
     credits: after traffic stops and the (degraded but connected) network

@@ -1,13 +1,12 @@
 """Tests for the Section 2.2 minimal-oblivious baselines (ROMM, O1Turn)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.config import default_config
 from repro.core.registry import make_algorithm
 from repro.network.network import Network
 from repro.network.simulator import Simulator
+from repro.obs import record_hops
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
@@ -16,9 +15,8 @@ from repro.traffic.patterns import UniformRandom
 def _traced(algo_name, widths=(3, 3, 3), tpr=2, rate=0.3, cycles=1200, seed=2):
     topo = HyperX(widths, tpr)
     algo = make_algorithm(algo_name, topo)
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, algo, cfg)
+    net = Network(topo, algo, default_config())
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -29,12 +27,17 @@ def _traced(algo_name, widths=(3, 3, 3), tpr=2, rate=0.3, cycles=1200, seed=2):
     traffic.stop()
     assert sim.drain(max_cycles=200_000)
     assert net.total_injected_flits() == net.total_ejected_flits()
-    return topo, net, delivered
+    return topo, net, delivered, hops
+
+
+def _classes(net, hops, packet):
+    """The resource class of each router-to-router hop of the packet."""
+    return [net.vc_map.class_of(vc) for _, _, vc in hops.get(packet.pid, ())]
 
 
 @pytest.mark.parametrize("name", ["ROMM", "O1Turn"])
 def test_paths_are_minimal(name):
-    topo, net, pkts = _traced(name)
+    topo, net, pkts, hops = _traced(name)
     assert pkts
     for p in pkts:
         src_r = topo.router_of_terminal(p.src_terminal)
@@ -44,10 +47,10 @@ def test_paths_are_minimal(name):
 
 
 def test_romm_two_phase_classes():
-    topo, net, pkts = _traced("ROMM")
+    topo, net, pkts, hops = _traced("ROMM")
     saw_phase1 = False
     for p in pkts:
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = _classes(net, hops, p)
         assert classes == sorted(classes)
         assert set(classes) <= {0, 1}
         saw_phase1 = saw_phase1 or 0 in classes
@@ -55,10 +58,10 @@ def test_romm_two_phase_classes():
 
 
 def test_o1turn_uses_distance_classes_and_mixed_orders():
-    topo, net, pkts = _traced("O1Turn", rate=0.35)
+    topo, net, pkts, hops = _traced("O1Turn", rate=0.35)
     orders = set()
     for p in pkts:
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = _classes(net, hops, p)
         assert classes == list(range(len(classes)))  # VC = hop index
         order = p.routing_state.get("o1_order")
         if order is not None:
@@ -67,7 +70,7 @@ def test_o1turn_uses_distance_classes_and_mixed_orders():
 
 
 def test_romm_intermediate_in_minimal_quadrant():
-    topo, net, pkts = _traced("ROMM", rate=0.2, cycles=800)
+    topo, net, pkts, hops = _traced("ROMM", rate=0.2, cycles=800)
     checked = 0
     for p in pkts:
         inter = p.routing_state.get("romm_int")

@@ -1,5 +1,7 @@
 """Tests for channels, buffers, credit trackers, arbitration, and core types."""
 
+from collections import deque
+
 import pytest
 
 from repro.config import RouterConfig, SimConfig
@@ -133,32 +135,32 @@ def _arbiter_cfg(kind, num_vcs=8):
     return SimConfig(router=RouterConfig(num_vcs=num_vcs, arbiter=kind))
 
 
-def _eject_grants(flits_per_vc, num_vcs):
-    """Fill a standalone round-robin terminal's receive VCs (one-flit
-    packets, ``flits_per_vc[vc]`` of them per VC), eject them all, and
-    return the grant order read off its ejection credit channel."""
+def _output_grants(flits_per_vc, num_vcs):
+    """Stage one-flit packets on a standalone round-robin router's output
+    port (``flits_per_vc[vc]`` of them per VC, all past the crossbar), run
+    its output pass, and return the grant order read off the data channel."""
     topo = HyperX((2,), 1)
-    algo = make_algorithm("DOR", topo)
-    cfg = _arbiter_cfg("round_robin", num_vcs)
-    term = Terminal(0, algo, VcMap(algo.num_classes, num_vcs), cfg)
-    credits = Channel(1, lambda vc: None, limit_rate=False)
-    term.attach_ejection_credit(credits)
+    net = Network(topo, make_algorithm("DOR", topo), _arbiter_cfg("round_robin", num_vcs))
+    router, port = net.routers[0], topo.dim_port(0, 0, 1)
     for vc, n in enumerate(flits_per_vc):
-        for _ in range(n):
-            term.accept((vc, _flit()))
+        if n:
+            router.staged[port][vc] = deque((0, _flit()) for _ in range(n))
+            router._staged_live[port].append(vc)
+    router._staged_count[port] = sum(flits_per_vc)
+    router._active_out[port] = router._out_ent[port]
     for cycle in range(sum(flits_per_vc)):
-        term.step(cycle)
-    assert term.idle
-    return list(credits.pending_payloads())
+        router.step(cycle)
+    assert router.idle
+    return [vc for vc, _ in router.out_channels[port].pending_payloads()]
 
 
 def test_round_robin_rotates():
     # VCs 0 and 2 request; priority moves just past each grant.
-    assert _eject_grants([3, 0, 2, 0], num_vcs=4) == [0, 2, 0, 2, 0]
+    assert _output_grants([3, 0, 2, 0], num_vcs=4) == [0, 2, 0, 2, 0]
 
 
 def test_round_robin_no_starvation():
-    grants = _eject_grants([3, 3, 3], num_vcs=3)
+    grants = _output_grants([3, 3, 3], num_vcs=3)
     assert grants == [0, 1, 2] * 3
     for g in (0, 1, 2):
         assert grants.count(g) == 3
@@ -170,6 +172,31 @@ def test_arbiter_kind_checked_at_build():
         Network(topo, make_algorithm("DOR", topo), _arbiter_cfg(kind))
     with pytest.raises(ValueError, match="unknown arbiter"):
         Network(topo, make_algorithm("DOR", topo), _arbiter_cfg("priority"))
+
+
+# ---------------------------------------------------------------------------
+# Terminal ejection
+# ---------------------------------------------------------------------------
+
+
+def test_terminal_consumes_the_one_flit_that_arrived():
+    topo = HyperX((2,), 1)
+    algo = make_algorithm("DOR", topo)
+    term = Terminal(0, algo, VcMap(algo.num_classes, 8))
+    credits = Channel(1, lambda vc: None, limit_rate=False)
+    term.attach_ejection_credit(credits)
+    pkt = Packet(1, 0, 2, create_cycle=0)
+    term.accept((3, Flit(pkt, 0)))
+    assert term.occupancy() == term.occupancy(3) == 1
+    assert term.occupancy(5) == 0 and not term.idle
+    with pytest.raises(RuntimeError, match="ejection protocol"):
+        term.accept((5, Flit(pkt, 1)))  # a second arrival before the step
+    term.step(7)
+    assert term.idle and term.flits_ejected == 1 and pkt.eject_cycle is None
+    term.accept((5, Flit(pkt, 1)))
+    term.step(8)
+    assert list(credits.pending_payloads()) == [3, 5]  # one credit per flit
+    assert pkt.eject_cycle == 8 and term.packets_delivered == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Behavioural tests of the routing algorithms, checked on real simulations
-with per-hop port/VC traces enabled.
+with every packet's hops logged (``repro.obs.record_hops``).
 
 These verify the properties the paper *claims* for each algorithm:
 
@@ -13,7 +13,6 @@ These verify the properties the paper *claims* for each algorithm:
 * OmniWAR-b2b: additionally never deroutes twice in a row in one dimension.
 """
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +23,7 @@ from repro.core.registry import algorithm_names, make_algorithm
 from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.types import Packet
+from repro.obs import record_hops
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
@@ -32,13 +32,12 @@ from repro.traffic.sizes import UniformSize
 
 def _traced_run(algo_name, widths=(3, 3, 3), tpr=2, rate=0.45, cycles=1500,
                 seed=3, **algo_kwargs):
-    """Run traffic hot enough to trigger deroutes; return delivered packets
-    with traces plus the network (for the VC map)."""
+    """Run traffic hot enough to trigger deroutes; return the network (for
+    the VC map), the delivered packets and their hop log."""
     topo = HyperX(widths, tpr)
     algo = make_algorithm(algo_name, topo, **algo_kwargs)
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, algo, cfg)
+    net = Network(topo, algo, default_config())
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -51,14 +50,20 @@ def _traced_run(algo_name, widths=(3, 3, 3), tpr=2, rate=0.45, cycles=1500,
     traffic.stop()
     sim.drain(max_cycles=200_000)
     assert delivered, "no packets delivered"
-    return topo, net, delivered
+    return topo, net, delivered, hops
 
 
-def _hop_dims(topo, packet):
+def _vcs(hops, packet):
+    """The output VC of each router-to-router hop of the packet."""
+    return [vc for _, _, vc in hops.get(packet.pid, ())]
+
+
+def _hop_dims(topo, hops, packet):
     """Dimension of each router-to-router hop along the packet's path."""
     dims = []
     router = topo.router_of_terminal(packet.src_terminal)
-    for port in packet.port_trace or []:
+    for at, port, _ in hops.get(packet.pid, ()):
+        assert at == router  # the log is a connected path
         d, coord = topo.port_target(router, port)
         dims.append((d, coord))
         c = list(topo.coords(router))
@@ -74,16 +79,16 @@ def _hop_dims(topo, packet):
 
 
 def test_dor_paths_minimal_and_dimension_ordered():
-    topo, net, pkts = _traced_run("DOR", rate=0.15)
+    topo, net, pkts, hops = _traced_run("DOR", rate=0.15)
     for p in pkts:
         src_r = topo.router_of_terminal(p.src_terminal)
         dst_r = topo.router_of_terminal(p.dst_terminal)
         assert p.hops == topo.min_hops(src_r, dst_r)
         assert p.deroutes == 0
-        dims = [d for d, _ in _hop_dims(topo, p)]
+        dims = [d for d, _ in _hop_dims(topo, hops, p)]
         assert dims == sorted(dims)  # strict dimension order
         # single resource class: class 0 VCs only
-        for vc in p.vc_trace or []:
+        for vc in _vcs(hops, p):
             assert net.vc_map.class_of(vc) == 0
 
 
@@ -93,12 +98,12 @@ def test_dor_paths_minimal_and_dimension_ordered():
 
 
 def test_val_two_phase_classes_and_bounded_hops():
-    topo, net, pkts = _traced_run("VAL", rate=0.2)
+    topo, net, pkts, hops = _traced_run("VAL", rate=0.2)
     n = topo.num_dims
     saw_phase1 = False
     for p in pkts:
         assert p.hops <= 2 * n
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for v in _vcs(hops, p)]
         # class sequence is 0...0 1...1 (phase 1 then phase 2)
         assert classes == sorted(classes)
         assert set(classes) <= {0, 1}
@@ -107,7 +112,7 @@ def test_val_two_phase_classes_and_bounded_hops():
 
 
 def test_val_longer_than_minimal_on_average():
-    topo, net, pkts = _traced_run("VAL", rate=0.15)
+    topo, net, pkts, hops = _traced_run("VAL", rate=0.15)
     mean_hops = sum(p.hops for p in pkts) / len(pkts)
     mean_min = sum(
         topo.min_hops(
@@ -127,7 +132,7 @@ def test_val_longer_than_minimal_on_average():
 @pytest.mark.parametrize("name", ["UGAL", "UGAL+"])
 def test_source_adaptive_minimal_at_low_load(name):
     """With an unloaded network the weighted decision must pick minimal."""
-    topo, net, pkts = _traced_run(name, rate=0.05, cycles=1200)
+    topo, net, pkts, hops = _traced_run(name, rate=0.05, cycles=1200)
     val_mode = [p for p in pkts if p.deroutes > 0]
     assert len(val_mode) <= 0.05 * len(pkts)
     for p in pkts:
@@ -139,9 +144,9 @@ def test_source_adaptive_minimal_at_low_load(name):
 
 @pytest.mark.parametrize("name", ["UGAL", "UGAL+"])
 def test_source_adaptive_two_phase_class_order(name):
-    topo, net, pkts = _traced_run(name, rate=0.5, cycles=1500)
+    topo, net, pkts, hops = _traced_run(name, rate=0.5, cycles=1500)
     for p in pkts:
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for v in _vcs(hops, p)]
         assert classes == sorted(classes)
         assert set(classes) <= {0, 1}
 
@@ -149,7 +154,7 @@ def test_source_adaptive_two_phase_class_order(name):
 def test_closad_nonminimal_adds_exactly_one_hop():
     """Clos-AD's LCA intermediates deviate in a single dimension: val-mode
     paths are at most min+1 hops (vs UGAL's arbitrary Valiant detours)."""
-    topo, net, pkts = _traced_run("UGAL+", rate=0.5, cycles=1500)
+    topo, net, pkts, hops = _traced_run("UGAL+", rate=0.5, cycles=1500)
     for p in pkts:
         src_r = topo.router_of_terminal(p.src_terminal)
         dst_r = topo.router_of_terminal(p.dst_terminal)
@@ -162,16 +167,16 @@ def test_closad_nonminimal_adds_exactly_one_hop():
 
 
 def test_minad_minimal_any_order_distance_classes():
-    topo, net, pkts = _traced_run("MIN-AD", rate=0.4)
+    topo, net, pkts, hops = _traced_run("MIN-AD", rate=0.4)
     any_order = False
     for p in pkts:
         src_r = topo.router_of_terminal(p.src_terminal)
         dst_r = topo.router_of_terminal(p.dst_terminal)
         assert p.hops == topo.min_hops(src_r, dst_r)
         assert p.deroutes == 0
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for v in _vcs(hops, p)]
         assert classes == list(range(len(classes)))  # strict distance classes
-        dims = [d for d, _ in _hop_dims(topo, p)]
+        dims = [d for d, _ in _hop_dims(topo, hops, p)]
         if dims != sorted(dims):
             any_order = True
     assert any_order  # adaptivity really uses non-DOR orders
@@ -183,7 +188,7 @@ def test_minad_minimal_any_order_distance_classes():
 
 
 def test_dimwar_invariants():
-    topo, net, pkts = _traced_run("DimWAR", rate=0.5)
+    topo, net, pkts, hops = _traced_run("DimWAR", rate=0.5)
     n = topo.num_dims
     saw_deroute = False
     for p in pkts:
@@ -193,9 +198,9 @@ def test_dimwar_invariants():
         # fine-grained: each deroute adds exactly one hop
         assert p.hops == min_h + p.deroutes
         assert p.deroutes <= n  # at most one deroute per dimension
-        dims = [d for d, _ in _hop_dims(topo, p)]
+        dims = [d for d, _ in _hop_dims(topo, hops, p)]
         assert dims == sorted(dims)  # dimensions strictly in order
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for v in _vcs(hops, p)]
         assert set(classes) <= {0, 1}  # 2 resource classes, any dimensionality
         # a deroute (class 1) is always followed by a class-0 hop in the
         # same dimension, and never by another deroute
@@ -215,7 +220,7 @@ def test_dimwar_invariants():
 
 def test_dimwar_packet_carries_no_routing_state():
     """Table 1: DimWAR stores nothing in the packet."""
-    topo, net, pkts = _traced_run("DimWAR", rate=0.4, cycles=800)
+    topo, net, pkts, hops = _traced_run("DimWAR", rate=0.4, cycles=800)
     assert all(p.routing_state == {} for p in pkts)
 
 
@@ -225,7 +230,7 @@ def test_dimwar_packet_carries_no_routing_state():
 
 
 def test_omniwar_invariants():
-    topo, net, pkts = _traced_run("OmniWAR", rate=0.5)
+    topo, net, pkts, hops = _traced_run("OmniWAR", rate=0.5)
     n = topo.num_dims
     algo_m = n  # default deroute budget
     saw_deroute = saw_any_order = False
@@ -236,9 +241,9 @@ def test_omniwar_invariants():
         assert p.hops == min_h + p.deroutes
         assert p.deroutes <= algo_m
         assert p.hops <= n + algo_m
-        classes = [net.vc_map.class_of(v) for v in p.vc_trace or []]
+        classes = [net.vc_map.class_of(v) for v in _vcs(hops, p)]
         assert classes == list(range(len(classes)))  # VC_out = VC_in + 1
-        dims = [d for d, _ in _hop_dims(topo, p)]
+        dims = [d for d, _ in _hop_dims(topo, hops, p)]
         if dims != sorted(dims):
             saw_any_order = True
         saw_deroute = saw_deroute or p.deroutes > 0
@@ -246,12 +251,12 @@ def test_omniwar_invariants():
 
 
 def test_omniwar_packet_carries_no_routing_state():
-    topo, net, pkts = _traced_run("OmniWAR", rate=0.4, cycles=800)
+    topo, net, pkts, hops = _traced_run("OmniWAR", rate=0.4, cycles=800)
     assert all(p.routing_state == {} for p in pkts)
 
 
 def test_omniwar_deroute_budget_zero_is_minimal():
-    topo, net, pkts = _traced_run("OmniWAR", rate=0.4, deroutes=0)
+    topo, net, pkts, hops = _traced_run("OmniWAR", rate=0.4, deroutes=0)
     for p in pkts:
         assert p.deroutes == 0
         src_r = topo.router_of_terminal(p.src_terminal)
@@ -262,23 +267,17 @@ def test_omniwar_deroute_budget_zero_is_minimal():
 def test_omniwar_b2b_restriction():
     """The Section 5.2 optimization: never two consecutive deroutes in the
     same dimension (but consecutive deroutes in different dimensions are ok)."""
-    topo, net, pkts = _traced_run("OmniWAR-b2b", rate=0.55, cycles=2000)
+    topo, net, pkts, hops = _traced_run("OmniWAR-b2b", rate=0.55, cycles=2000)
     for p in pkts:
-        dims = [d for d, _ in _hop_dims(topo, p)]
         dest = topo.coords(topo.router_of_terminal(p.dst_terminal))
-        router = topo.router_of_terminal(p.src_terminal)
         prev_deroute_dim = None
-        for port in p.port_trace or []:
-            d, coord = topo.port_target(router, port)
+        for d, coord in _hop_dims(topo, hops, p):
             was_deroute = coord != dest[d]
             if was_deroute:
                 assert d != prev_deroute_dim, "back-to-back deroute in one dim"
                 prev_deroute_dim = d
             else:
                 prev_deroute_dim = None
-            c = list(topo.coords(router))
-            c[d] = coord
-            router = topo.router_id(c)
 
 
 def test_omniwar_configurable_budget_reflected_in_classes():

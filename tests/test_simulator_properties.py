@@ -11,8 +11,6 @@ These generalize the hand-picked cases in test_simulation.py to the whole
 configuration space the library exposes.
 """
 
-from dataclasses import replace
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +19,7 @@ from repro.config import default_config
 from repro.core.registry import make_algorithm
 from repro.network.network import Network
 from repro.network.simulator import Simulator
+from repro.obs import record_hops
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
 from repro.traffic.patterns import UniformRandom
@@ -54,9 +53,8 @@ algorithms = st.sampled_from(
 )
 def test_simulation_invariants(topo, algo_name, rate, seed):
     algo = make_algorithm(algo_name, topo)
-    cfg = default_config(seed=seed)
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, algo, cfg)
+    net = Network(topo, algo, default_config(seed=seed))
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -85,5 +83,5 @@ def test_simulation_invariants(topo, algo_name, rate, seed):
         assert topo.min_hops(src_r, dst_r) <= p.hops <= bound
         assert p.eject_cycle >= p.create_cycle
         # every hop used a VC legal for its resource class count
-        for vc in p.vc_trace or []:
+        for _, _, vc in hops.get(p.pid, ()):
             assert 0 <= net.vc_map.class_of(vc) < algo.num_classes

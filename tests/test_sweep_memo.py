@@ -72,10 +72,12 @@ def test_point_key_is_stable_and_hex():
     assert len(k1) == 64 and all(c in "0123456789abcdef" for c in k1)
 
 
-#: Digests recorded at the commit before the fault codec moved into
-#: ``repro.faults.model``.  A reordered field or a changed int/str coercion
-#: in the canonical form would silently empty every memo directory; a
-#: deliberate semantic change bumps ``SIM_SALT`` and re-records these.
+#: Digests re-recorded when ``NetworkConfig`` lost its two fields that
+#: cannot change a result (``ejection_rate``, ``track_vc_trace``): the
+#: config is expanded field by field, so that re-keyed every entry once.  A
+#: reordered field or a changed int/str coercion in the canonical form would
+#: silently empty every memo directory; a deliberate semantic change bumps
+#: ``SIM_SALT`` and re-records these.
 PINNED_PRISTINE = PointSpec(
     widths=(3, 3), terminals_per_router=2, algorithm="DimWAR", pattern="UR",
     rate=0.3, total_cycles=500, seed=7,
@@ -95,10 +97,10 @@ PINNED_FAULTED = PointSpec(
 def test_point_key_digests_are_pinned():
     assert SIM_SALT == "repro-sim/2"
     assert point_key(PINNED_PRISTINE) == (
-        "2719bc70f74642ebded2c9019e1e9f4967b500a30725ec184f2c93c2fe612ad2"
+        "a61b86ebadf91eb648c655dd7ef63b425eb0aff1a2c31c2c72cda1bbe8272549"
     )
     assert point_key(PINNED_FAULTED) == (
-        "ed1a706db87304305b38f43c2d8de9e930e695b6d736798d8e6a8a6c623b911f"
+        "2b2b2456830b1d24111e9f381d19ae247844bfc60edec11b7f4efa52a2cbc1d5"
     )
 
 

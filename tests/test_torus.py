@@ -105,12 +105,8 @@ def test_delivery_and_conservation(topo_factory, algo_cls):
 
 
 def test_paths_are_minimal():
-    from dataclasses import replace
-
     topo = Torus((5, 4), 2)
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, TorusDOR(topo), cfg)
+    net = Network(topo, TorusDOR(topo), default_config())
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -129,12 +125,11 @@ def test_paths_are_minimal():
 
 def test_dateline_classes_used():
     """Under BC on a torus, wrap crossings happen and class 1 gets used."""
-    from dataclasses import replace
+    from repro.obs import record_hops
 
     topo = Torus((4, 4), 2)
-    cfg = default_config()
-    cfg = replace(cfg, network=replace(cfg.network, track_vc_trace=True))
-    net = Network(topo, TorusDOR(topo), cfg)
+    net = Network(topo, TorusDOR(topo), default_config())
+    hops = record_hops(net)
     sim = Simulator(net)
     delivered = []
     for t in net.terminals:
@@ -146,7 +141,7 @@ def test_dateline_classes_used():
     sim.drain(max_cycles=100_000)
     classes = set()
     for p in delivered:
-        for vc in p.vc_trace or []:
+        for _, _, vc in hops.get(p.pid, ()):
             classes.add(net.vc_map.class_of(vc))
     assert classes == {0, 1}
 
