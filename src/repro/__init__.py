@@ -20,6 +20,10 @@ The package provides:
   ``docs/OBSERVABILITY.md``);
 * :mod:`repro.experiments` — one driver per paper figure/table.
 
+Importing a package imports none of its modules: each package names its
+exports once, in a table handed to :func:`lazy_exports`, and a name's
+module is imported when the name is first read.
+
 Quickstart::
 
     from repro import quick_simulation
@@ -27,48 +31,81 @@ Quickstart::
     print(result.mean_latency)
 """
 
-from .config import SimConfig, default_config, paper_scale
-from .core.registry import PAPER_ALGORITHMS, algorithm_names, make_algorithm
-from .faults import DegradedTopology, FaultSet, random_link_faults
-from .topology.hyperx import HyperX, paper_hyperx, regular_hyperx
+from __future__ import annotations
+
+import importlib
+import sys
+from types import ModuleType
+from typing import Any
+
+
+def lazy_exports(namespace: dict[str, Any], table: dict[str, str | None]) -> None:
+    """Give the package whose globals are ``namespace`` the exports of ``table``.
+
+    ``table`` maps each public name to its defining module, relative to the
+    package (``".sweep"``, ``"..network.stats"``); ``None`` marks a name that
+    is the package's own submodule of that name.  Installs ``__all__`` (the
+    table's names, in order), the module-level ``__getattr__`` and
+    ``__dir__``, and ``_EXPORTS`` (the table itself).
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        if module is None:
+            value = importlib.import_module(f".{name}", package)
+        else:
+            value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | table.keys())
+
+    namespace.update(
+        __all__=list(table), __getattr__=__getattr__, __dir__=__dir__,
+        _EXPORTS=table,
+    )
+    if any(module == f".{name}" for name, module in table.items()):
+        sys.modules[package].__class__ = _ShadowingPackage
+
+
+class _ShadowingPackage(ModuleType):
+    """A package with an export named after the submodule that defines it
+    (``repro.analysis.ascii_plot``).  The import system binds a freshly
+    loaded submodule onto its package; here that binding stores the export
+    instead, so the name means the same object whichever import came first.
+    """
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if (
+            isinstance(value, ModuleType)
+            and value.__name__ == f"{self.__name__}.{name}"
+            and self._EXPORTS.get(name) == f".{name}"
+        ):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimConfig",
-    "default_config",
-    "paper_scale",
-    "HyperX",
-    "regular_hyperx",
-    "paper_hyperx",
-    "make_algorithm",
-    "algorithm_names",
-    "PAPER_ALGORITHMS",
-    "FaultSet",
-    "DegradedTopology",
-    "random_link_faults",
-    "quick_simulation",
-]
-
-
-def quick_simulation(
-    algorithm: str = "DimWAR",
-    pattern: str = "UR",
-    rate: float = 0.3,
-    widths: tuple[int, ...] = (4, 4),
-    terminals_per_router: int = 4,
-    cycles: int = 3000,
-    seed: int = 1,
-):
-    """Run one synthetic-traffic simulation and return its measurement.
-
-    A convenience wrapper over the full API (topology -> algorithm ->
-    network -> traffic -> measurement); see ``examples/quickstart.py`` for
-    the expanded form.
-    """
-    from .analysis.parallel import PointSpec, run_point
-
-    return run_point(PointSpec(
-        tuple(widths), terminals_per_router, algorithm, pattern, rate,
-        total_cycles=cycles, seed=seed,
-    ))
+lazy_exports(globals(), {
+    "SimConfig": ".config",
+    "default_config": ".config",
+    "paper_scale": ".config",
+    "HyperX": ".topology.hyperx",
+    "regular_hyperx": ".topology.hyperx",
+    "paper_hyperx": ".topology.hyperx",
+    "make_algorithm": ".core.registry",
+    "algorithm_names": ".core.registry",
+    "PAPER_ALGORITHMS": ".core.registry",
+    "FaultSet": ".faults.model",
+    "DegradedTopology": ".faults.degraded",
+    "random_link_faults": ".faults.model",
+    "quick_simulation": ".analysis.parallel",
+})

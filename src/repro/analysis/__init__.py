@@ -1,51 +1,32 @@
 """Measurement harness: load sweeps, saturation search, reporting."""
 
-from .ascii_plot import ascii_plot, plot_sweeps
-from .report import format_table, to_csv, write_csv
-from .theory import (
-    dor_cap_bit_complement,
-    dor_cap_dcr,
-    dor_cap_urb,
-    max_hops,
-    mean_min_hops_uniform,
-    zero_load_latency,
-)
-from .memo import SIM_SALT, SweepMemo, canonical_spec, point_key
-from .parallel import PointSpec, SweepProgress, point_specs, run_point, run_points
-from .sweep import (
-    PointResult,
-    SweepResult,
-    measure_point,
-    nearest_rank_p99,
-    saturation_throughput,
-    sweep_load,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "measure_point",
-    "nearest_rank_p99",
-    "sweep_load",
-    "saturation_throughput",
-    "PointResult",
-    "SweepResult",
-    "PointSpec",
-    "SweepMemo",
-    "SIM_SALT",
-    "canonical_spec",
-    "point_key",
-    "SweepProgress",
-    "point_specs",
-    "run_point",
-    "run_points",
-    "format_table",
-    "to_csv",
-    "write_csv",
-    "ascii_plot",
-    "plot_sweeps",
-    "dor_cap_bit_complement",
-    "dor_cap_urb",
-    "dor_cap_dcr",
-    "mean_min_hops_uniform",
-    "max_hops",
-    "zero_load_latency",
-]
+lazy_exports(globals(), {
+    "measure_point": ".sweep",
+    "nearest_rank_p99": ".sweep",
+    "sweep_load": ".sweep",
+    "saturation_throughput": ".sweep",
+    "PointResult": ".sweep",
+    "SweepResult": ".sweep",
+    "PointSpec": ".parallel",
+    "SweepMemo": ".memo",
+    "SIM_SALT": ".memo",
+    "canonical_spec": ".memo",
+    "point_key": ".memo",
+    "SweepProgress": ".parallel",
+    "point_specs": ".parallel",
+    "run_point": ".parallel",
+    "run_points": ".parallel",
+    "format_table": ".report",
+    "to_csv": ".report",
+    "write_csv": ".report",
+    "ascii_plot": ".ascii_plot",
+    "plot_sweeps": ".ascii_plot",
+    "dor_cap_bit_complement": ".theory",
+    "dor_cap_urb": ".theory",
+    "dor_cap_dcr": ".theory",
+    "mean_min_hops_uniform": ".theory",
+    "max_hops": ".theory",
+    "zero_load_latency": ".theory",
+})

@@ -37,7 +37,6 @@ Example (the exact code path a worker executes, run serially)::
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -45,6 +44,8 @@ from ..config import SimConfig
 from ..topology.hyperx import HyperX
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..core.base import RoutingAlgorithm
     from ..obs import TraceOptions
     from ..topology.base import Topology
@@ -142,6 +143,28 @@ def run_point(spec: PointSpec) -> "PointResult":
         check=spec.check,
         trace=spec.trace,
     )
+
+
+def quick_simulation(
+    algorithm: str = "DimWAR",
+    pattern: str = "UR",
+    rate: float = 0.3,
+    widths: tuple[int, ...] = (4, 4),
+    terminals_per_router: int = 4,
+    cycles: int = 3000,
+    seed: int = 1,
+) -> "PointResult":
+    """Run one synthetic-traffic simulation and return its measurement.
+
+    A convenience wrapper over the full API (topology -> algorithm ->
+    network -> traffic -> measurement), exported as
+    ``repro.quick_simulation``; see ``examples/quickstart.py`` for the
+    expanded form.
+    """
+    return run_point(PointSpec(
+        tuple(widths), terminals_per_router, algorithm, pattern, rate,
+        total_cycles=cycles, seed=seed,
+    ))
 
 
 def point_specs(
@@ -281,6 +304,8 @@ def run_points(
             if cached is not None:
                 return (cached, None)
         if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers)
         return (None, pool.submit(run_point, specs[i]))
 

@@ -1,23 +1,19 @@
 """The 27-point stencil application model (Section 6.2, Figures 7 & 8)."""
 
-from .collective import CollectiveSend, DisseminationCollective
-from .engine import MAX_PACKET_FLITS, StencilApplication
-from .placement import LinearPlacement, Placement, RandomPlacement
-from .stencil import Neighbor, StencilDecomposition
-from .trace import MessageTrace, TracedMessage, TraceReplay, record_stencil_trace
+from .. import lazy_exports
 
-__all__ = [
-    "StencilDecomposition",
-    "Neighbor",
-    "DisseminationCollective",
-    "CollectiveSend",
-    "Placement",
-    "LinearPlacement",
-    "RandomPlacement",
-    "StencilApplication",
-    "MAX_PACKET_FLITS",
-    "MessageTrace",
-    "TracedMessage",
-    "TraceReplay",
-    "record_stencil_trace",
-]
+lazy_exports(globals(), {
+    "StencilDecomposition": ".stencil",
+    "Neighbor": ".stencil",
+    "DisseminationCollective": ".collective",
+    "CollectiveSend": ".collective",
+    "Placement": ".placement",
+    "LinearPlacement": ".placement",
+    "RandomPlacement": ".placement",
+    "StencilApplication": ".engine",
+    "MAX_PACKET_FLITS": ".engine",
+    "MessageTrace": ".trace",
+    "TracedMessage": ".trace",
+    "TraceReplay": ".trace",
+    "record_stencil_trace": ".trace",
+})

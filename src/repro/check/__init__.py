@@ -20,21 +20,14 @@ cyclic wait, an illegal VC hop, a diverged replay) that each checker must
 catch — the checkers are themselves tested, not just trusted.
 """
 
-from .oracle import (
-    OracleReport,
-    diff_pristine_empty_faultset,
-    diff_serial_parallel,
-    run_all_oracles,
-)
-from .sanitizer import Sanitizer, SanitizerError
-from .selftest import run_selftest
+from .. import lazy_exports
 
-__all__ = [
-    "Sanitizer",
-    "SanitizerError",
-    "OracleReport",
-    "diff_serial_parallel",
-    "diff_pristine_empty_faultset",
-    "run_all_oracles",
-    "run_selftest",
-]
+lazy_exports(globals(), {
+    "Sanitizer": ".sanitizer",
+    "SanitizerError": ".sanitizer",
+    "OracleReport": ".oracle",
+    "diff_serial_parallel": ".oracle",
+    "diff_pristine_empty_faultset": ".oracle",
+    "run_all_oracles": ".oracle",
+    "run_selftest": ".selftest",
+})

@@ -37,54 +37,37 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
-from .analysis.parallel import PointSpec
-from .analysis.report import format_table
-from .analysis.sweep import sweep_load
 from .core.registry import PAPER_ALGORITHMS, algorithm_names
-from .experiments import (
-    faults as faults_experiment,
-    fig1_paths,
-    fig2_scalability,
-    fig3_cost,
-    fig4_topologies,
-    fig5_vcusage,
-    fig6_synthetic,
-    fig7_model,
-    fig8_stencil,
-    irregular,
-    table1_comparison,
-    table_area,
-    transient,
-)
-from .experiments.common import SCALES, get_scale, resolve_workers
-from .topology.hyperx import HyperX
 
-# Each entry takes (scale, workers); only the sweep-grid figures can use
-# the worker pool, the rest ignore it.
+# Each entry names its driver module under repro.experiments and draws the
+# figure from it, given (driver, scale, workers); only the sweep-grid
+# figures can use the worker pool, the rest ignore it.  A handler imports
+# the one driver it runs.
 FIGURES = {
-    "fig1": lambda scale, workers: fig1_paths.render(fig1_paths.run()),
-    "fig2": lambda scale, workers: fig2_scalability.render(fig2_scalability.run()),
-    "fig3": lambda scale, workers: fig3_cost.render(fig3_cost.run()),
-    "fig4": lambda scale, workers: fig4_topologies.render(fig4_topologies.run(scale)),
-    "fig5": lambda scale, workers: fig5_vcusage.render(fig5_vcusage.run()),
-    "fig6g": lambda scale, workers: fig6_synthetic.render_throughput_chart(
-        fig6_synthetic.run_throughput_chart(scale=scale, workers=workers)
-    ),
-    "fig7": lambda scale, workers: fig7_model.run(),
-    "fig8": lambda scale, workers: fig8_stencil.render(fig8_stencil.run(scale=scale)),
-    "table1": lambda scale, workers: table1_comparison.render(table1_comparison.run()),
-    "irregular": lambda scale, workers: irregular.render(irregular.run(scale=scale)),
-    "table_area": lambda scale, workers: table_area.render(table_area.run()),
-    "transient": lambda scale, workers: transient.render(transient.run(scale=scale)),
-    "faults": lambda scale, workers: faults_experiment.render(
-        faults_experiment.run(scale=scale)
-    ),
+    "fig1": ("fig1_paths", lambda m, scale, workers: m.render(m.run())),
+    "fig2": ("fig2_scalability", lambda m, scale, workers: m.render(m.run())),
+    "fig3": ("fig3_cost", lambda m, scale, workers: m.render(m.run())),
+    "fig4": ("fig4_topologies", lambda m, scale, workers: m.render(m.run(scale))),
+    "fig5": ("fig5_vcusage", lambda m, scale, workers: m.render(m.run())),
+    "fig6g": ("fig6_synthetic", lambda m, scale, workers: m.render_throughput_chart(
+        m.run_throughput_chart(scale=scale, workers=workers)
+    )),
+    "fig7": ("fig7_model", lambda m, scale, workers: m.run()),
+    "fig8": ("fig8_stencil", lambda m, scale, workers: m.render(m.run(scale=scale))),
+    "table1": ("table1_comparison", lambda m, scale, workers: m.render(m.run())),
+    "irregular": ("irregular", lambda m, scale, workers: m.render(m.run(scale=scale))),
+    "table_area": ("table_area", lambda m, scale, workers: m.render(m.run())),
+    "transient": ("transient", lambda m, scale, workers: m.render(m.run(scale=scale))),
+    "faults": ("faults", lambda m, scale, workers: m.render(m.run(scale=scale))),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .experiments.common import SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Practical and Efficient Incremental "
@@ -262,12 +245,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _scenario(args) -> tuple:
     """Live ``(topology, algorithm, pattern)`` for the sweep/trace flags
     (the rate plays no part in construction)."""
+    from .analysis.parallel import PointSpec
+
     return PointSpec(
         tuple(args.widths), args.terminals, args.algorithm, args.pattern, rate=0.0
     ).build()
 
 
 def _cmd_sweep(args) -> str:
+    from .analysis.report import format_table
+    from .analysis.sweep import sweep_load
+    from .experiments.common import resolve_workers
+
     if args.shards < 0:
         raise ValueError("--shards must be >= 0")
     sweep = sweep_load(
@@ -294,6 +283,8 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_stencil(args) -> str:
+    from .experiments import fig8_stencil
+
     result = fig8_stencil.run(
         algorithms=tuple(args.algorithms),
         modes=(args.mode,),
@@ -305,7 +296,9 @@ def _cmd_stencil(args) -> str:
 
 
 def _cmd_faults(args) -> str:
-    from .experiments import fault_compare
+    from .experiments import fault_compare, faults as faults_experiment
+    from .experiments.common import get_scale, resolve_workers
+    from .topology.hyperx import HyperX
 
     topology = None
     if args.widths is not None:
@@ -474,6 +467,7 @@ def _cmd_serve(args) -> int:
     """
     import signal
 
+    from .experiments.common import resolve_workers
     from .service import ExperimentService
 
     if not 0 <= args.port <= 65535:
@@ -508,7 +502,17 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _cmd_figure(args) -> str:
+    from .experiments.common import get_scale, resolve_workers
+
+    module, draw = FIGURES[args.name]
+    driver = importlib.import_module(f"{__package__}.experiments.{module}")
+    return draw(driver, get_scale(args.scale), resolve_workers(args.workers))
+
+
 def _cmd_list() -> str:
+    from .experiments.common import SCALES
+
     lines = [
         "algorithms : " + ", ".join(algorithm_names()),
         "patterns   : UR, BC, URBx, URBy, URBz, S2, DCR",
@@ -527,8 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "stencil":
             print(_cmd_stencil(args))
         elif args.command == "figure":
-            print(FIGURES[args.name](get_scale(args.scale),
-                                     resolve_workers(args.workers)))
+            print(_cmd_figure(args))
         elif args.command == "faults":
             print(_cmd_faults(args))
         elif args.command == "trace":

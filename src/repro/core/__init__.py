@@ -1,47 +1,29 @@
 """Routing algorithms: the paper's DimWAR and OmniWAR plus all baselines."""
 
-from .base import RouteCandidate, RouteContext, RoutingAlgorithm
-from .closad import ClosAD
-from .dimwar import DimWAR
-from .dor import DimensionOrderRouting
-from .fthx import FTHX
-from .minad import MinAdaptive
-from .omniwar import OmniWAR
-from .registry import (
-    PAPER_ALGORITHMS,
-    algorithm_names,
-    fault_capable_names,
-    make_algorithm,
-    table1_rows,
-)
-from .vcfree import VCFreeRouting
-from .tables import TableRouting, compile_tables, full_table_geometry, optimized_table_geometry
-from .torus_routing import MeshDOR, TorusDOR
-from .ugal import Ugal
-from .valiant import Valiant
+from .. import lazy_exports
 
-__all__ = [
-    "RoutingAlgorithm",
-    "RouteContext",
-    "RouteCandidate",
-    "DimensionOrderRouting",
-    "Valiant",
-    "Ugal",
-    "ClosAD",
-    "MinAdaptive",
-    "DimWAR",
-    "OmniWAR",
-    "FTHX",
-    "VCFreeRouting",
-    "make_algorithm",
-    "algorithm_names",
-    "fault_capable_names",
-    "table1_rows",
-    "PAPER_ALGORITHMS",
-    "TableRouting",
-    "compile_tables",
-    "full_table_geometry",
-    "optimized_table_geometry",
-    "MeshDOR",
-    "TorusDOR",
-]
+lazy_exports(globals(), {
+    "RoutingAlgorithm": ".base",
+    "RouteContext": ".base",
+    "RouteCandidate": ".base",
+    "DimensionOrderRouting": ".dor",
+    "Valiant": ".valiant",
+    "Ugal": ".ugal",
+    "ClosAD": ".closad",
+    "MinAdaptive": ".minad",
+    "DimWAR": ".dimwar",
+    "OmniWAR": ".omniwar",
+    "FTHX": ".fthx",
+    "VCFreeRouting": ".vcfree",
+    "make_algorithm": ".registry",
+    "algorithm_names": ".registry",
+    "fault_capable_names": ".registry",
+    "table1_rows": ".registry",
+    "PAPER_ALGORITHMS": ".registry",
+    "TableRouting": ".tables",
+    "compile_tables": ".tables",
+    "full_table_geometry": ".tables",
+    "optimized_table_geometry": ".tables",
+    "MeshDOR": ".torus_routing",
+    "TorusDOR": ".torus_routing",
+})

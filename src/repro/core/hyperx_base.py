@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..faults.degraded import DegradedTopology
 from ..topology.hyperx import HyperX
 from .base import RouteContext, RoutingAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.degraded import DegradedTopology
     from ..faults.model import FaultState
     from ..network.types import Packet
 
@@ -32,13 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class HyperXRouting(RoutingAlgorithm):
     """Base class for routing algorithms on HyperX topologies."""
 
-    def __init__(self, topology: HyperX | DegradedTopology):
-        self.faults: "FaultState | None" = None
-        if isinstance(topology, DegradedTopology):
-            base = topology.base
-            self.faults = topology.faults
-        else:
-            base = topology
+    def __init__(self, topology: "HyperX | DegradedTopology"):
+        # A DegradedTopology is recognised by its fault state and pristine
+        # base (as Network reads it), so a pristine point never imports
+        # repro.faults.
+        self.faults: "FaultState | None" = getattr(topology, "faults", None)
+        base = topology if self.faults is None else topology.base
         if not isinstance(base, HyperX):
             raise TypeError(f"{type(self).__name__} requires a HyperX topology")
         super().__init__(topology)

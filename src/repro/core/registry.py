@@ -8,37 +8,38 @@ which is analysed but, as in the paper, never simulated.
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING
 
-from ..topology.hyperx import HyperX
-from .base import RoutingAlgorithm
-from .closad import ClosAD
-from .dimwar import DimWAR
-from .dor import DimensionOrderRouting
-from .fthx import FTHX
-from .minad import MinAdaptive
-from .minimal_oblivious import RandomDimOrder, Romm
-from .omniwar import OmniWAR
-from .ugal import Ugal
-from .valiant import Valiant
-from .vcfree import VCFreeRouting
+if TYPE_CHECKING:  # pragma: no cover
+    from ..topology.hyperx import HyperX
+    from .base import RoutingAlgorithm
 
-Factory = Callable[[HyperX], RoutingAlgorithm]
-
-_FACTORIES: dict[str, Factory] = {
-    "DOR": DimensionOrderRouting,
-    "VAL": Valiant,
-    "UGAL": Ugal,
-    "UGAL+": ClosAD,
-    "MIN-AD": MinAdaptive,
-    "ROMM": Romm,
-    "O1Turn": RandomDimOrder,
-    "DimWAR": DimWAR,
-    "OmniWAR": OmniWAR,
-    "OmniWAR-b2b": lambda topo: OmniWAR(topo, restrict_back_to_back=True),
-    "FTHX": FTHX,
-    "VCFree": VCFreeRouting,
+#: name -> ``"module:attr"`` of its factory under ``repro.core``; only the
+#: module a name resolves to is imported, when the name is first built
+_FACTORIES: dict[str, str] = {
+    "DOR": "dor:DimensionOrderRouting",
+    "VAL": "valiant:Valiant",
+    "UGAL": "ugal:Ugal",
+    "UGAL+": "closad:ClosAD",
+    "MIN-AD": "minad:MinAdaptive",
+    "ROMM": "minimal_oblivious:Romm",
+    "O1Turn": "minimal_oblivious:RandomDimOrder",
+    "DimWAR": "dimwar:DimWAR",
+    "OmniWAR": "omniwar:OmniWAR",
+    "OmniWAR-b2b": "omniwar:OmniWAR",
+    "FTHX": "fthx:FTHX",
+    "VCFree": "vcfree:VCFreeRouting",
 }
+
+#: keyword arguments a registered variant is built with when the caller
+#: passes none (caller keywords replace them)
+_PRESETS: dict[str, dict[str, object]] = {
+    "OmniWAR-b2b": {"restrict_back_to_back": True},
+}
+
+#: names whose factory accepts caller keyword arguments
+_TAKES_KWARGS = ("OmniWAR", "OmniWAR-b2b", "UGAL", "FTHX")
 
 #: the paper's Figure 6 / Figure 8 line-up (Table 2)
 PAPER_ALGORITHMS = ("DOR", "VAL", "UGAL", "UGAL+", "DimWAR", "OmniWAR")
@@ -64,22 +65,18 @@ def algorithm_names() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def make_algorithm(name: str, topology: HyperX, **kwargs) -> RoutingAlgorithm:
+def make_algorithm(name: str, topology: "HyperX", **kwargs) -> "RoutingAlgorithm":
     try:
-        factory = _FACTORIES[name]
+        path = _FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown algorithm {name!r}; choose from {algorithm_names()}"
         ) from None
-    if kwargs:
-        if name in ("OmniWAR", "OmniWAR-b2b"):
-            return OmniWAR(topology, **kwargs)
-        if name == "UGAL":
-            return Ugal(topology, **kwargs)
-        if name == "FTHX":
-            return FTHX(topology, **kwargs)
+    if kwargs and name not in _TAKES_KWARGS:
         raise ValueError(f"{name} takes no extra arguments")
-    return factory(topology)
+    module, attr = path.split(":")
+    factory = getattr(importlib.import_module(f"{__package__}.{module}"), attr)
+    return factory(topology, **(kwargs or _PRESETS.get(name, {})))
 
 
 def fault_capable_names() -> list[str]:
@@ -92,6 +89,7 @@ def fault_capable_names() -> list[str]:
     drift from the registry.
     """
     from ..faults.degraded import DegradedTopology
+    from ..topology.hyperx import HyperX
 
     probe = DegradedTopology(HyperX((2, 2), 1))
     return [
@@ -108,6 +106,8 @@ def table1_rows(num_dims: int = 3) -> list[dict[str, object]]:
     analysed (:mod:`repro.core.dal_analysis`) but not simulatable without
     escape paths.
     """
+    from ..topology.hyperx import HyperX
+
     hx = HyperX((2,) * num_dims, 1)
     rows = []
     for name in ("UGAL", "UGAL+", "DimWAR", "OmniWAR"):

@@ -1,26 +1,18 @@
 """The Figure 3 cabling-cost model: packaging, technologies, comparison."""
 
-from .model import CostPoint, figure3_points, size_dragonfly, size_hyperx
-from .packaging import CableInventory, dragonfly_inventory, hyperx_inventory
-from .technologies import (
-    ELECTRICAL_REACH_M,
-    CableTechnology,
-    ElectricalAoc,
-    PassiveOptical,
-    paper_technologies,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "figure3_points",
-    "CostPoint",
-    "size_hyperx",
-    "size_dragonfly",
-    "CableInventory",
-    "hyperx_inventory",
-    "dragonfly_inventory",
-    "CableTechnology",
-    "ElectricalAoc",
-    "PassiveOptical",
-    "paper_technologies",
-    "ELECTRICAL_REACH_M",
-]
+lazy_exports(globals(), {
+    "figure3_points": ".model",
+    "CostPoint": ".model",
+    "size_hyperx": ".model",
+    "size_dragonfly": ".model",
+    "CableInventory": ".packaging",
+    "hyperx_inventory": ".packaging",
+    "dragonfly_inventory": ".packaging",
+    "CableTechnology": ".technologies",
+    "ElectricalAoc": ".technologies",
+    "PassiveOptical": ".technologies",
+    "paper_technologies": ".technologies",
+    "ELECTRICAL_REACH_M": ".technologies",
+})

@@ -17,40 +17,24 @@ module                       regenerates
 ===========================  ====================================
 """
 
-from . import (
-    fault_compare,
-    faults,
-    fig1_paths,
-    fig2_scalability,
-    fig3_cost,
-    fig4_topologies,
-    fig5_vcusage,
-    fig6_synthetic,
-    fig7_model,
-    fig8_stencil,
-    irregular,
-    table1_comparison,
-    table_area,
-    transient,
-)
-from .common import SCALES, Scale, get_scale
+from .. import lazy_exports
 
-__all__ = [
-    "fault_compare",
-    "faults",
-    "fig1_paths",
-    "fig2_scalability",
-    "fig3_cost",
-    "fig4_topologies",
-    "fig5_vcusage",
-    "fig6_synthetic",
-    "fig7_model",
-    "fig8_stencil",
-    "irregular",
-    "table1_comparison",
-    "table_area",
-    "transient",
-    "Scale",
-    "SCALES",
-    "get_scale",
-]
+lazy_exports(globals(), {
+    "fault_compare": None,
+    "faults": None,
+    "fig1_paths": None,
+    "fig2_scalability": None,
+    "fig3_cost": None,
+    "fig4_topologies": None,
+    "fig5_vcusage": None,
+    "fig6_synthetic": None,
+    "fig7_model": None,
+    "fig8_stencil": None,
+    "irregular": None,
+    "table1_comparison": None,
+    "table_area": None,
+    "transient": None,
+    "Scale": ".common",
+    "SCALES": ".common",
+    "get_scale": ".common",
+})

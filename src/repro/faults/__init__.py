@@ -31,30 +31,18 @@ Example::
     >>> topo.validate()
 """
 
-from .degraded import DegradedTopology
-from .inject import FaultInjector
-from .model import (
-    DegradedLink,
-    FaultEvent,
-    FaultSchedule,
-    FaultSet,
-    FaultState,
-    LinkFault,
-    RouterFault,
-    random_faults,
-    random_link_faults,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "DegradedLink",
-    "DegradedTopology",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSet",
-    "FaultState",
-    "LinkFault",
-    "RouterFault",
-    "random_faults",
-    "random_link_faults",
-]
+lazy_exports(globals(), {
+    "DegradedLink": ".model",
+    "DegradedTopology": ".degraded",
+    "FaultEvent": ".model",
+    "FaultInjector": ".inject",
+    "FaultSchedule": ".model",
+    "FaultSet": ".model",
+    "FaultState": ".model",
+    "LinkFault": ".model",
+    "RouterFault": ".model",
+    "random_faults": ".model",
+    "random_link_faults": ".model",
+})

@@ -1,19 +1,15 @@
 """The flit-level interconnection-network simulator (SuperSim substrate)."""
 
-from .network import Network
-from .simulator import Simulator
-from .stats import LatencyMonitor, PacketStats
-from .telemetry import LinkStat, TelemetryProbe
-from .types import Flit, Message, Packet
+from .. import lazy_exports
 
-__all__ = [
-    "Network",
-    "Simulator",
-    "Packet",
-    "Flit",
-    "Message",
-    "PacketStats",
-    "LatencyMonitor",
-    "TelemetryProbe",
-    "LinkStat",
-]
+lazy_exports(globals(), {
+    "Network": ".network",
+    "Simulator": ".simulator",
+    "Packet": ".types",
+    "Flit": ".types",
+    "Message": ".types",
+    "PacketStats": ".stats",
+    "LatencyMonitor": ".stats",
+    "TelemetryProbe": ".telemetry",
+    "LinkStat": ".telemetry",
+})

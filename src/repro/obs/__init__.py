@@ -29,43 +29,28 @@ speed, and with it attached results are byte-identical to an untraced run
 See docs/OBSERVABILITY.md for the event schema and workflow examples.
 """
 
-from ..network.stats import nearest_rank
-from .events import EVENT_TYPES, EventRing, TraceEvent, TraceOptions
-from .export import (
-    chrome_trace,
-    event_line,
-    events_jsonl,
-    occupancy_heatmap,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_point_trace,
-)
-from .golden import GOLDEN_ALGORITHMS, golden_jsonl, golden_tracer
-from .profile import PhaseProfiler
-from .timeseries import TimeSeriesSampler, WindowSample
-from .tracer import Tracer, record_hops
+from .. import lazy_exports
 
-__all__ = [
-    "EVENT_TYPES",
-    "EventRing",
-    "TraceEvent",
-    "TraceOptions",
-    "Tracer",
-    "record_hops",
-    "TimeSeriesSampler",
-    "WindowSample",
-    "PhaseProfiler",
-    "GOLDEN_ALGORITHMS",
-    "golden_tracer",
-    "golden_jsonl",
-    "chrome_trace",
-    "event_line",
-    "events_jsonl",
-    "occupancy_heatmap",
-    "read_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_point_trace",
-    "nearest_rank",
-]
+lazy_exports(globals(), {
+    "EVENT_TYPES": ".events",
+    "EventRing": ".events",
+    "TraceEvent": ".events",
+    "TraceOptions": ".events",
+    "Tracer": ".tracer",
+    "record_hops": ".tracer",
+    "TimeSeriesSampler": ".timeseries",
+    "WindowSample": ".timeseries",
+    "PhaseProfiler": ".profile",
+    "GOLDEN_ALGORITHMS": ".golden",
+    "golden_tracer": ".golden",
+    "golden_jsonl": ".golden",
+    "chrome_trace": ".export",
+    "event_line": ".export",
+    "events_jsonl": ".export",
+    "occupancy_heatmap": ".export",
+    "read_jsonl": ".export",
+    "write_chrome_trace": ".export",
+    "write_jsonl": ".export",
+    "write_point_trace": ".export",
+    "nearest_rank": "..network.stats",
+})

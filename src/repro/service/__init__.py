@@ -28,46 +28,28 @@ curves it serves are byte-identical to direct
 :func:`~repro.analysis.sweep.sweep_load` calls for any worker count.
 """
 
-from .jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    LEGAL_TRANSITIONS,
-    QUEUED,
-    RUNNING,
-    STATES,
-    TERMINAL,
-    Job,
-    JobCancelled,
-    JobQueue,
-    JobStore,
-    QueueFull,
-    TransitionError,
-)
-from .ratelimit import RateLimiter, TokenBucket
-from .server import ExperimentService, ServiceHandler
-from .spec import SweepRequest, build_request, request_key
+from .. import lazy_exports
 
-__all__ = [
-    "ExperimentService",
-    "ServiceHandler",
-    "SweepRequest",
-    "build_request",
-    "request_key",
-    "Job",
-    "JobStore",
-    "JobQueue",
-    "JobCancelled",
-    "QueueFull",
-    "TransitionError",
-    "RateLimiter",
-    "TokenBucket",
-    "STATES",
-    "TERMINAL",
-    "LEGAL_TRANSITIONS",
-    "QUEUED",
-    "RUNNING",
-    "DONE",
-    "FAILED",
-    "CANCELLED",
-]
+lazy_exports(globals(), {
+    "ExperimentService": ".server",
+    "ServiceHandler": ".server",
+    "SweepRequest": ".spec",
+    "build_request": ".spec",
+    "request_key": ".spec",
+    "Job": ".jobs",
+    "JobStore": ".jobs",
+    "JobQueue": ".jobs",
+    "JobCancelled": ".jobs",
+    "QueueFull": ".jobs",
+    "TransitionError": ".jobs",
+    "RateLimiter": ".ratelimit",
+    "TokenBucket": ".ratelimit",
+    "STATES": ".jobs",
+    "TERMINAL": ".jobs",
+    "LEGAL_TRANSITIONS": ".jobs",
+    "QUEUED": ".jobs",
+    "RUNNING": ".jobs",
+    "DONE": ".jobs",
+    "FAILED": ".jobs",
+    "CANCELLED": ".jobs",
+})

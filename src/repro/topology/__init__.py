@@ -1,36 +1,24 @@
 """Topologies: HyperX (the paper's subject), Dragonfly and fat tree (the
 Figure 4 comparison baselines), and the scalability models of Figure 2."""
 
-from .base import PortPeer, RouterPort, Topology
-from .dragonfly import Dragonfly, balanced_dragonfly
-from .fattree import FatTree
-from .hyperx import HyperX, paper_hyperx, regular_hyperx
-from .torus import Torus, mesh
-from .scalability import (
-    dragonfly_max_nodes,
-    fattree_max_nodes,
-    figure2_points,
-    figure2_table,
-    hyperx_max_nodes,
-    slimfly_max_nodes,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "Topology",
-    "RouterPort",
-    "PortPeer",
-    "HyperX",
-    "regular_hyperx",
-    "paper_hyperx",
-    "Dragonfly",
-    "balanced_dragonfly",
-    "FatTree",
-    "Torus",
-    "mesh",
-    "hyperx_max_nodes",
-    "dragonfly_max_nodes",
-    "fattree_max_nodes",
-    "slimfly_max_nodes",
-    "figure2_points",
-    "figure2_table",
-]
+lazy_exports(globals(), {
+    "Topology": ".base",
+    "RouterPort": ".base",
+    "PortPeer": ".base",
+    "HyperX": ".hyperx",
+    "regular_hyperx": ".hyperx",
+    "paper_hyperx": ".hyperx",
+    "Dragonfly": ".dragonfly",
+    "balanced_dragonfly": ".dragonfly",
+    "FatTree": ".fattree",
+    "Torus": ".torus",
+    "mesh": ".torus",
+    "hyperx_max_nodes": ".scalability",
+    "dragonfly_max_nodes": ".scalability",
+    "fattree_max_nodes": ".scalability",
+    "slimfly_max_nodes": ".scalability",
+    "figure2_points": ".scalability",
+    "figure2_table": ".scalability",
+})

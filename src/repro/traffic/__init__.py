@@ -1,39 +1,24 @@
 """Synthetic traffic: the paper's Table 3 patterns, sizes, and injection."""
 
-from .base import TrafficPattern
-from .injection import BurstyTraffic, SyntheticTraffic
-from .patterns import (
-    BitComplement,
-    DimensionComplementReverse,
-    Hotspot,
-    RandomPermutation,
-    Swap2,
-    Tornado,
-    Transpose,
-    UniformRandom,
-    UniformRandomBisection,
-    paper_patterns,
-)
-from .switching import PhasedTraffic
-from .sizes import BimodalSize, FixedSize, SizeDistribution, UniformSize
+from .. import lazy_exports
 
-__all__ = [
-    "TrafficPattern",
-    "UniformRandom",
-    "BitComplement",
-    "UniformRandomBisection",
-    "Swap2",
-    "DimensionComplementReverse",
-    "Tornado",
-    "Transpose",
-    "RandomPermutation",
-    "Hotspot",
-    "paper_patterns",
-    "SizeDistribution",
-    "FixedSize",
-    "UniformSize",
-    "BimodalSize",
-    "SyntheticTraffic",
-    "BurstyTraffic",
-    "PhasedTraffic",
-]
+lazy_exports(globals(), {
+    "TrafficPattern": ".base",
+    "UniformRandom": ".patterns",
+    "BitComplement": ".patterns",
+    "UniformRandomBisection": ".patterns",
+    "Swap2": ".patterns",
+    "DimensionComplementReverse": ".patterns",
+    "Tornado": ".patterns",
+    "Transpose": ".patterns",
+    "RandomPermutation": ".patterns",
+    "Hotspot": ".patterns",
+    "paper_patterns": ".patterns",
+    "SizeDistribution": ".sizes",
+    "FixedSize": ".sizes",
+    "UniformSize": ".sizes",
+    "BimodalSize": ".sizes",
+    "SyntheticTraffic": ".injection",
+    "BurstyTraffic": ".injection",
+    "PhasedTraffic": ".switching",
+})

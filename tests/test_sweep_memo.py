@@ -300,7 +300,7 @@ def test_memo_warm_parallel_sweep_builds_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a memo-warm sweep built a process pool")
 
-    monkeypatch.setattr("repro.analysis.parallel.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     pooled = run_points(specs, workers=2, memo=memo)
     assert _strip(pooled) == _strip(serial)
 
