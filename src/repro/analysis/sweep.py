@@ -135,43 +135,53 @@ def nearest_rank_p99(values: list[float]) -> float:
 
 class frozen_build:
     """The one owner of the cyclic collector's state around a built network
-    (docs/PERFORMANCE.md, "Construction without the collector")::
+    (docs/PERFORMANCE.md, "Construction without the collector" and "A
+    credit is a counter, not a channel")::
 
         with frozen_build(lambda: Network(topo, algo, cfg)) as net:
             ...  # run it
 
-    A built network is ~10^5..10^6 long-lived objects, and the cyclic
-    collector re-walks them every time an allocation trips it.  So the
-    constructor (1) thaws and collects once *first* — a dead predecessor is
-    cyclic garbage (router -> channel -> bound sink -> peer input unit ->
-    peer router), and with the collector paused nothing else would return
-    it before the new network is allocated beside it; (2) calls ``build()`` with the collector
-    paused, restoring the caller's ``gc.isenabled()`` state; (3)
-    ``gc.freeze()`` s what it built, so run-time collections walk run-time
-    garbage only.  Leaving the ``with`` block thaws, on every exit path; a
+    A built network is ~10^5..10^6 long-lived objects, and a loaded run
+    makes no cyclic garbage (``tests/test_construction.py`` holds every
+    registry algorithm to that), so the collector has nothing to do for a
+    point's whole life.  The constructor (1) thaws and collects once
+    *first* — a dead predecessor is cyclic garbage (router -> channel ->
+    bound sink -> peer input unit -> peer router), and with the collector
+    paused nothing else would return it before the new network is
+    allocated beside it; (2) pauses the collector and calls ``build()``;
+    (3) ``gc.freeze()`` s what it built.  The collector stays paused until
+    the ``with`` block is left.  Leaving it, on every exit path, ages
+    everything the run allocated into the oldest generation (freeze, then
+    thaw) — otherwise the caller's first young-generation pass would walk
+    all of the run's survivors — and restores the caller's
+    ``gc.isenabled()`` state.  A build that raises restores it too.  A
     build that is never left (a shard worker exits instead) is thawed by
     the next constructor.  The state is the process's, so one build at a
-    time per process.  ``Network.__init__`` itself carries no guard: it has
-    no lifetime owner to collect the predecessor first.
+    time per process.  ``Network.__init__`` itself carries no guard: it
+    has no lifetime owner to collect the predecessor first.
     """
 
     def __init__(self, build: Callable[[], object]):
         gc.unfreeze()
         gc.collect()
-        was_enabled = gc.isenabled()
+        self._was_enabled = gc.isenabled()
         gc.disable()
         try:
             self.built = build()
-        finally:
-            if was_enabled:
+        except BaseException:
+            if self._was_enabled:
                 gc.enable()
+            raise
         gc.freeze()
 
     def __enter__(self):
         return self.built
 
     def __exit__(self, *exc) -> None:
+        gc.freeze()
         gc.unfreeze()
+        if self._was_enabled:
+            gc.enable()
 
 
 class PointRun:
@@ -195,9 +205,9 @@ class PointRun:
     same bytes with or without them (``repro.check.oracle``'s
     ``diff_skip_on_off`` / ``diff_trace_on_off``).
 
-    The whole assembly is one :class:`frozen_build`: built with the
-    collector paused, frozen for the point's lifetime, thawed when the
-    ``with`` block is left.
+    The whole assembly is one :class:`frozen_build`: built and run with
+    the collector paused, frozen for the point's lifetime, thawed and aged
+    when the ``with`` block is left.
     """
 
     def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",

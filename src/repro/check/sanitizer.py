@@ -22,12 +22,15 @@ Checkers (each individually switchable):
                               + downstream buffer occupancy
                               + credits in flight back upstream
 
-  plus the tracker's internal consistency (incremental ``occupied_total``
-  against the per-VC counters).  This covers the fault paths too: a link
-  that failed mid-run keeps its record and must still reconcile while its
-  wormholes drain, and ``revoke_unstarted_routes`` must not touch credits.
+  where the last term is the credit calendar's census
+  (:meth:`~repro.network.network.Network.credits_returning`, taken once
+  per audit), plus the tracker's internal consistency (incremental
+  ``occupied_total`` against the per-VC counters).  This covers the fault
+  paths too: a link that failed mid-run keeps its record and must still
+  reconcile while its wormholes drain, and ``revoke_unstarted_routes``
+  must not touch credits.
 * **deadlock** — a stall-horizon watchdog over a global progress counter
-  (injections + ejections + router forwards + channel pushes).  When no
+  (injections + ejections + router forwards + data channel pushes).  When no
   progress happens for ``stall_horizon`` cycles while flits are in flight,
   the sanitizer builds the wait-for graph over committed routes and raises
   with the dependency cycle (router, port, VC, packet id, age) instead of
@@ -267,6 +270,7 @@ class Sanitizer:
 
     def _audit_credits(self, cycle: int) -> None:
         num_vcs = self._num_vcs
+        returning = self.network.credits_returning()  # once per audit
         for rec in self.network.links:
             tracker = rec.tracker
             if not tracker.consistent():
@@ -279,9 +283,7 @@ class Sanitizer:
             data_counts = [0] * num_vcs
             for vc, _flit in rec.data.pending_payloads():
                 data_counts[vc] += 1
-            credit_counts = [0] * num_vcs
-            for vc in rec.credit.pending_payloads():
-                credit_counts[vc] += 1
+            credit_counts = [returning[tracker, vc] for vc in range(num_vcs)]
             staged = rec.staged
             buffered = rec.downstream.occupancy
             for vc in range(num_vcs):

@@ -157,15 +157,14 @@ def canary_wait_cycle() -> tuple[bool, str]:
 
 
 def canary_stall() -> tuple[bool, str]:
-    """Throttle every router-to-router channel to one flit per 10^9 cycles;
-    traffic wedges solid and the stall horizon must fire end to end."""
+    """Throttle every channel to one flit per 10^9 cycles; traffic wedges
+    solid and the stall horizon must fire end to end."""
     sim, net, _ = _build_sim("DimWAR", rate=0.5)
 
     def seed_and_run():
         sim.run(100)
         for ch in net.channels:
-            if ch.limit_rate:
-                ch.min_gap = 10 ** 9
+            ch.min_gap = 10 ** 9
         Sanitizer(sim, window=32, stall_horizon=256).attach()
         sim.run(3000)
 

@@ -128,16 +128,14 @@ def run_fault_transient(
             t for t in range(base.num_terminals) if t // tpr not in doomed_routers
         ]
         pattern = UniformRandomSubset(base.num_terminals, alive)
-    run = PointRun(
-        topo, algo, pattern, rate, cfg=sc.sim_config(), seed=seed, check=check,
-        trace=trace, schedule=schedule, sources=alive,
-    )
-    sim, traffic, stats = run.sim, run.traffic, run.stats
-    probe = TelemetryProbe(run.net)
-
     drained = False
     routing_error: str | None = None
-    with run:
+    with PointRun(
+        topo, algo, pattern, rate, cfg=sc.sim_config(), seed=seed, check=check,
+        trace=trace, schedule=schedule, sources=alive,
+    ) as run:
+        sim, traffic, stats = run.sim, run.traffic, run.stats
+        probe = TelemetryProbe(run.net)
         try:
             sim.run(total)
             traffic.stop()

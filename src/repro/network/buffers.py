@@ -5,8 +5,8 @@ terminal) port: one FIFO per virtual channel, with per-VC routing state for
 the packet currently at the head of each VC.  A :class:`CreditTracker` counts
 the free slots the upstream side believes exist in a downstream
 :class:`InputUnit` — the essence of credit-based flow control.  Each owns
-the channel sink that writes it (:meth:`InputUnit.accept`,
-:meth:`CreditTracker.restore`): a bound method, never a closure.
+the method that writes it (:meth:`InputUnit.accept`, a channel's sink;
+:meth:`CreditTracker.restore`, the credit calendar's): never a closure.
 """
 
 from __future__ import annotations
@@ -128,14 +128,16 @@ class CreditTracker:
     A router output port's tracker also holds its credit waiters, set by
     ``Router.attach_output``: ``waiters[vc]`` is the flat input key asleep
     on this VC's next credit, ``asleep`` the router's set of such keys.
+    ``latency`` is the hop's credit-return delay in the credit calendar.
     """
 
-    __slots__ = ("depth", "credits", "occupied_total", "waiters", "asleep")
+    __slots__ = ("depth", "credits", "occupied_total", "waiters", "asleep", "latency")
 
-    def __init__(self, num_vcs: int, depth: int):
+    def __init__(self, num_vcs: int, depth: int, latency: int = 1):
         self.depth = depth
         self.credits = [depth] * num_vcs
         self.occupied_total = 0
+        self.latency = latency
         self.waiters: list[int | None] | None = None
         self.asleep: set[int] | None = None
 
@@ -149,10 +151,10 @@ class CreditTracker:
         self.occupied_total += 1
 
     def restore(self, vc: int) -> None:
-        """Return one credit: the credit channel's sink.  It re-arms the
-        input VC asleep on this credit the moment it returns — the cycle a
-        polling router would have succeeded, since credits are delivered in
-        the channel phase before routers step."""
+        """Return one credit: the one credit sink.  It re-arms the input VC
+        asleep on this credit the moment it returns — the cycle a polling
+        router would have succeeded, since credits are delivered before
+        routers step — and writes no wake registry."""
         credits = self.credits
         if credits[vc] >= self.depth:
             raise RuntimeError(f"credit overflow on VC {vc}")

@@ -1,20 +1,13 @@
-"""Pipelined channels.
+"""Pipelined data channels.
 
-A :class:`Channel` carries at most one item per cycle with a fixed pipeline
-latency, modelling a cable (or on-board trace) between a router output and the
-downstream input.  Credits travel on an identical channel in the opposite
-direction.  Items pushed at cycle ``t`` become deliverable at ``t + latency``.
-
-Delivery is two-phase: the simulator first calls :meth:`Channel.deliver` on
-every *busy* channel (moving arrived items into the downstream component),
-then lets every component compute and push new items.  This guarantees that an
-item can never traverse two channels in the same cycle.
-
-Busy tracking: a channel wired into a :class:`~repro.network.network.Network`
-registers itself in the network's active-channel set on the empty->busy
-transition of :meth:`push`; the simulator only visits registered channels and
-unregisters them once their pipeline drains.  Idle channels therefore cost
-nothing per cycle (see DESIGN.md, performance notes).
+A :class:`Channel` carries at most one flit per cycle with a fixed pipeline
+latency, modelling a cable (or on-board trace) between a router output and
+the downstream input: a flit pushed at cycle ``t`` reaches the sink in the
+delivery phase of cycle ``t + latency``, so it never crosses two channels
+in one cycle.  Credits travel in the network's credit calendar instead.  A
+wired channel registers in the network's active-channel set on its
+empty->busy push and the simulator visits only registered channels, so idle
+channels cost nothing per cycle (see DESIGN.md, performance notes).
 """
 
 from __future__ import annotations
@@ -26,21 +19,15 @@ from .buffers import NEVER_USED
 
 
 class Channel:
-    """A fixed-latency pipeline.
+    """A fixed-latency pipeline that carries at most one flit per cycle."""
 
-    Data channels carry at most one flit per cycle (``limit_rate=True``);
-    credit channels are narrow sideband signals and may carry several credits
-    per cycle (``limit_rate=False``).
-    """
-
-    __slots__ = ("latency", "_name", "limit_rate", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready")
+    __slots__ = ("latency", "_name", "min_gap", "_pipe", "_sink", "_last_push_cycle", "utilization_count", "_active_set", "_next_ready")
 
     def __init__(
         self,
         latency: int,
         sink: Callable[[Any], None],
         name: "str | tuple" = "",
-        limit_rate: bool = True,
     ):
         if latency < 1:
             raise ValueError("channel latency must be >= 1 cycle")
@@ -48,7 +35,6 @@ class Channel:
         #: a label, or the ``(template, *ids)`` parts of one: the network
         #: builder passes parts and :attr:`name` formats them when read.
         self._name = name
-        self.limit_rate = limit_rate
         #: minimum cycles between pushes; > 1 models a degraded-bandwidth
         #: link (set by the fault injector).  The router's output stage
         #: checks it before arbitrating for the port.
@@ -63,9 +49,7 @@ class Channel:
         #: lower bound on the head item's delivery cycle — the simulator's
         #: delivery loop skips the channel without touching the pipe while
         #: ``cycle < _next_ready``.  Set exactly on the empty->busy push
-        #: transition and refreshed after each delivery pass; pops by other
-        #: consumers (the obs profiler's own loop, :meth:`deliver`) can only
-        #: raise the true head ready-cycle, so the bound stays conservative.
+        #: transition and refreshed after each delivery pass.
         #: Cycle skip-ahead (:mod:`repro.network.skip`) also feeds this into
         #: its global next-event bound: a stale-low value merely vetoes one
         #: jump (the engine executes the next cycle), never skips a delivery.
@@ -83,12 +67,11 @@ class Channel:
     def push(self, cycle: int, item: Any) -> None:
         """Send ``item`` down the channel at ``cycle``: every router and
         terminal push comes through here."""
-        if self.limit_rate:
-            if cycle <= self._last_push_cycle:
-                raise RuntimeError(
-                    f"channel {self.name!r} pushed twice in cycle {cycle}"
-                )
-            self._last_push_cycle = cycle
+        if cycle <= self._last_push_cycle:
+            raise RuntimeError(
+                f"channel {self.name!r} pushed twice in cycle {cycle}"
+            )
+        self._last_push_cycle = cycle
         self.utilization_count += 1
         ready = cycle + self.latency
         pipe = self._pipe
@@ -100,15 +83,6 @@ class Channel:
                 self._active_set[self] = None
         pipe.append((ready, item))
 
-    def deliver(self, cycle: int) -> None:
-        """Hand every item whose latency has elapsed to the sink."""
-        pipe = self._pipe
-        while pipe and pipe[0][0] <= cycle:
-            _, item = pipe.popleft()
-            self._sink(item)
-        if pipe:
-            self._next_ready = pipe[0][0]
-
     @property
     def in_flight(self) -> int:
         return len(self._pipe)
@@ -116,9 +90,9 @@ class Channel:
     def pending_payloads(self):
         """The payloads currently in the pipeline, oldest first.
 
-        Inspection hook for the runtime sanitizer (repro.check): data
-        channels yield ``(vc, flit)`` tuples, credit channels bare VC ids.
-        The returned iterator must not outlive the current cycle.
+        Inspection hook for the runtime sanitizer (repro.check): ``(vc,
+        flit)`` tuples.  The returned iterator must not outlive the current
+        cycle.
         """
         return (item for _, item in self._pipe)
 

@@ -2,18 +2,20 @@
 
 :class:`Network` instantiates one :class:`~repro.network.router.Router` per
 topology router and one :class:`~repro.network.terminal.Terminal` per
-endpoint, then wires every directed channel (data downstream, credits
-upstream) with the configured latencies: ``channel_latency_rr`` between
-routers, ``channel_latency_rt`` between a router and its terminals.
+endpoint, then wires every directed data channel with the configured
+latencies: ``channel_latency_rr`` between routers, ``channel_latency_rt``
+between a router and its terminals.  A credit goes back upstream on no
+channel: it is a ``(tracker, vc)`` entry in the credit calendar.
 
 Partial builds (``owned_routers=``) construct only a subset of the routers —
 one *shard* of the network — leaving ``None`` holes everywhere else and
-terminating cross-shard links in boundary channels the sharded engine
+terminating cross-shard links in boundary ends the sharded engine
 (:mod:`repro.network.shard`) drains and fills at chunk boundaries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -40,9 +42,9 @@ class LinkRecord:
     The record pairs everything a per-link audit needs: the upstream credit
     tracker, the upstream staging queues that hold flits which have already
     consumed a credit (``None`` for terminal injection, which has no
-    crossbar), the data and credit channels, and the downstream end the
-    credits account for: a router's input unit, or the terminal itself for
-    an ejection hop (both answer ``occupancy(vc)``).  ``repro.check``'s
+    crossbar), the data channel, and the downstream end the credits account
+    for: a router's input unit, or the terminal itself for an ejection hop
+    (both answer ``occupancy(vc)``).  ``repro.check``'s
     credit-reconciliation sanitizer walks :attr:`Network.links` and
     asserts, per VC,
 
@@ -58,7 +60,6 @@ class LinkRecord:
     tracker: CreditTracker
     staged: list | None  # upstream per-VC staging deques ("rr"/"ej" only)
     data: Channel
-    credit: Channel
     downstream: "InputUnit | Terminal"
 
     @property
@@ -66,22 +67,25 @@ class LinkRecord:
         return f"{self.kind} {self.src}->{self.dst}"
 
 
-def _poison_sink(key: tuple):
-    """Sink for the boundary *export* channel ``boundary_out[key]``:
-    delivery is a protocol bug.
+class BoundaryExport:
+    """Where a shard edge's outbound half ends: an export data channel's
+    sink, or the calendar target of credits returned across the edge.  The
+    shard engine lifts both out before they fall due, so a delivery here is
+    a protocol bug."""
 
-    The shard engine drains exports at chunk boundaries strictly before
-    their channel latency elapses (chunk length <= ``channel_latency_rr``),
-    so the simulator's delivery loop must never reach payload on one.
-    """
+    __slots__ = ("key", "latency")
 
-    def sink(item):
+    def __init__(self, key: tuple, latency: int):
+        self.key = key
+        self.latency = latency
+
+    def restore(self, item) -> None:
         raise RuntimeError(
-            f"boundary export channel {key!r} delivered in-chunk: "
+            f"boundary export {self.key!r} delivered in-chunk: "
             f"shard chunk protocol violated"
         )
 
-    return sink
+    accept = restore
 
 
 class Network:
@@ -130,6 +134,11 @@ class Network:
         self._active_channels: dict[Channel, None] = {}
         self._active_routers: dict[Router, None] = {}
         self._active_terminals: dict[Terminal, None] = {}
+        # The credit calendar (docs/SIMULATOR.md, credit protocol): W
+        # buckets, W the smallest power of two above the longest latency; a
+        # credit due at cycle d is (tracker, vc) in bucket d % W.
+        longest = max(cfg.network.channel_latency_rr, cfg.network.channel_latency_rt)
+        self._calendar: list[list] = [[] for _ in range(1 << longest.bit_length())]
 
         seeds = np.random.SeedSequence(cfg.seed).spawn(topology.num_routers)
         # One shared terminal -> destination-router table for every router
@@ -166,29 +175,31 @@ class Network:
         for router in self.routers:
             if router is not None:
                 router._wake_registry = self._active_routers
+                router._calendar = self._calendar
         for terminal in self.terminals:
             if terminal is not None:
                 terminal._wake_registry = self._active_terminals
+                terminal._calendar = self._calendar
         self.channels: list[Channel] = []
-        #: boundary channels of a partial build, keyed by
+        #: boundary ends of a partial build, keyed by
         #: ``(kind, pushing_router, pushing_port)`` with kind ``"d"`` (data)
-        #: or ``"c"`` (credits).  ``boundary_out`` holds channels pushed by
-        #: an owned router and drained by the shard engine at chunk
-        #: boundaries; ``boundary_in`` holds channels the engine fills with
-        #: the peer shard's exports.  A shard's export key equals the
-        #: consuming shard's import key by construction.  Empty on a full
-        #: build.
-        self.boundary_out: dict[tuple, Channel] = {}
-        self.boundary_in: dict[tuple, Channel] = {}
+        #: or ``"c"`` (credits).  ``boundary_out`` holds the data channels
+        #: and credit :class:`BoundaryExport` s the shard engine drains at
+        #: chunk boundaries; ``boundary_in`` the data channels and trackers
+        #: it fills with the peer shard's exports.  A shard's export key
+        #: equals the consuming shard's import key by construction.  Empty
+        #: on a full build.
+        self.boundary_out: dict[tuple, "Channel | BoundaryExport"] = {}
+        self.boundary_in: dict[tuple, "Channel | CreditTracker"] = {}
         self._wire()
         self._ports_of = []  # construction scratch; drop the peer objects
 
     # ------------------------------------------------------------------
 
-    def _channel(self, latency: int, sink, name: tuple, limit_rate: bool = True) -> Channel:
+    def _channel(self, latency: int, sink, name: tuple) -> Channel:
         # ``name`` is the (template, *ids) parts of the label: nobody reads
         # a channel's name on a healthy run, so Channel.name formats it.
-        ch = Channel(latency, sink, name=name, limit_rate=limit_rate)
+        ch = Channel(latency, sink, name=name)
         ch._active_set = self._active_channels
         self.channels.append(ch)
         return ch
@@ -205,7 +216,8 @@ class Network:
         ports_of = self._ports_of
 
         # Every sink is a bound method of the state it writes: a router
-        # input port's InputUnit, a terminal, or the upstream CreditTracker.
+        # input port's InputUnit or a terminal; credits return to the
+        # upstream CreditTracker.
         for r in range(topo.num_routers):
             a = routers[r]
             if a is None:
@@ -226,41 +238,32 @@ class Network:
                         lat_rr, b.inputs[rp.port].accept,
                         ("r%dp%d->r%d", r, port, rp.router),
                     )
-                    tracker = CreditTracker(num_vcs, depth)
+                    tracker = CreditTracker(num_vcs, depth, lat_rr)
                     a.attach_output(port, data, tracker)
-                    b.attach_credit_return(rp.port, channel(
-                        lat_rr, tracker.restore,
-                        ("cr r%d->r%dp%d", rp.router, r, port), limit_rate=False,
-                    ))
+                    b._credit_return[rp.port] = tracker
                 elif peer.is_terminal:
                     t = terminals[peer.terminal]
                     # Terminal -> router (injection).
                     inj = channel(
                         lat_rt, a.inputs[port].accept, ("t%d->r%d", t.terminal_id, r)
                     )
-                    inj_tracker = CreditTracker(num_vcs, depth)
-                    t.attach_injection(inj, inj_tracker)
-                    a.attach_credit_return(port, channel(
-                        lat_rt, inj_tracker.restore,
-                        ("cr r%d->t%d", r, t.terminal_id), limit_rate=False,
-                    ))
+                    inj_tracker = CreditTracker(num_vcs, depth, lat_rt)
+                    t.inject_channel, t.inject_credits = inj, inj_tracker
+                    a._credit_return[port] = inj_tracker
                     # Router -> terminal (ejection).
                     ej = channel(
                         lat_rt, t.accept, ("r%d->t%d", r, t.terminal_id)
                     )
-                    ej_tracker = CreditTracker(num_vcs, depth)
+                    ej_tracker = CreditTracker(num_vcs, depth, lat_rt)
                     a.attach_output(port, ej, ej_tracker)
-                    t.attach_ejection_credit(channel(
-                        lat_rt, ej_tracker.restore,
-                        ("cr t%d->r%d", t.terminal_id, r), limit_rate=False,
-                    ))
+                    t.eject_credits = ej_tracker
 
     def _wire_boundary(self, a: Router, r: int, port: int, q: int, q_port: int,
                        lat_rr: int, num_vcs: int, depth: int) -> None:
         """Wire one cross-shard port of a partial build.
 
         The unowned peer ``q``'s half of the link lives in another shard;
-        the four channels built here are this shard's halves of the two
+        the four ends built here are this shard's halves of the two
         directed data paths and their credit returns:
 
         * export data ``("d", r, port)`` — flits this shard's router pushes
@@ -268,15 +271,15 @@ class Network:
         * import data ``("d", q, q_port)`` — flits ``q`` pushed toward us;
           filled by the shard engine, terminates in the normal flit sink.
         * export credits ``("c", r, port)`` — credits this router returns
-          upstream for the ``q -> r`` data path; drained, poison sink.
+          upstream for the ``q -> r`` data path; drained, poison target.
         * import credits ``("c", q, q_port)`` — credits ``q`` returns for
-          the ``r -> q`` data path; filled, terminates in the credit sink.
+          the ``r -> q`` data path; filled, restored into its tracker.
         """
         key = ("d", r, port)
         data_out = self._channel(
-            lat_rr, _poison_sink(key), ("r%dp%d->shard", r, port)
+            lat_rr, BoundaryExport(key, lat_rr).accept, ("r%dp%d->shard", r, port)
         )
-        tracker = CreditTracker(num_vcs, depth)
+        tracker = CreditTracker(num_vcs, depth, lat_rr)
         a.attach_output(port, data_out, tracker)
         self.boundary_out[key] = data_out
 
@@ -286,18 +289,10 @@ class Network:
         self.boundary_in[("d", q, q_port)] = data_in
 
         key = ("c", r, port)
-        cred_out = self._channel(
-            lat_rr, _poison_sink(key), ("cr r%dp%d->shard", r, port),
-            limit_rate=False,
-        )
-        a.attach_credit_return(port, cred_out)
+        cred_out = BoundaryExport(key, lat_rr)
+        a._credit_return[port] = cred_out
         self.boundary_out[key] = cred_out
-
-        cred_in = self._channel(
-            lat_rr, tracker.restore,
-            ("cr shard->r%dp%d", r, port), limit_rate=False,
-        )
-        self.boundary_in[("c", q, q_port)] = cred_in
+        self.boundary_in[("c", q, q_port)] = tracker
 
     # ------------------------------------------------------------------
     # Introspection used by tests and the measurement harness
@@ -333,26 +328,26 @@ class Network:
                     b = unit.router
                     links.append(LinkRecord(
                         "rr", (r, port), (b.router_id, unit.port), tracker,
-                        staged, data, b._credit_return[unit.port], unit,
+                        staged, data, unit,
                     ))
                     continue
                 t = self.terminals[tid]
                 links.append(LinkRecord(
                     "inj", tid, (r, port), t.inject_credits,
-                    None, t.inject_channel, a._credit_return[port], a.inputs[port],
+                    None, t.inject_channel, a.inputs[port],
                 ))
                 links.append(LinkRecord(
-                    "ej", (r, port), tid, tracker,
-                    staged, data, t.eject_credit_channel, t,
+                    "ej", (r, port), tid, tracker, staged, data, t,
                 ))
         return links
 
+    def credits_returning(self) -> Counter:
+        """Credits in flight back upstream, per ``(tracker, vc)``."""
+        return Counter(ent for bucket in self._calendar for ent in bucket)
+
     def flits_in_flight(self) -> int:
         """Flits anywhere between source-queue exit and terminal consumption."""
-        n = 0
-        for ch in self.channels:
-            if ch.limit_rate:  # data channels only
-                n += ch.in_flight
+        n = sum(ch.in_flight for ch in self.channels)
         for r in self.routers:
             if r is None:
                 continue
@@ -379,6 +374,7 @@ class Network:
             all(t.idle for t in self.terminals if t is not None)
             and all(r.idle for r in self.routers if r is not None)
             and all(not ch.busy for ch in self.channels)
+            and not any(self._calendar)
         )
 
     def invalidate_route_caches(self) -> None:
@@ -408,7 +404,7 @@ class Network:
         * every alive terminal is attached on both directions; terminals of
           statically-failed routers are fully detached,
         * channel counts match the surviving structure (partial builds count
-          four channels per boundary port: data + credits, each direction).
+          two data channels per boundary port, one each direction).
         """
         topo = self.topology
         owned = self.owned_routers
@@ -437,19 +433,19 @@ class Network:
                     and peer.is_router
                     and peer.router_port.router not in owned
                 ):
-                    expected_channels += 4  # boundary: data + credit, both ways
+                    expected_channels += 2  # boundary: data, both ways
                 else:
-                    expected_channels += 2  # data out + credit return
+                    expected_channels += 1  # data out
         for t in self.terminals:
             if t is None:
                 continue
             if t.inject_channel is None:
                 # Terminal of a statically-failed router: fully detached.
-                assert t.inject_credits is None and t.eject_credit_channel is None
+                assert t.inject_credits is None and t.eject_credits is None
                 continue
             assert t.inject_credits is not None
-            assert t.eject_credit_channel is not None
-            expected_channels += 2  # injection data + ejection credit
+            assert t.eject_credits is not None
+            expected_channels += 1  # injection data
         assert len(self.channels) == expected_channels, (
             f"channel count {len(self.channels)} != expected {expected_channels}"
         )

@@ -108,7 +108,7 @@ class Router:
             InputUnit(self.num_vcs, rc.buffer_depth, self, p)
             for p in range(self.radix)
         ]
-        self._credit_return: list[Channel | None] = [None] * self.radix
+        self._credit_return: list[CreditTracker | None] = [None] * self.radix
 
         # Output side.
         self.credit_trackers: list[CreditTracker | None] = [None] * self.radix
@@ -274,10 +274,11 @@ class Router:
         self._forward_hook = None
         self._forward_hooks: list = []
 
-        # Simulator activity registry.  The owning Network replaces this with
-        # its shared registry before wiring; standalone routers (unit tests)
-        # keep the private throwaway dict.
+        # Simulator activity registry and credit calendar.  The owning
+        # Network replaces both with its shared ones before wiring;
+        # standalone routers (unit tests) keep private throwaway ones.
         self._wake_registry: dict["Router", None] = {}
+        self._calendar: list[list] = [[]]
 
     # ------------------------------------------------------------------
     # Wiring (called by the network builder)
@@ -289,9 +290,6 @@ class Router:
         credits.waiters = [None] * self.num_vcs
         credits.asleep = self._asleep
         self._out_ent[port] = (data, self.staged[port], self._staged_live[port])
-
-    def attach_credit_return(self, port: int, channel: Channel) -> None:
-        self._credit_return[port] = channel
 
     # ------------------------------------------------------------------
     # Observation hooks (repro.check sanitizer, repro.obs tracer)
@@ -382,6 +380,8 @@ class Router:
         active_out = self._active_out
         out_ents = self._out_ent
         credit_return = self._credit_return
+        calendar = self._calendar
+        mask = len(calendar) - 1
         forward_hook = self._forward_hook
         dead = self._dead_in
         forwarded = 0
@@ -451,10 +451,10 @@ class Router:
             if budget[port] == 0:
                 touched.append(port)
             budget[port] += 1
-            # Return a credit (bare VC id) upstream for the freed input slot.
-            cr = credit_return[port]
-            if cr is not None:
-                cr.push(cycle, vc)
+            # Return a credit upstream for the freed input slot.
+            up = credit_return[port]
+            if up is not None:
+                calendar[(cycle + up.latency) & mask].append((up, vc))
             if forward_hook is not None:
                 forward_hook(cycle, self, port, vc, out_port, out_vc, flit)
             if flit.tail:

@@ -14,22 +14,22 @@ terminals of those routers).  Each worker is the same
 :class:`~repro.analysis.sweep.PointRun` assembly ``measure_point`` runs,
 built over a *partial* :class:`~repro.network.network.Network`
 (``owned_routers=``): unowned routers are ``None`` holes and cross-shard
-links terminate in boundary channels (:attr:`Network.boundary_out` /
+links terminate in boundary ends (:attr:`Network.boundary_out` /
 :attr:`Network.boundary_in`).
 
 **Chunk protocol.**  The conservative lookahead is the router-to-router
-channel latency ``L = channel_latency_rr``: a flit pushed onto a boundary
-channel at cycle ``u`` cannot be delivered before ``u + L``, so a chunk of
+channel latency ``L = channel_latency_rr``: a flit or credit sent across a
+boundary at cycle ``u`` cannot be delivered before ``u + L``, so a chunk of
 at most ``L`` cycles can run with no mid-chunk communication — every
-boundary crossing pushed inside chunk ``[t, t+l)``, ``l <= L``, has ready
-cycle ``u + L >= t + L > t + l - 1`` and is still parked in its export
-channel when the chunk ends.  The coordinator then drains each shard's
-exports and injects them into the importing shard's boundary channels at
-the start of the next chunk, timestamps intact: the receiving shard
-delivers each item at exactly the cycle the unsharded simulator would.
-Export channels carry a poison sink (:func:`~repro.network.network`'s
-``_poison_sink``) so any protocol violation raises instead of corrupting
-state.
+boundary crossing sent inside chunk ``[t, t+l)``, ``l <= L``, has ready
+cycle ``u + L >= t + L > t + l - 1`` and is still parked (a flit in its
+export channel, a credit in the calendar) when the chunk ends.  The
+coordinator then drains each shard's exports and injects them into the
+importing shard at the start of the next chunk, timestamps intact: the
+receiving shard delivers each item at exactly the cycle the unsharded
+simulator would.  Exports end in a
+:class:`~repro.network.network.BoundaryExport`, which raises on delivery,
+so any protocol violation raises instead of corrupting state.
 
 **Skip-ahead composition.**  Each worker reports, with its exports, a bound
 from :meth:`~repro.network.simulator.Simulator.next_event_cycle` — the
@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..config import default_config
 from .buffers import NEVER_USED
+from .network import BoundaryExport
 from .stats import LatencySample, PacketStats
 from .types import Flit, Packet
 
@@ -154,10 +155,11 @@ class _WorkerState:
     # -- chunk boundary ------------------------------------------------
 
     def apply_imports(self, imports: list) -> None:
-        """Queue the peer shards' exports onto our boundary-in channels.
+        """Queue the peer shards' exports: flits onto our boundary-in
+        channels, credits into the calendar bucket of their ready cycle.
 
         Items keep the ready cycles stamped at push time, so delivery
-        happens at exactly the unsharded cycle.  Entries already in the
+        happens at exactly the unsharded cycle.  Entries already in a
         pipe (from earlier chunks) are strictly earlier — an old entry's
         ready precedes the previous chunk's start plus ``L``, a new one's
         follows it — so appending preserves the pipe's ready ordering.
@@ -165,44 +167,46 @@ class _WorkerState:
         net = self.net
         boundary_in = net.boundary_in
         active = net._active_channels
+        calendar = net._calendar
         replicas = self._replicas
         for key, items in imports:
             ch = boundary_in[key]
+            if key[0] == "c":  # ch is the tracker these credits restore
+                for ready, vc in items:
+                    calendar[ready % len(calendar)].append((ch, vc))
+                continue
             pipe = ch._pipe
             was_empty = not pipe
             if pipe is NEVER_USED:  # this boundary's first import
                 pipe = ch._pipe = deque()
-            if key[0] == "c":
-                pipe.extend(items)
-            else:
-                for ready, vc, index, info in items:
-                    if index == 0:
-                        src, dst, size, cc, pid, inj, hops, der, rs = info
-                        ent = replicas.get(pid)
-                        if ent is None:
-                            ent = replicas[pid] = [
-                                Packet(src, dst, size, cc, pid=pid), 0
-                            ]
-                        pkt = ent[0]
-                        pkt.inject_cycle = inj
-                        pkt.hops = hops
-                        pkt.deroutes = der
-                        pkt._routing_state = rs
-                        ent[1] += 1
-                    else:
-                        ent = replicas.get(info)
-                        if ent is None:
-                            raise RuntimeError(
-                                f"body flit of unknown packet {info} crossed "
-                                f"the shard boundary before its head"
-                            )
-                        pkt = ent[0]
-                    flit = Flit(pkt, index)
-                    if flit.tail:
-                        ent[1] -= 1
-                        if ent[1] <= 0:
-                            del replicas[pkt.pid]
-                    pipe.append((ready, (vc, flit)))
+            for ready, vc, index, info in items:
+                if index == 0:
+                    src, dst, size, cc, pid, inj, hops, der, rs = info
+                    ent = replicas.get(pid)
+                    if ent is None:
+                        ent = replicas[pid] = [
+                            Packet(src, dst, size, cc, pid=pid), 0
+                        ]
+                    pkt = ent[0]
+                    pkt.inject_cycle = inj
+                    pkt.hops = hops
+                    pkt.deroutes = der
+                    pkt._routing_state = rs
+                    ent[1] += 1
+                else:
+                    ent = replicas.get(info)
+                    if ent is None:
+                        raise RuntimeError(
+                            f"body flit of unknown packet {info} crossed "
+                            f"the shard boundary before its head"
+                        )
+                    pkt = ent[0]
+                flit = Flit(pkt, index)
+                if flit.tail:
+                    ent[1] -= 1
+                    if ent[1] <= 0:
+                        del replicas[pkt.pid]
+                pipe.append((ready, (vc, flit)))
             if was_empty and pipe:
                 ch._next_ready = pipe[0][0]
                 active[ch] = None
@@ -212,34 +216,48 @@ class _WorkerState:
 
         A head flit carries the packet's full descriptor (the importer
         builds or refreshes its replica from it); body and tail flits carry
-        just ``(pid, index)``.  The descriptor is taken at drain time, after
-        the chunk completed — safe, because once a head is parked in an
-        export channel no router in *this* shard can touch its packet again
-        (the next route decision belongs to the importing shard).
+        just ``(pid, index)``, a credit ``(ready, vc)``.  The descriptor is
+        taken at drain time, after the chunk completed — safe, because once
+        a head is parked in an export channel no router in *this* shard can
+        touch its packet again (the next route decision belongs to the
+        importing shard).
         """
         out = []
-        active = self.net._active_channels
-        for key, ch in self.net.boundary_out.items():
+        net = self.net
+        active = net._active_channels
+        for key, ch in net.boundary_out.items():
+            if key[0] == "c":
+                continue  # filed in the calendar, lifted out below
             pipe = ch._pipe
             if not pipe:
                 continue
-            if key[0] == "c":
-                items: list = list(pipe)
-            else:
-                items = []
-                for ready, (vc, flit) in pipe:
-                    p = flit.packet
-                    if flit.index == 0:
-                        items.append((ready, vc, 0, (
-                            p.src_terminal, p.dst_terminal, p.size,
-                            p.create_cycle, p.pid, p.inject_cycle,
-                            p.hops, p.deroutes, p._routing_state,
-                        )))
-                    else:
-                        items.append((ready, vc, flit.index, p.pid))
+            items = []
+            for ready, (vc, flit) in pipe:
+                p = flit.packet
+                if flit.index == 0:
+                    items.append((ready, vc, 0, (
+                        p.src_terminal, p.dst_terminal, p.size,
+                        p.create_cycle, p.pid, p.inject_cycle,
+                        p.hops, p.deroutes, p._routing_state,
+                    )))
+                else:
+                    items.append((ready, vc, flit.index, p.pid))
             pipe.clear()
             active.pop(ch, None)
             out.append((key, items))
+        # Exported credits, in ready order: a pending entry's bucket names
+        # the one cycle of [now, now + W) it falls due.
+        credits: dict[tuple, list] = {}
+        calendar, now = net._calendar, self.sim.cycle
+        for ready in range(now, now + len(calendar)):
+            bucket = calendar[ready % len(calendar)]
+            kept = [ent for ent in bucket if type(ent[0]) is not BoundaryExport]
+            if len(kept) < len(bucket):
+                for up, vc in bucket:
+                    if type(up) is BoundaryExport:
+                        credits.setdefault(up.key, []).append((ready, vc))
+                bucket[:] = kept
+        out.extend(credits.items())
         return out
 
     # -- end of run ----------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each simulated cycle has two phases:
 
-1. **deliver** — every channel hands over items whose pipeline latency has
-   elapsed (flits into input buffers, credits into credit trackers);
+1. **deliver** — credits due this cycle are restored into their trackers,
+   and every channel hands over flits whose pipeline latency has elapsed;
 2. **compute** — every router steps its pipeline and every terminal injects /
    ejects, pushing new items onto channels (which arrive >= 1 cycle later).
 
@@ -119,6 +119,8 @@ class Simulator:
         an observer attached mid-stream takes effect on the next ``run()``.
         """
         network = self.network
+        calendar = network._calendar
+        mask = len(calendar) - 1
         active_channels = network._active_channels
         active_terminals = network._active_terminals
         active_routers = network._active_routers
@@ -128,12 +130,16 @@ class Simulator:
         end = cycle + cycles
         drained: list = []  # reusable deferred-deletion scratch
         while cycle < end:
-            # Phase 1: deliveries.  Channels pushed during this cycle
-            # register for *later* cycles (latency >= 1), and no sink pushes
-            # onto another channel, so the set can be iterated directly with
-            # drained channels removed after the pass.  The delivery loop is
-            # inlined (rather than calling Channel.deliver) because the
-            # per-channel call overhead dominates at load.
+            # Phase 1: deliveries, credits then flits.  Channels pushed
+            # during this cycle register for *later* cycles (latency >= 1),
+            # and no sink pushes onto another channel, so the set can be
+            # iterated directly with drained channels removed after the
+            # pass.  This is the one channel delivery loop.
+            bucket = calendar[cycle & mask]
+            if bucket:
+                for tracker, vc in bucket:
+                    tracker.restore(vc)
+                bucket.clear()
             if active_channels:
                 for ch in active_channels:
                     # _next_ready is a conservative lower bound on the head

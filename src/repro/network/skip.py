@@ -9,6 +9,7 @@ lower bounds the simulator already maintains for other reasons:
 
 * ``Channel._next_ready`` — the earliest cycle a busy channel's head item
   can deliver (exact after any delivery pass, conservative after a push);
+* the credit calendar's earliest non-empty bucket (exact);
 * ``Router._stage_ready[port]`` — the earliest cycle an output port with
   staged payload can emit (earliest staged head still in the crossbar, or
   the end of a degraded link's ``min_gap`` window); staging onto an empty
@@ -103,11 +104,19 @@ def next_event_bound(
             if nr <= cycle:
                 return cycle
             bound = nr
+    calendar = network._calendar
+    mask = len(calendar) - 1
+    for due in range(cycle, min(bound, cycle + mask + 1)):
+        if calendar[due & mask]:
+            if due == cycle:
+                return cycle
+            bound = due
+            break
     for r in network._active_routers:
         ai = r._active_in
         # An awake input VC may route or forward next cycle: veto.  (All
         # asleep = the input pass is a no-op until a credit delivery —
-        # already bounded by its channel — wakes one.)
+        # already bounded by its calendar bucket — wakes one.)
         if ai and len(r._asleep) < len(ai):
             return cycle
         if r._active_out:

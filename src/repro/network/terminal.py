@@ -56,7 +56,7 @@ class Terminal:
         # which consumes it, so a single slot is the whole receive buffer
         # and there is never a choice to arbitrate.
         self._arrived: tuple[int, Flit] | None = None
-        self.eject_credit_channel: Channel | None = None
+        self.eject_credits: CreditTracker | None = None
 
         # Telemetry / hooks.
         self.flits_injected = 0
@@ -70,26 +70,16 @@ class Terminal:
         # control guarantees in-order per-packet delivery; this check turns a
         # violation (a simulator bug) into an immediate error.
         self._expected_index: dict[int, int] = {}
-        # Simulator activity registry.  The owning Network replaces this with
-        # its shared registry before wiring; standalone terminals (unit
-        # tests) keep the private throwaway dict.
+        # Simulator activity registry and credit calendar.  The owning
+        # Network replaces both with its shared ones before wiring;
+        # standalone terminals (unit tests) keep private throwaway ones.
         self._wake_registry: dict["Terminal", None] = {}
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-
-    def attach_injection(self, channel: Channel, credits: CreditTracker) -> None:
-        self.inject_channel = channel
-        self.inject_credits = credits
-
-    def attach_ejection_credit(self, channel: Channel) -> None:
-        self.eject_credit_channel = channel
+        self._calendar: list[list] = [[]]
 
     def accept(self, item: tuple[int, Flit]) -> None:
         """Flit sink of the ejection channel: hold ``(vc, flit)`` for this
-        cycle's step (the injection channel's credit sink is
-        ``inject_credits.restore``)."""
+        cycle's step (the injection hop's credits return to
+        ``inject_credits``)."""
         if self._arrived is not None:
             raise RuntimeError(
                 f"terminal {self.terminal_id} received a flit before "
@@ -206,9 +196,10 @@ class Terminal:
         else:
             self._expected_index[pid] = expected + 1
         self.flits_ejected += 1
-        cr = self.eject_credit_channel
-        if cr is not None:
-            cr.push(cycle, vc)  # credit channels carry the bare VC id
+        up = self.eject_credits
+        if up is not None:
+            calendar = self._calendar
+            calendar[(cycle + up.latency) & (len(calendar) - 1)].append((up, vc))
         if flit.is_tail:
             self._complete_packet(flit.packet, cycle)
 

@@ -13,21 +13,24 @@ from collections import deque
 import pytest
 
 import repro.analysis.sweep as sweep
+import repro.experiments.fig4_topologies as fig4_topologies
 import repro.experiments.fig8_stencil as fig8_stencil
 from repro.analysis.bench import tracked_objects
 from repro.analysis.sweep import PointRun, measure_point
 from repro.config import default_config
 from repro.core.base import NoRouteError
-from repro.core.registry import make_algorithm
+from repro.core.registry import algorithm_names, make_algorithm
 from repro.experiments.faults import run_fault_transient
+from repro.experiments.fig4_topologies import paper_cases
 from repro.experiments.fig8_stencil import run_stencil_once
 from repro.faults import (
     DegradedTopology, FaultEvent, FaultInjector, FaultSchedule, FaultSet,
 )
 from repro.network.buffers import NEVER_USED
-from repro.network.network import Network
+from repro.network.network import BoundaryExport, Network
 from repro.network.simulator import Simulator
 from repro.network.types import Flit, Packet
+from repro.obs import TraceOptions
 from repro.topology.hyperx import HyperX
 from repro.traffic.patterns import UniformRandom
 
@@ -93,16 +96,18 @@ def test_channel_names_are_formatted_when_read():
     r0, r1, t0 = net.routers[0], net.routers[1], net.terminals[0]
     t_port = topo.terminal_port(0)
     assert r0.out_channels[0].name == "r0p0->r1"
-    assert r1._credit_return[0].name == "cr r1->r0p0"
     assert t0.inject_channel.name == "t0->r0"
-    assert r0._credit_return[t_port].name == "cr r0->t0"
     assert r0.out_channels[t_port].name == "r0->t0"
-    assert t0.eject_credit_channel.name == "cr t0->r0"
     shard = Network(topo, algo, default_config(), owned_routers={0})
     assert shard.boundary_out[("d", 0, 0)].name == "r0p0->shard"
     assert shard.boundary_in[("d", 1, 0)].name == "shard->r0p0"
-    assert shard.boundary_out[("c", 0, 0)].name == "cr r0p0->shard"
-    assert shard.boundary_in[("c", 1, 0)].name == "cr shard->r0p0"
+    # A shard edge's credit ends are calendar targets, not channels: the
+    # export its router files credits toward, the tracker imports restore.
+    export = shard.boundary_out[("c", 0, 0)]
+    assert type(export) is BoundaryExport and export.key == ("c", 0, 0)
+    assert shard.routers[0]._credit_return[0] is export
+    assert shard.boundary_in[("c", 1, 0)] is shard.routers[0].credit_trackers[0]
+    assert export.latency == default_config().network.channel_latency_rr
     with pytest.raises(RuntimeError, match="r0p0->r1.*pushed twice in cycle 3"):
         r0.out_channels[0].push(3, None)
         r0.out_channels[0].push(3, None)
@@ -141,13 +146,14 @@ def test_loaded_run_materialises_exactly_the_used_queues():
 
 def test_a_built_8x8x8_holds_its_state_and_nothing_else():
     """The census of a fresh 8x8x8 t=1 build (the paper's 512 routers): under
-    220k GC-tracked objects — 438,553 when every channel sink was a closure
-    over per-port cells and every input VC a ``VcState`` object — and no
+    160k GC-tracked objects — 438,553 when every channel sink was a closure
+    over per-port cells and every input VC a ``VcState`` object, 177,677
+    while every credit path was a ``Channel`` with a bound sink — and no
     cell or function per port (11,264 router ports here)."""
     topo = HyperX((8, 8, 8), 1)
     algo = make_algorithm("DimWAR", topo)
     census = tracked_objects(lambda: Network(topo, algo, default_config()))
-    assert census.total() < 220_000, census.most_common(8)
+    assert census.total() < 160_000, census.most_common(8)
     assert census["cell"] + census["function"] < topo.num_routers
 
 
@@ -190,11 +196,14 @@ def _reference_links(net):
 
 @pytest.mark.parametrize("owned", [None, {0, 1, 5}])
 def test_links_are_read_off_the_wiring(owned):
+    """Each record is one credit loop: its tracker is the credit target of
+    the downstream end, at the hop's latency."""
     topo = DegradedTopology(
         HyperX((4, 4), 2), FaultSet().fail_link(0, 0).fail_router(6)
     )
-    net = Network(topo, make_algorithm("DimWAR", topo), default_config(),
-                  owned_routers=owned)
+    cfg = default_config()
+    lat_rr, lat_rt = cfg.network.channel_latency_rr, cfg.network.channel_latency_rt
+    net = Network(topo, make_algorithm("DimWAR", topo), cfg, owned_routers=owned)
     assert "links" not in vars(net)  # nothing built until read
     want = _reference_links(net)
     links = net.links
@@ -205,7 +214,8 @@ def test_links_are_read_off_the_wiring(owned):
             t, (r, port) = net.terminals[rec.src], rec.dst
             assert rec.tracker is t.inject_credits and rec.staged is None
             assert rec.data is t.inject_channel
-            assert rec.credit is net.routers[r]._credit_return[port]
+            assert net.routers[r]._credit_return[port] is rec.tracker
+            assert rec.tracker.latency == lat_rt
             assert rec.downstream is net.routers[r].inputs[port]
             continue
         (r, port), a = rec.src, net.routers[rec.src[0]]
@@ -213,11 +223,13 @@ def test_links_are_read_off_the_wiring(owned):
         assert rec.staged is a.staged[port] and rec.data is a.out_channels[port]
         if rec.kind == "ej":
             t = net.terminals[rec.dst]
-            assert rec.credit is t.eject_credit_channel
+            assert t.eject_credits is rec.tracker
+            assert rec.tracker.latency == lat_rt
             assert rec.downstream is t
         else:
             b, bp = net.routers[rec.dst[0]], rec.dst[1]
-            assert rec.credit is b._credit_return[bp]
+            assert b._credit_return[bp] is rec.tracker
+            assert rec.tracker.latency == lat_rr
             assert rec.downstream is b.inputs[bp]
 
 
@@ -235,15 +247,119 @@ def test_a_link_failed_mid_run_keeps_its_record():
     assert [(rec.kind, rec.src, rec.dst) for rec in net.links] == want
 
 
+def _no_cyclic_garbage(run):
+    """Inside a point's block: collect once, ``run()``, and then the
+    collector must find nothing — the precondition for keeping it paused
+    for the point's whole life."""
+    gc.collect()
+    run()
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("name", algorithm_names())
+def test_a_loaded_run_makes_no_cyclic_garbage(name):
+    topo = HyperX((3, 3), 2)
+    pattern = UniformRandom(topo.num_terminals)
+    with PointRun(topo, make_algorithm(name, topo), pattern, 0.5) as run:
+        _no_cyclic_garbage(lambda: run.run(200))
+
+
+@pytest.mark.parametrize("observer", ["check", "trace", "faults"])
+def test_an_observed_or_faulted_run_makes_no_cyclic_garbage(observer, tmp_path):
+    topo, algo, pattern = _scenario((3, 3))
+    kwargs = {
+        "check": {"check": True},
+        "trace": {"trace": TraceOptions(window=50, out_dir=str(tmp_path))},
+        "faults": {"schedule": FaultSchedule([FaultEvent(60, "link", 0, port=0)])},
+    }[observer]
+    if observer == "faults":
+        topo = DegradedTopology(topo)
+        algo = make_algorithm("DimWAR", topo)
+    with PointRun(topo, algo, pattern, 0.5, **kwargs) as run:
+        _no_cyclic_garbage(lambda: (run.run(200), run.close("garbage")))
+    if observer == "faults":
+        assert topo.faults.events_applied == 1
+
+
+class _ProbedBuild(sweep.frozen_build):
+    """A ``frozen_build`` that logs the collector's state on entry to and
+    exit from the block it owns."""
+
+    log: list = []
+
+    def __enter__(self):
+        self.log.append(("enter", gc.isenabled()))
+        return super().__enter__()
+
+    def __exit__(self, *exc):
+        self.log.append(("exit", gc.isenabled()))
+        super().__exit__(*exc)
+
+
+class _GarbageProbe(_ProbedBuild):
+    """... and holds that block to :func:`_no_cyclic_garbage`: collect on
+    entry, log what a collection finds on exit."""
+
+    def __enter__(self):
+        gc.collect()
+        return super().__enter__()
+
+    def __exit__(self, *exc):
+        self.log.append(("garbage", gc.collect()))
+        super().__exit__(*exc)
+
+
+@pytest.fixture
+def probed_builds(monkeypatch):
+    """Probe every ``frozen_build`` of a stencil bar or a Fig 4 point with
+    the class this returns (``probe(cls)``); the log is shared."""
+    monkeypatch.setattr(_ProbedBuild, "log", [])
+
+    def probe(cls=_ProbedBuild):
+        for module in (fig8_stencil, fig4_topologies):
+            monkeypatch.setattr(module, "frozen_build", cls)
+        return _ProbedBuild.log
+
+    return probe
+
+
+def test_a_stencil_bar_and_a_dragonfly_point_make_no_cyclic_garbage(
+    probed_builds, monkeypatch
+):
+    log = probed_builds(_GarbageProbe)
+    monkeypatch.setattr(
+        fig4_topologies, "paper_cases",
+        lambda sc: [c for c in paper_cases(sc) if c.name == "Dragonfly"],
+    )
+    assert run_stencil_once("DimWAR", "full", 1, "smoke") > 0
+    assert fig4_topologies.run("smoke").times[("Dragonfly", 1)] > 0
+    assert log == [("enter", False), ("garbage", 0), ("exit", False)] * 2
+
+
 @pytest.mark.parametrize("caller_enabled", [True, False])
 def test_callers_collector_state_survives(caller_enabled):
+    """The collector is paused for a point's whole life, whatever the
+    caller's state; every exit path restores that state, thaws, and ages
+    the run's survivors into the oldest generation (so the caller's next
+    young-generation pass has nothing of the run's to walk)."""
     topo, algo, pattern = _scenario((3, 3))
+    threshold = gc.get_threshold()[0]
     was = gc.isenabled()
     try:
         gc.enable() if caller_enabled else gc.disable()
-        measure_point(topo, algo, pattern, 0.2, total_cycles=100)
+        measure_point(topo, algo, pattern, 0.5, total_cycles=300)
         assert gc.isenabled() is caller_enabled
         assert gc.get_freeze_count() == 0
+        assert gc.get_count()[0] < threshold
+        with pytest.raises(ZeroDivisionError):
+            with PointRun(topo, algo, pattern, 0.5) as run:
+                assert not gc.isenabled()
+                run.run(300)
+                assert not gc.isenabled()
+                1 / 0
+        assert gc.isenabled() is caller_enabled
+        assert gc.get_freeze_count() == 0
+        assert gc.get_count()[0] < threshold
     finally:
         gc.enable() if was else gc.disable()
 
@@ -290,18 +406,23 @@ def test_two_stencil_bars_never_hold_two_networks(networks_seen):
 
 @pytest.mark.parametrize("caller_enabled", [True, False])
 def test_a_stencil_bar_that_times_out_leaves_no_frozen_network(
-    networks_seen, caller_enabled
+    networks_seen, probed_builds, caller_enabled
 ):
     was = gc.isenabled()
     try:
         gc.enable() if caller_enabled else gc.disable()
+        log = probed_builds()
         with pytest.raises(RuntimeError, match="did not finish within 10 cycles"):
             run_stencil_once("DimWAR", "full", 1, "smoke", max_cycles=10)
         assert gc.get_freeze_count() == 0  # thawed on the failing exit path
         assert gc.isenabled() is caller_enabled
+        assert gc.get_count()[0] < gc.get_threshold()[0]  # and aged
         assert run_stencil_once("DimWAR", "full", 1, "smoke") > 0
         assert gc.get_freeze_count() == 0
         assert gc.isenabled() is caller_enabled
+        assert gc.get_count()[0] < gc.get_threshold()[0]
     finally:
         gc.enable() if was else gc.disable()
     assert [alive for _, alive in networks_seen] == [False, False]
+    # Paused inside both bars' blocks, whatever the caller's state.
+    assert log == [("enter", False), ("exit", False)] * 2

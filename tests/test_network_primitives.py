@@ -1,15 +1,18 @@
-"""Tests for channels, buffers, credit trackers, arbitration, and core types."""
+"""Tests for channels, buffers, credit trackers, the credit calendar,
+arbitration, and core types."""
 
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
-from repro.config import RouterConfig, SimConfig
+from repro.config import RouterConfig, SimConfig, paper_scale
 from repro.core.registry import make_algorithm
 from repro.core.vcmap import VcMap
 from repro.network.buffers import CreditTracker, InputUnit
 from repro.network.channel import Channel
 from repro.network.network import Network
+from repro.network.simulator import Simulator
 from repro.network.terminal import Terminal
 from repro.network.types import Flit, Message, Packet
 from repro.topology.hyperx import HyperX
@@ -20,26 +23,36 @@ from repro.topology.hyperx import HyperX
 # ---------------------------------------------------------------------------
 
 
-def test_channel_latency_exact():
+def _driven(latency):
+    """A standalone channel, registered with a bare network the simulator's
+    delivery phase drains, and the list its sink appends to."""
     out = []
-    ch = Channel(3, out.append)
+    net = SimpleNamespace(_calendar=[[]], _active_channels={},
+                          _active_routers={}, _active_terminals={})
+    ch = Channel(latency, out.append)
+    ch._active_set = net._active_channels
+    return ch, Simulator(net), out
+
+
+def test_channel_latency_exact():
+    ch, sim, out = _driven(3)
+    sim.run(10)
     ch.push(10, "a")
-    ch.deliver(11)
-    ch.deliver(12)
+    sim.run(3)  # cycles 10, 11, 12
     assert out == []
-    ch.deliver(13)
+    sim.run(1)
     assert out == ["a"]
     assert not ch.busy
 
 
 def test_channel_orders_items():
-    out = []
-    ch = Channel(2, out.append)
+    ch, sim, out = _driven(2)
     ch.push(0, "a")
+    sim.run(1)
     ch.push(1, "b")
-    ch.deliver(2)
+    sim.run(2)  # cycles 1, 2
     assert out == ["a"]
-    ch.deliver(3)
+    sim.run(1)
     assert out == ["a", "b"]
 
 
@@ -51,15 +64,6 @@ def test_channel_rate_limit():
     # past cycles also rejected (simulation time is monotonic)
     with pytest.raises(RuntimeError):
         ch.push(4, "c")
-
-
-def test_credit_channel_allows_bursts():
-    out = []
-    ch = Channel(1, out.append, limit_rate=False)
-    ch.push(5, 0)
-    ch.push(5, 1)
-    ch.deliver(6)
-    assert out == [0, 1]
 
 
 def test_channel_rejects_zero_latency():
@@ -127,6 +131,94 @@ def test_credit_tracker_underflow_overflow():
 
 
 # ---------------------------------------------------------------------------
+# The credit calendar
+# ---------------------------------------------------------------------------
+
+
+class _RestoreLog:
+    """Stands in the calendar for ``tracker``: logs ``(cycle, vc)`` per
+    restore, then restores."""
+
+    def __init__(self, sim, tracker):
+        self.sim, self.tracker, self.latency = sim, tracker, tracker.latency
+        self.log = []
+
+    def restore(self, vc):
+        self.log.append((self.sim.cycle, vc))
+        self.tracker.restore(vc)
+
+
+class _CycleCount:
+    """A process that counts executed cycles and never blocks a jump."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, cycle):
+        self.calls += 1
+
+    def next_wakeup(self, cycle):
+        return None
+
+
+def _ejection_hop(cfg):
+    """Terminal 1 of a 2-router line, its ejection credits logged."""
+    topo = HyperX((2,), 1)
+    net = Network(topo, make_algorithm("DOR", topo), cfg)
+    sim = Simulator(net)
+    term = net.terminals[1]
+    log = _RestoreLog(sim, term.eject_credits)
+    term.eject_credits = log
+    return net, sim, term, log
+
+
+def _arrive(term, vc):
+    """A one-flit packet's flit, arrived at ``term`` for this cycle's step."""
+    term.accept((vc, Flit(Packet(0, 1, 1, create_cycle=0), 0)))
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(), paper_scale()], ids=["default", "paper"])
+@pytest.mark.parametrize("skip", [True, False], ids=["skip", "per_cycle"])
+def test_a_credit_is_restored_exactly_its_latency_later(cfg, skip):
+    """A credit returned at cycle c toward a tracker of latency L is restored
+    at c + L: never earlier, never later, also when the clock jumps the gap."""
+    net, sim, term, log = _ejection_hop(cfg)
+    L = cfg.network.channel_latency_rt
+    assert log.latency == L and len(net._calendar) > L
+    sim.run(5)
+    log.tracker.consume(2)  # the slot the arriving flit held
+    _arrive(term, 2)  # the terminal steps, and returns the credit, at cycle 5
+    executed = sim.add_process(_CycleCount())
+    if not skip:
+        sim.add_process(lambda cycle: None)  # no next_wakeup: every cycle runs
+    sim.run(3 * L)
+    assert log.log == [(5 + L, 2)]
+    assert log.tracker.credits[2] == log.tracker.depth
+    assert executed.calls == (2 if skip else 3 * L)  # cycles 5 and 5 + L
+    assert not any(net._calendar) and net.quiescent()
+
+
+def test_credit_calendar_allows_bursts():
+    """Credits due in one cycle toward one tracker are all restored in it
+    (an input port may forward ``input_speedup`` flits per cycle)."""
+    net, sim, _, log = _ejection_hop(SimConfig())
+    log.tracker.consume(0)
+    log.tracker.consume(0)
+    net._calendar[3] += [(log, 0), (log, 0)]
+    assert net.credits_returning() == {(log, 0): 2} and not net.quiescent()
+    sim.run(10)
+    assert log.log == [(3, 0), (3, 0)]
+    assert log.tracker.credits[0] == log.tracker.depth
+
+
+def test_a_restore_past_depth_still_raises():
+    _, sim, term, _ = _ejection_hop(SimConfig())
+    _arrive(term, 2)  # no credit was consumed for this flit
+    with pytest.raises(RuntimeError, match="credit overflow on VC 2"):
+        sim.run(10)
+
+
+# ---------------------------------------------------------------------------
 # Arbitration (age order is pinned by the trace goldens)
 # ---------------------------------------------------------------------------
 
@@ -183,8 +275,8 @@ def test_terminal_consumes_the_one_flit_that_arrived():
     topo = HyperX((2,), 1)
     algo = make_algorithm("DOR", topo)
     term = Terminal(0, algo, VcMap(algo.num_classes, 8))
-    credits = Channel(1, lambda vc: None, limit_rate=False)
-    term.attach_ejection_credit(credits)
+    credits = CreditTracker(8, 4)
+    term.eject_credits = credits
     pkt = Packet(1, 0, 2, create_cycle=0)
     term.accept((3, Flit(pkt, 0)))
     assert term.occupancy() == term.occupancy(3) == 1
@@ -195,7 +287,8 @@ def test_terminal_consumes_the_one_flit_that_arrived():
     assert term.idle and term.flits_ejected == 1 and pkt.eject_cycle is None
     term.accept((5, Flit(pkt, 1)))
     term.step(8)
-    assert list(credits.pending_payloads()) == [3, 5]  # one credit per flit
+    # One credit per flit, in the standalone terminal's one-bucket calendar.
+    assert term._calendar == [[(credits, 3), (credits, 5)]]
     assert pkt.eject_cycle == 8 and term.packets_delivered == 1
 
 

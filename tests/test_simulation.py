@@ -160,9 +160,10 @@ def test_network_rejects_too_many_classes():
 
 def test_channel_count():
     topo, net = _net(widths=(3, 3), tpr=2)
-    # per router: 4 router-facing ports (2 per dim) -> 9*4 data + 9*4 credit;
-    # per terminal: 2 data + 2 credit
-    expected = 9 * 4 * 2 + 18 * 4
+    # per router: 4 router-facing ports (2 per dim) -> 9*4 data; per
+    # terminal: injection + ejection data.  Credits return through the
+    # calendar, on no channel.
+    expected = 9 * 4 + 18 * 2
     assert len(net.channels) == expected
 
 

@@ -90,6 +90,7 @@ def _fingerprint(sim):
     """Full observable counter state — any compression bug lands here."""
     net = sim.network
     traffic = sim.processes[0] if sim.processes else None
+    returning = net.credits_returning()
     return {
         "cycle": sim.cycle,
         "generated": (
@@ -116,8 +117,14 @@ def _fingerprint(sim):
             for r in net.routers
         ],
         "channels": sorted(
-            (rec.label, rec.data.utilization_count, rec.credit.utilization_count)
+            (rec.label, rec.data.utilization_count) for rec in net.links
+        ),
+        # The calendar's census: credits returning per (link, VC).
+        "returning": sorted(
+            (rec.label, vc, returning[rec.tracker, vc])
             for rec in net.links
+            for vc in range(net.cfg.router.num_vcs)
+            if returning[rec.tracker, vc]
         ),
         "credits": [
             [tuple(tr.credits) for tr in r.credit_trackers if tr is not None]
