@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .core.weights import congestion_terms
+
 
 @dataclass
 class RouterConfig:
@@ -24,12 +26,9 @@ class RouterConfig:
     input_speedup: int = 4  # flits/cycle an input port may forward (CIOQ speedup)
     output_queue_depth: int = 16  # flits staged at each output (per VC)
     arbiter: str = "age"  # "age" (paper) or "round_robin"
-    congestion_mode: str = "credit_queue"  # see core/weights.py
-    #: what a route candidate's congestion estimate covers: the VCs of its
-    #: own resource class ("class") or the whole output port ("port").
-    #: Class scope is sharper but biased toward classes that happen to be
-    #: idle (a deroute class is); port scope measures the shared channel.
-    congestion_scope: str = "port"
+    #: "credit", "queue" or "credit_queue" (see core/weights.py); the
+    #: estimate always covers the whole output port, the shared channel.
+    congestion_mode: str = "credit_queue"
     #: Clos-AD's sequential allocator (Section 4.1): within a cycle, each
     #: routing decision sees the commitments already made by other inputs.
     #: Architecturally infeasible in high-radix routers — the paper (and our
@@ -60,6 +59,9 @@ class SimConfig:
 
     def validated(self) -> "SimConfig":
         r, n = self.router, self.network
+        if r.arbiter not in ("age", "round_robin"):
+            raise ValueError(f"unknown arbiter {r.arbiter!r}")
+        congestion_terms(r.congestion_mode)  # raises naming the field
         if r.num_vcs < 1:
             raise ValueError("need at least one VC")
         if r.buffer_depth < 1 or r.output_queue_depth < 1:

@@ -13,53 +13,38 @@ Three estimator modes are provided (the choice is an ablation bench):
 ``credit_queue``  their sum — the default, closest to what a real high-radix
                   router can observe and what SuperSim-style models use.
 
-All modes normalize occupancy by the buffer depth and the class-group width,
-yielding a congestion value of ~0 for an idle port and ~1 for a full
-downstream buffer.  The normalization sets the adaptive threshold: a deroute
-(hops+1) wins over a congested minimal hop only when the minimal candidate's
-buffers are substantially occupied — one in-flight packet must not trigger
-global load balancing (the paper's bipolar-UGAL critique cuts both ways).
+Each mode is a pair of integer terms ``(occ_term, stg_term)``: the router's
+estimate is ``(occupied * occ_term + staged * stg_term) / (num_vcs *
+buffer_depth)`` over the whole output port, yielding ~0 for an idle port and
+~1 for a full downstream buffer.  The normalization sets the adaptive
+threshold: a deroute (hops+1) wins over a congested minimal hop only when the
+minimal candidate's buffers are substantially occupied — one in-flight packet
+must not trigger global load balancing (the paper's bipolar-UGAL critique
+cuts both ways).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-#: signature: (occupied_downstream_slots, staged_output_flits, num_vcs_in_group,
-#:             buffer_depth) -> congestion estimate
-Estimator = Callable[[int, int, int, int], float]
-
-
-def _credit(occupied: int, staged: int, group: int, depth: int) -> float:
-    return occupied / (group * depth)
-
-
-def _queue(occupied: int, staged: int, group: int, depth: int) -> float:
-    return staged / (group * depth)
-
-
-def _credit_queue(occupied: int, staged: int, group: int, depth: int) -> float:
-    return (occupied + staged) / (group * depth)
-
-
-_MODES: dict[str, Estimator] = {
-    "credit": _credit,
-    "queue": _queue,
-    "credit_queue": _credit_queue,
+#: mode -> (occupied-slots term, staged-flits term)
+_TERMS: dict[str, tuple[int, int]] = {
+    "credit": (1, 0),
+    "queue": (0, 1),
+    "credit_queue": (1, 1),
 }
 
 
-def get_estimator(mode: str) -> Estimator:
+def congestion_terms(mode: str) -> tuple[int, int]:
+    """The ``(occ_term, stg_term)`` row of an estimator mode."""
     try:
-        return _MODES[mode]
+        return _TERMS[mode]
     except KeyError:
         raise ValueError(
-            f"unknown congestion mode {mode!r}; choose from {sorted(_MODES)}"
+            f"unknown congestion_mode {mode!r}; choose from {sorted(_TERMS)}"
         ) from None
 
 
 def estimator_modes() -> list[str]:
-    return sorted(_MODES)
+    return sorted(_TERMS)
 
 
 def route_weight(congestion: float, hops: int, bias: float = 1.0) -> float:
@@ -70,18 +55,3 @@ def route_weight(congestion: float, hops: int, bias: float = 1.0) -> float:
     make every candidate weight 0 and the choice arbitrary).
     """
     return (congestion + bias) * hops
-
-
-def pick_min_weight(
-    weights: Sequence[float], tiebreak: Sequence[float] | None = None
-) -> int:
-    """Index of the minimum weight; optional secondary key for ties."""
-    best = 0
-    for i in range(1, len(weights)):
-        if weights[i] < weights[best] or (
-            weights[i] == weights[best]
-            and tiebreak is not None
-            and tiebreak[i] < tiebreak[best]
-        ):
-            best = i
-    return best

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.base import NoRouteError, RouteCandidate, RouteContext
-from ..core.weights import get_estimator
+from ..core.weights import congestion_terms
 from .buffers import NEVER_USED, CreditTracker, InputUnit, VcRoute
 from .channel import Channel
 from .types import Flit
@@ -86,8 +86,6 @@ class Router:
         rc = cfg.router
         self.num_vcs = rc.num_vcs
         self.radix = topology.radix(router_id)
-        self._estimator = get_estimator(rc.congestion_mode)
-        self._buffer_depth = rc.buffer_depth
 
         # Which ports face terminals (ejection targets / injection sources).
         # The Network builder passes its own (port, peer) walk in via
@@ -121,8 +119,8 @@ class Router:
         ]
         # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
         # NEVER_USED until _step_inputs first stages a flit there.  Whoever
-        # needs a port's queues later (_out_ent, candidate skeletons, a
-        # LinkRecord) holds the staged[port] *list*, never its elements.
+        # needs a port's queues later (_out_ent, a LinkRecord) holds the
+        # staged[port] *list*, never its elements.
         self.staged: list[list] = [
             [NEVER_USED] * self.num_vcs for _ in range(self.radix)
         ]
@@ -153,8 +151,6 @@ class Router:
         self._pending_commit = [0] * self.radix
 
         # Output arbitration: age-based (the paper's choice) or round-robin.
-        if rc.arbiter not in ("age", "round_robin"):
-            raise ValueError(f"unknown arbiter {rc.arbiter!r}")
         self._age_arbitration = rc.arbiter == "age"
         self._rr_next = [0] * self.radix  # per-port rotating VC priority
 
@@ -168,7 +164,6 @@ class Router:
         self._speedup = rc.input_speedup
         self._xbar_lat = rc.xbar_latency
         self._stage_cap = rc.output_queue_depth * self.num_vcs
-        self._port_scope = rc.congestion_scope == "port"
         # Shared references into the VcMap's own tables: identical for every
         # router of a network, read-only on this side, and rebuilding them
         # per router was a measurable slice of large-network construction.
@@ -204,8 +199,8 @@ class Router:
         # RoutingAlgorithm.cache_key and _build_skeleton): each entry
         # pre-resolves, per candidate, everything the scoring loop needs —
         # hops, the VC group of its class, and the output port's credit
-        # tracker / VC-owner list / staged queues — so a cache hit scores
-        # congestion x precomputed-hops without re-deriving any of it.
+        # tracker / VC-owner list — so a cache hit scores congestion x
+        # precomputed-hops without re-deriving any of it.
         # Bounded so paper-scale runs stay bounded; on overflow the oldest
         # key is evicted in insertion (clock) order, O(1) and with zero
         # bookkeeping on the hit path.  Algorithms whose cache_key is None
@@ -217,10 +212,9 @@ class Router:
         self.route_cache_misses = 0
         self.route_cache_evictions = 0
 
-        # Scoring-loop hoists (see _choose): the default credit_queue
-        # estimator is inlined, keeping its integer (group * depth)
-        # denominator so the float matches the estimator call bit-for-bit.
-        self._est_inline = rc.congestion_mode == "credit_queue"
+        # Scoring-loop hoists (see _choose): the configured mode's two
+        # integer terms and the port's integer slot count.
+        self._occ_term, self._stg_term = congestion_terms(rc.congestion_mode)
         self._port_denom = self.num_vcs * rc.buffer_depth
 
         # Event-driven stage scheduling (see _step_inputs/_step_outputs):
@@ -611,14 +605,13 @@ class Router:
         """Pre-resolve everything the scoring loop reads per candidate.
 
         Built once per cache fill (once per decision for an algorithm with
-        no cache key); the referenced trackers / owner lists / staged queues
-        are the router's own long-lived mutable objects, so a cached
-        skeleton always observes current congestion state.
+        no cache key); the referenced trackers / owner lists are the
+        router's own long-lived mutable objects, so a cached skeleton
+        always observes current congestion state.
         """
         vcs_of = self._vcs_of
         trackers = self.credit_trackers
         owners = self.out_vc_owner
-        staged = self.staged
         return [
             (
                 c,
@@ -627,7 +620,6 @@ class Router:
                 c.hops,
                 trackers[c.out_port],
                 owners[c.out_port],
-                staged[c.out_port],
             )
             for c in cands
         ]
@@ -638,26 +630,24 @@ class Router:
         and commit the minimum (Sec 5.1 step 3, Sec 5.2 step 4).
 
         Per candidate: the free VC of its class group with the most credits
-        (as :meth:`_allocate_vc`), the configured estimator over the whole
-        port or the group (``congestion_scope``; the default credit_queue
-        estimate inlined with the same integer denominator), and the
-        (congestion + 1.0) * hops weight of
-        :func:`repro.core.weights.route_weight`; one jitter draw per
+        (as :meth:`_allocate_vc`), and the (congestion + 1.0) * hops weight
+        of :func:`repro.core.weights.route_weight`, one formula for every
+        estimator mode: the port's consumed credits and staged flits, each
+        times its integer term of the configured mode
+        (:func:`repro.core.weights.congestion_terms`), over the port's
+        ``num_vcs * buffer_depth`` slots; one jitter draw per
         *feasible* candidate (the ring is grown once per call to cover the
         whole skeleton, never tested per candidate).  The reference
         functions in ``tests/test_scoring_kernel.py`` re-score every
         decision from router state and demand bit-equal weights, so keep
         the two in step.
         """
-        port_scope = self._port_scope
         seq = self._sequential
         pending = self._pending_commit
         staged_count = self._staged_count
-        est = self._estimator
-        inline_cq = self._est_inline
+        occ_term = self._occ_term
+        stg_term = self._stg_term
         denom = self._port_denom
-        depth = self._buffer_depth
-        nv = self.num_vcs
         jitter = self._jitter
         jidx = self._jitter_idx
         if jidx + len(skel) > len(jitter):
@@ -668,7 +658,7 @@ class Router:
         best_cand: RouteCandidate | None = None
         best_out_vc = -1
         best_w = best_j = 0.0
-        for cand, out_port, vcs, hops, tracker, owner, staged in skel:
+        for cand, out_port, vcs, hops, tracker, owner in skel:
             credits = tracker.credits
             best_vc = -1
             bc = 0
@@ -682,27 +672,10 @@ class Router:
                 if scored is not None:
                     scored.append((cand, None, None))
                 continue
-            if port_scope:
-                occ = tracker.occupied_total
-                stg = staged_count[out_port]
-                if seq:
-                    stg += pending[out_port]
-                if inline_cq:
-                    w = ((occ + stg) / denom + 1.0) * hops
-                else:
-                    w = (est(occ, stg, nv, depth) + 1.0) * hops
-            else:
-                occ = 0
-                stg = 0
-                for v in vcs:
-                    occ += depth - credits[v]
-                    stg += len(staged[v])
-                if seq:
-                    stg += pending[out_port]
-                if inline_cq:
-                    w = ((occ + stg) / (len(vcs) * depth) + 1.0) * hops
-                else:
-                    w = (est(occ, stg, len(vcs), depth) + 1.0) * hops
+            stg = staged_count[out_port]
+            if seq:
+                stg += pending[out_port]
+            w = ((tracker.occupied_total * occ_term + stg * stg_term) / denom + 1.0) * hops
             j = jitter[jidx]
             jidx = (jidx + 1) & jmask
             if scored is not None:
@@ -811,12 +784,10 @@ class Router:
                 f"{self.router_id}, which does not host it"
             )
         # Any free VC with credit; the ejection channel has no deadlock cycle.
-        best_vc = self._allocate_vc(out_port, 0)
-        if best_vc is None and self.vc_map.num_classes > 1:
-            for klass in range(1, self.vc_map.num_classes):
-                best_vc = self._allocate_vc(out_port, klass)
-                if best_vc is not None:
-                    break
+        for klass in range(self.vc_map.num_classes):
+            best_vc = self._allocate_vc(out_port, klass)
+            if best_vc is not None:
+                break
         if best_vc is None:
             return None
         self.out_vc_owner[out_port][best_vc] = packet.pid

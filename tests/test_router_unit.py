@@ -12,7 +12,7 @@ from repro.network.network import Network
 from repro.network.simulator import Simulator
 from repro.network.types import Packet
 from repro.topology.hyperx import HyperX
-from test_scoring_kernel import class_congestion, port_congestion
+from test_scoring_kernel import port_congestion
 
 
 def _two_router_net(algo="DOR", **cfg_over):
@@ -172,11 +172,11 @@ def test_sequential_allocation_sees_same_cycle_commitments():
     net = Network(topo, make_algorithm("DOR", topo), cfg)
     r0 = net.routers[0]
     port = topo.dim_port(0, 0, 1)
-    base = class_congestion(r0, port, 0)
+    base = port_congestion(r0, port)
     r0._pending_commit[port] = 8  # as set by an earlier same-cycle decision
-    assert class_congestion(r0, port, 0) > base
+    assert port_congestion(r0, port) > base
     r0._pending_commit[port] = 0
-    assert class_congestion(r0, port, 0) == base
+    assert port_congestion(r0, port) == base
 
 
 def test_round_robin_arbiter_config_actually_used():

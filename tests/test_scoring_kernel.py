@@ -4,8 +4,9 @@ eviction and telemetry.
 ``Router._choose`` is the one loop every routing decision goes through.  It
 inlines, per candidate, what the reference functions below spell out from
 router state alone: :func:`allocate_vc` picks the output VC,
-:func:`port_congestion` / :func:`class_congestion` estimate congestion (the
-paper's locally observable credits consumed plus flits staged), and
+:func:`port_congestion` estimates congestion (the paper's locally observable
+credits consumed and flits staged, through the configured mode's own
+formula), and
 ``repro.core.weights.route_weight`` turns that into the paper's
 ``congestion x hopcount`` weight; ties break on a pre-drawn jitter stream.
 :class:`ReferenceModel` re-scores **every** decision of a loaded run through
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.config import RouterConfig, SimConfig
 from repro.core.base import RouteCandidate, RouteContext
 from repro.core.registry import make_algorithm
-from repro.core.weights import estimator_modes, get_estimator, route_weight
+from repro.core.weights import estimator_modes, route_weight
 from repro.network.network import Network
 from repro.network.router import JITTER_RING
 from repro.network.simulator import Simulator
@@ -62,28 +63,27 @@ def allocate_vc(router, out_port, vc_class):
     return best
 
 
-def _estimate(router, out_port, vcs):
-    """Congestion of ``vcs`` on ``out_port``: downstream slots whose credit
-    is consumed plus flits staged here (plus, under sequential allocation,
-    flits committed earlier this cycle), through the configured estimator."""
+def port_congestion(router, out_port):
+    """Congestion over every VC of an output port, through the configured
+    mode's own formula: downstream slots whose credit is consumed
+    (``credit``), flits staged here plus, under sequential allocation,
+    flits committed earlier this cycle (``queue``), or their sum
+    (``credit_queue``), over the port's slots."""
     rc = router.cfg.router
+    vcs = range(rc.num_vcs)
     credits = router.credit_trackers[out_port].credits
     staged = router.staged[out_port]
     occ = sum(rc.buffer_depth - credits[v] for v in vcs)
     stg = sum(len(staged[v]) for v in vcs)
     if rc.sequential_allocation:
         stg += router._pending_commit[out_port]
-    return get_estimator(rc.congestion_mode)(occ, stg, len(vcs), rc.buffer_depth)
-
-
-def port_congestion(router, out_port):
-    """Congestion over every VC of an output port."""
-    return _estimate(router, out_port, range(router.cfg.router.num_vcs))
-
-
-def class_congestion(router, out_port, vc_class):
-    """Congestion over the VC group of one resource class."""
-    return _estimate(router, out_port, router.vc_map.vcs_of(vc_class))
+    slots = len(vcs) * rc.buffer_depth
+    if rc.congestion_mode == "credit":
+        return occ / slots
+    if rc.congestion_mode == "queue":
+        return stg / slots
+    assert rc.congestion_mode == "credit_queue", rc.congestion_mode
+    return (occ + stg) / slots
 
 
 class ReferenceModel:
@@ -126,11 +126,7 @@ class ReferenceModel:
                 if v is None:
                     expected.append((c, None, None))
                     continue
-                if rc.congestion_scope == "port":
-                    congestion = port_congestion(router, c.out_port)
-                else:
-                    congestion = class_congestion(router, c.out_port, c.vc_class)
-                w = route_weight(congestion, c.hops)
+                w = route_weight(port_congestion(router, c.out_port), c.hops)
                 j = jitter[jidx]
                 jidx = (jidx + 1) % 4096
                 expected.append((c, v, w))
@@ -171,35 +167,37 @@ def _audited_run(algo_name, widths, tpr, rate, seed, cycles, **router):
     tpr=st.integers(min_value=1, max_value=2),
     rate=st.sampled_from([0.15, 0.3, 0.45, 0.6]),
     seed=st.integers(min_value=0, max_value=2**16),
-    scope=st.sampled_from(["port", "class"]),
     sequential=st.booleans(),
     mode=st.sampled_from(estimator_modes()),
 )
 def test_kernel_weights_equal_reference(
-    algo, widths, tpr, rate, seed, scope, sequential, mode
+    algo, widths, tpr, rate, seed, sequential, mode
 ):
     """Scoring-loop record == reference congestion x hops weights, bit-exact,
-    for random router states across cacheable and stateful algorithms, both
-    congestion scopes, sequential allocation and every estimator."""
+    for random router states across cacheable and stateful algorithms,
+    sequential allocation and every estimator mode."""
     model = _audited_run(
-        algo, widths, tpr, rate, seed, 250, congestion_scope=scope,
+        algo, widths, tpr, rate, seed, 250,
         sequential_allocation=sequential, congestion_mode=mode,
     )
     assert model.decisions, "loaded run made no routing decisions — vacuous"
 
 
-def test_kernel_weights_match_under_class_scope():
+def test_kernel_weights_match_under_ablation_modes():
     """A fixed, loaded pin of the branches the default config never takes:
-    class-scope congestion (over the candidate's own VC group) with and
-    without sequential allocation, for a memoised and an un-memoised
-    algorithm — and a check that the weights actually discriminated."""
+    the ``credit`` and ``queue`` estimator modes with and without
+    sequential allocation, for a memoised and an un-memoised algorithm —
+    and a check that the weights actually discriminated."""
     for algo in ("OmniWAR", "UGAL+"):
-        for sequential in (False, True):
-            model = _audited_run(
-                algo, (3, 3), 2, 0.4, 7, 300, congestion_scope="class",
-                sequential_allocation=sequential,
-            )
-            assert model.contested > 50, (algo, sequential, model.contested)
+        for mode in ("credit", "queue"):
+            for sequential in (False, True):
+                model = _audited_run(
+                    algo, (3, 3), 2, 0.4, 7, 300, congestion_mode=mode,
+                    sequential_allocation=sequential,
+                )
+                assert model.contested > 50, (
+                    algo, mode, sequential, model.contested
+                )
 
 
 # ---------------------------------------------------------------------------

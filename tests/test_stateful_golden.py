@@ -63,7 +63,6 @@ CASES = {
     "VAL": _hyperx("VAL"),
     "UGAL": _hyperx("UGAL"),
     "UGALplus": _hyperx("UGAL+"),
-    "UGALplus_class": _hyperx("UGAL+", congestion_scope="class"),
     "UGALplus_seq": _hyperx("UGAL+", sequential_allocation=True),
     "ROMM": _hyperx("ROMM"),
     "O1Turn": _hyperx("O1Turn"),

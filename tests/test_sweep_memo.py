@@ -72,9 +72,9 @@ def test_point_key_is_stable_and_hex():
     assert len(k1) == 64 and all(c in "0123456789abcdef" for c in k1)
 
 
-#: Digests re-recorded when ``NetworkConfig`` lost its two fields that
-#: cannot change a result (``ejection_rate``, ``track_vc_trace``): the
-#: config is expanded field by field, so that re-keyed every entry once.  A
+#: Digests re-recorded when ``RouterConfig`` lost ``congestion_scope`` (the
+#: estimate always covers the output port): the config is expanded field by
+#: field, so that re-keyed every entry once.  A
 #: reordered field or a changed int/str coercion in the canonical form would
 #: silently empty every memo directory; a deliberate semantic change bumps
 #: ``SIM_SALT`` and re-records these.
@@ -97,10 +97,10 @@ PINNED_FAULTED = PointSpec(
 def test_point_key_digests_are_pinned():
     assert SIM_SALT == "repro-sim/2"
     assert point_key(PINNED_PRISTINE) == (
-        "a61b86ebadf91eb648c655dd7ef63b425eb0aff1a2c31c2c72cda1bbe8272549"
+        "7ae035dfc637babae253adc3007ddb1ffec2c609346264cb719eb4af45cf79c8"
     )
     assert point_key(PINNED_FAULTED) == (
-        "2b2b2456830b1d24111e9f381d19ae247844bfc60edec11b7f4efa52a2cbc1d5"
+        "6bad49e09d9dc5772ce16b8f3bdb908179aa3a789e347a1da339c6bbf52e8494"
     )
 
 

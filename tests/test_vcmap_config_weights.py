@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import default_config, paper_scale
 from repro.core.vcmap import VcMap
-from repro.core.weights import (
-    estimator_modes,
-    get_estimator,
-    pick_min_weight,
-    route_weight,
-)
+from repro.core.weights import congestion_terms, estimator_modes, route_weight
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +95,18 @@ def test_config_validation_errors():
         bad.validated()
 
 
+@pytest.mark.parametrize("field", ["arbiter", "congestion_mode"])
+def test_config_validation_names_the_router_field(field):
+    """An unknown router mode is refused once, by ``validated()``, before
+    any router is built — and the message names the field."""
+    from dataclasses import replace
+
+    cfg = default_config()
+    bad = replace(cfg, router=replace(cfg.router, **{field: "psychic"}))
+    with pytest.raises(ValueError, match=f"unknown {field} 'psychic'"):
+        bad.validated()
+
+
 def test_config_overrides():
     cfg = default_config(seed=99)
     assert cfg.seed == 99
@@ -115,13 +122,12 @@ def test_estimator_modes_cover_paper_options():
 
 
 def test_estimators():
-    # normalized: occupancy / (group width x buffer depth)
-    assert get_estimator("credit")(8, 4, 2, 16) == 8 / 32
-    assert get_estimator("queue")(8, 4, 2, 16) == 4 / 32
-    assert get_estimator("credit_queue")(8, 4, 2, 16) == 12 / 32
-    assert get_estimator("credit_queue")(32, 0, 2, 16) == 1.0  # full buffers
-    with pytest.raises(ValueError):
-        get_estimator("psychic")
+    # each mode is its (consumed-credit, staged-flit) integer terms
+    assert congestion_terms("credit") == (1, 0)
+    assert congestion_terms("queue") == (0, 1)
+    assert congestion_terms("credit_queue") == (1, 1)
+    with pytest.raises(ValueError, match="unknown congestion_mode 'psychic'"):
+        congestion_terms("psychic")
 
 
 def test_route_weight_prefers_short_paths_when_idle():
@@ -140,9 +146,3 @@ def test_deroute_wins_only_under_congestion():
     # (c+1)*1 > (0+1)*2 i.e. c > 1
     assert route_weight(1.0, 1) <= route_weight(0.0, 2)
     assert route_weight(2.5, 1) > route_weight(0.0, 2)
-
-
-def test_pick_min_weight_with_tiebreak():
-    assert pick_min_weight([3.0, 1.0, 2.0]) == 1
-    assert pick_min_weight([1.0, 1.0], tiebreak=[0.9, 0.1]) == 1
-    assert pick_min_weight([5.0]) == 0
