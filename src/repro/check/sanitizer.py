@@ -245,10 +245,12 @@ class Sanitizer:
             for port, owners in enumerate(r.out_vc_owner):
                 for vc, owner in enumerate(owners):
                     if owner is not None:
+                        in_port, in_vc = divmod(owner, r.num_vcs)
                         raise SanitizerError(
                             "credits",
                             f"cycle {cycle}: router {r.router_id} port {port} "
-                            f"VC {vc} still owned by packet {owner} after drain",
+                            f"VC {vc} still held by input port {in_port} "
+                            f"VC {in_vc} after drain",
                         )
 
     # -- flit conservation ---------------------------------------------

@@ -125,20 +125,20 @@ class CreditTracker:
     ``occupied_total`` is maintained incrementally so that the congestion
     estimators on the routing hot path read total occupancy in O(1) instead
     of summing the per-VC credit counters every candidate evaluation.
-    A router output port's tracker also holds its credit waiters, set by
-    ``Router.attach_output``: ``waiters[vc]`` is the flat input key asleep
-    on this VC's next credit, ``asleep`` the router's set of such keys.
-    ``latency`` is the hop's credit-return delay in the credit calendar.
+    A router output port's tracker also holds two references set by
+    ``Router.attach_output``: ``owner``, the port's ``Router.out_vc_owner``
+    list (the flat input key holding each VC), and ``asleep``, the router's
+    sleeping input keys.  ``latency`` is the hop's credit-return delay.
     """
 
-    __slots__ = ("depth", "credits", "occupied_total", "waiters", "asleep", "latency")
+    __slots__ = ("depth", "credits", "occupied_total", "owner", "asleep", "latency")
 
     def __init__(self, num_vcs: int, depth: int, latency: int = 1):
         self.depth = depth
         self.credits = [depth] * num_vcs
         self.occupied_total = 0
         self.latency = latency
-        self.waiters: list[int | None] | None = None
+        self.owner: list[int | None] | None = None
         self.asleep: set[int] | None = None
 
     def available(self, vc: int) -> int:
@@ -151,21 +151,18 @@ class CreditTracker:
         self.occupied_total += 1
 
     def restore(self, vc: int) -> None:
-        """Return one credit: the one credit sink.  It re-arms the input VC
-        asleep on this credit the moment it returns — the cycle a polling
-        router would have succeeded, since credits are delivered before
-        routers step — and writes no wake registry."""
+        """Return one credit: the one credit sink.  It wakes the VC's owner
+        (wormhole: the only input VC that can sleep on this credit) the
+        cycle a polling router would have succeeded, since credits are
+        delivered before routers step; it writes no wake registry."""
         credits = self.credits
         if credits[vc] >= self.depth:
             raise RuntimeError(f"credit overflow on VC {vc}")
         credits[vc] += 1
         self.occupied_total -= 1
-        waiters = self.waiters
-        if waiters is not None:
-            k = waiters[vc]
-            if k is not None:
-                waiters[vc] = None
-                self.asleep.discard(k)
+        owner = self.owner
+        if owner is not None:
+            self.asleep.discard(owner[vc])
 
     def occupied(self, vc: int) -> int:
         """Downstream slots believed to be occupied (incl. flits in flight)."""

@@ -111,15 +111,15 @@ class Router:
         # Output side.
         self.credit_trackers: list[CreditTracker | None] = [None] * self.radix
         self.out_channels: list[Channel | None] = [None] * self.radix
-        # Preresolved (channel, staged-queues, live-VC list) per wired output
-        # port; the _active_out values the output pass works from.
-        self._out_ent: list[tuple | None] = [None] * self.radix
+        # out_vc_owner[port][vc]: flat key (in_port * num_vcs + in_vc) of the
+        # input VC holding it head to tail, None while free; the port's
+        # tracker reads it to wake that input VC on a credit.
         self.out_vc_owner: list[list[int | None]] = [
             [None] * self.num_vcs for _ in range(self.radix)
         ]
         # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
         # NEVER_USED until _step_inputs first stages a flit there.  Whoever
-        # needs a port's queues later (_out_ent, a LinkRecord) holds the
+        # needs a port's queues later (a LinkRecord) holds the
         # staged[port] *list*, never its elements.
         self.staged: list[list] = [
             [NEVER_USED] * self.num_vcs for _ in range(self.radix)
@@ -139,11 +139,11 @@ class Router:
         # byte-for-byte from per-shard state alone.
         self._active_in: list[int] = []
         self._in_ents: list[tuple | None] = [None] * (self.radix * self.num_vcs)
-        # _active_out maps port -> (channel, staged queues, live-VC list),
-        # the preresolved entry built by attach_output.  Insertion order is
-        # the order the input pass first stages to each port — a function of
-        # the canonical input schedule, so it is reproducible too.
-        self._active_out: dict[int, tuple] = {}
+        # _active_out is an ordered set (dict keys) of output ports with
+        # staged flits.  Insertion order is the order the input pass first
+        # stages to each port — a function of the canonical input schedule,
+        # so it is reproducible too.
+        self._active_out: dict[int, None] = {}
 
         # Sequential allocation (Section 4.1): flits committed by routing
         # decisions earlier in the SAME cycle, visible to later decisions.
@@ -239,8 +239,8 @@ class Router:
         # round-robin arbiter leaves `_stage_ready` untouched on a no-grant
         # pass, keeping it <= cycle — a standing veto, so staleness is
         # conservative there too.
-        # Flat input keys, as in _active_in; each sleeper is also the waiter
-        # on its output port's tracker (CreditTracker.waiters).
+        # Flat input keys, as in _active_in; each sleeper owns the output VC
+        # it waits on, which is how its tracker's restore() finds it.
         self._asleep: set[int] = set()
         self._staged_live: list[list[int]] = [[] for _ in range(self.radix)]
         self._stage_ready = [0] * self.radix
@@ -281,9 +281,8 @@ class Router:
     def attach_output(self, port: int, data: Channel, credits: CreditTracker) -> None:
         self.out_channels[port] = data
         self.credit_trackers[port] = credits
-        credits.waiters = [None] * self.num_vcs
+        credits.owner = self.out_vc_owner[port]
         credits.asleep = self._asleep
-        self._out_ent[port] = (data, self.staged[port], self._staged_live[port])
 
     # ------------------------------------------------------------------
     # Observation hooks (repro.check sanitizer, repro.obs tracer)
@@ -372,7 +371,6 @@ class Router:
         staged_live = self._staged_live
         stage_ready = self._stage_ready
         active_out = self._active_out
-        out_ents = self._out_ent
         credit_return = self._credit_return
         calendar = self._calendar
         mask = len(calendar) - 1
@@ -408,11 +406,8 @@ class Router:
             out_vc = route.out_vc
             tracker = trackers[out_port]
             if tracker.credits[out_vc] <= 0:
-                # Sleep until the credit sink restores this exact (port, VC).
-                # The single waiter slot is sound because an output VC is
-                # owned by exactly one in-flight packet (wormhole VC
-                # allocation).
-                tracker.waiters[out_vc] = key
+                # Sleep until the credit sink restores this exact (port, VC);
+                # this key owns it, so restore() knows whom to wake.
                 asleep.add(key)
                 continue
             sc = staged_count[out_port]
@@ -440,7 +435,7 @@ class Router:
                 ready = stage_ready[out_port] = cycle + xbar_lat
                 if not active_out or ready < self._out_wake:
                     self._out_wake = ready
-                active_out[out_port] = out_ents[out_port]
+                active_out[out_port] = None
             forwarded += 1
             if budget[port] == 0:
                 touched.append(port)
@@ -468,11 +463,14 @@ class Router:
         active = self._active_out
         stage_ready = self._stage_ready
         dead = self._dead_out
+        out_channels = self.out_channels
+        staged_all = self.staged
+        staged_live = self._staged_live
         age = self._age_arbitration
         # Round-robin leaves _stage_ready stale on a no-grant pass (a
         # standing veto by design), so it never sleeps the pass either.
         emitted = not age
-        for port, ent in active.items():
+        for port in active:
             if staged_count[port] == 0:
                 dead.append(port)
                 continue
@@ -483,7 +481,9 @@ class Router:
             # staged flit is never ready earlier than heads staged before it.
             if cycle < stage_ready[port]:
                 continue
-            ch, staged, live = ent
+            ch = out_channels[port]
+            staged = staged_all[port]
+            live = staged_live[port]
             # Degraded-bandwidth link (fault injection): at most one flit
             # every min_gap cycles.  Healthy channels short-circuit on the
             # first comparison.
@@ -692,7 +692,7 @@ class Router:
         packet = ctx.packet
         out_port = best_cand.out_port
         self.algorithm.commit(ctx, best_cand)
-        self.out_vc_owner[out_port][best_out_vc] = packet.pid
+        self.out_vc_owner[out_port][best_out_vc] = port * self.num_vcs + vc
         if seq:
             if pending[out_port] == 0:
                 self._commit_touched.append(out_port)
@@ -743,7 +743,6 @@ class Router:
                 self.out_vc_owner[route.out_port][route.out_vc] = None
                 # The revoked route may be asleep waiting on a credit that
                 # will never matter again; wake it so the re-route runs.
-                self.credit_trackers[route.out_port].waiters[route.out_vc] = None
                 self._asleep.discard(flat)
                 routes[vc] = None
                 packet = head.packet
@@ -790,5 +789,5 @@ class Router:
                 break
         if best_vc is None:
             return None
-        self.out_vc_owner[out_port][best_vc] = packet.pid
+        self.out_vc_owner[out_port][best_vc] = port * self.num_vcs + vc
         return VcRoute(out_port, best_vc, packet.pid)

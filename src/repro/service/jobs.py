@@ -502,20 +502,23 @@ class JobQueue:
             )
 
     def _execute(self, job: Job, req: SweepRequest) -> None:
-        """Run one sweep exactly as a direct caller would, memo-backed."""
-        from ..analysis.sweep import sweep_load
+        """Run one sweep exactly as a direct ``sweep_load`` caller would,
+        memo-backed: the spec path over the specs :func:`build_request`
+        already built (and the door already probed)."""
+        from ..analysis.parallel import run_points
+        from ..analysis.sweep import SweepResult
 
         def on_point(i, n, point):
             if job.cancel_requested:
                 raise JobCancelled(job.job_id)
 
+        _, algorithm, pattern = req.scenario
         hits0, misses0 = self.memo.hits, self.memo.misses
-        sweep = sweep_load(
-            *req.scenario, list(req.rates),
-            stop_after_unstable=req.stop_after_unstable,
-            total_cycles=req.total_cycles, seed=req.seed,
-            workers=self.workers, memo=self.memo, progress=on_point,
-        )
+        sweep = SweepResult(algorithm.name, pattern.name, run_points(
+            req.specs, workers=1 if self.workers is None else self.workers,
+            stop_on_unstable=req.stop_after_unstable,
+            progress=on_point, memo=self.memo,
+        ))
         self.store.attach_result(
             job.job_id, sweep.to_json(),
             points_total=len(sweep.points),

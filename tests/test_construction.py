@@ -146,14 +146,16 @@ def test_loaded_run_materialises_exactly_the_used_queues():
 
 def test_a_built_8x8x8_holds_its_state_and_nothing_else():
     """The census of a fresh 8x8x8 t=1 build (the paper's 512 routers): under
-    160k GC-tracked objects — 438,553 when every channel sink was a closure
+    150k GC-tracked objects — 438,553 when every channel sink was a closure
     over per-port cells and every input VC a ``VcState`` object, 177,677
-    while every credit path was a ``Channel`` with a bound sink — and no
-    cell or function per port (11,264 router ports here)."""
+    while every credit path was a ``Channel`` with a bound sink, 154,939
+    while each output port kept a credit-waiter list and a preresolved
+    output-pass tuple — and no cell or function per port (11,264 router
+    ports here)."""
     topo = HyperX((8, 8, 8), 1)
     algo = make_algorithm("DimWAR", topo)
     census = tracked_objects(lambda: Network(topo, algo, default_config()))
-    assert census.total() < 160_000, census.most_common(8)
+    assert census.total() < 150_000, census.most_common(8)
     assert census["cell"] + census["function"] < topo.num_routers
 
 

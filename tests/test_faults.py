@@ -386,7 +386,7 @@ def _craft_unstarted_route(r, create_cycle=0):
     unit.receive(0, Flit(pkt, 0))
     unit.receive(0, Flit(pkt, 1))
     unit.routes[0] = VcRoute(1, 0, pkt.pid)
-    r.out_vc_owner[1][0] = pkt.pid
+    r.out_vc_owner[1][0] = 0  # held by input (0, 0), flat key 0
     return pkt, unit.routes
 
 

@@ -239,7 +239,7 @@ def _output_grants(flits_per_vc, num_vcs):
             router.staged[port][vc] = deque((0, _flit()) for _ in range(n))
             router._staged_live[port].append(vc)
     router._staged_count[port] = sum(flits_per_vc)
-    router._active_out[port] = router._out_ent[port]
+    router._active_out[port] = None
     for cycle in range(sum(flits_per_vc)):
         router.step(cycle)
     assert router.idle

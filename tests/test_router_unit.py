@@ -8,9 +8,10 @@ import pytest
 
 from repro.config import default_config
 from repro.core.registry import make_algorithm
+from repro.network.buffers import VcRoute
 from repro.network.network import Network
 from repro.network.simulator import Simulator
-from repro.network.types import Packet
+from repro.network.types import Flit, Packet
 from repro.topology.hyperx import HyperX
 from test_scoring_kernel import port_congestion
 
@@ -58,6 +59,79 @@ def test_out_vc_held_until_tail():
     assert held_during
     sim.drain(max_cycles=2000)
     assert all(o is None for o in r0.out_vc_owner[port])  # released at tail
+
+
+def test_a_credit_wakes_the_output_vcs_owner_and_nobody_else():
+    """The owner table is the waiter table: ``out_vc_owner[port][vc]`` is
+    the flat key (``in_port * num_vcs + in_vc``) of the input VC holding
+    the output VC, and a credit restored on it wakes exactly that key."""
+    topo, net = _two_router_net()
+    r0 = net.routers[0]
+    port = topo.dim_port(0, 0, 1)
+    tracker = r0.credit_trackers[port]
+    assert tracker.owner is r0.out_vc_owner[port]
+    # An unstarted packet on input (in_port, 0), routed to output (port, 1)
+    # and asleep on its credits, beside a key asleep on some other VC.
+    in_port = r0.port_of_terminal[0]
+    key = in_port * r0.num_vcs
+    other = key + 1
+    pkt = Packet(0, 2, size=1, create_cycle=0)
+    pkt.hops = 1
+    r0.inputs[in_port].receive(0, Flit(pkt, 0))
+    r0.inputs[in_port].routes[0] = VcRoute(port, 1, pkt.pid)
+    r0.out_vc_owner[port][1] = key
+    tracker.consume(0)
+    tracker.consume(1)
+    r0._asleep.update((key, other))
+
+    tracker.restore(0)  # an unowned VC wakes nobody
+    assert r0._asleep == {key, other}
+    inject = net.terminals[0].inject_credits  # a terminal's: no owner list
+    assert inject.owner is None
+    inject.consume(1)
+    inject.restore(1)
+    assert r0._asleep == {key, other}
+    tracker.restore(1)  # the owned VC wakes its owner, and only it
+    assert r0._asleep == {other}
+
+    # Revoked while asleep: the input wakes, the output VC is free, and a
+    # later credit on it wakes nobody.
+    tracker.consume(1)
+    r0._asleep.add(key)
+    assert r0.revoke_unstarted_routes({port}) == 1
+    assert r0._asleep == {other}
+    assert r0.out_vc_owner[port][1] is None
+    tracker.restore(1)
+    assert r0._asleep == {other}
+
+
+def test_every_sleeper_owns_the_output_vc_it_waits_on():
+    """Under load, each owned output VC is the route of its holder's input
+    VC, and every input VC asleep on credits is one of those holders."""
+    from repro.traffic.injection import SyntheticTraffic
+    from repro.traffic.patterns import UniformRandom
+
+    topo = HyperX((3, 3), 2)
+    net = Network(topo, make_algorithm("DimWAR", topo), default_config())
+    sim = Simulator(net)
+    sim.processes.append(
+        SyntheticTraffic(net, UniformRandom(topo.num_terminals), 0.7, seed=5)
+    )
+    sleepers = 0
+    for _ in range(300):
+        sim.step()
+        for r in net.routers:
+            held = set()
+            for port, owners in enumerate(r.out_vc_owner):
+                for vc, key in enumerate(owners):
+                    if key is not None:
+                        in_port, in_vc = divmod(key, r.num_vcs)
+                        route = r.inputs[in_port].routes[in_vc]
+                        assert (route.out_port, route.out_vc) == (port, vc)
+                        held.add(key)
+            assert r._asleep <= held
+            sleepers += len(r._asleep)
+    assert sleepers > 0
 
 
 def test_vc_allocation_prefers_most_credits():

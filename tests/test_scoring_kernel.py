@@ -112,7 +112,8 @@ class ReferenceModel:
         # the scorer reads (VC ownership, sequential-allocation pending
         # flits) so the model sees the state the decision was made in.
         owner = router.out_vc_owner[cand.out_port]
-        assert owner[out_vc] == packet.pid
+        holder = in_port * rc.num_vcs + in_vc
+        assert owner[out_vc] == holder
         owner[out_vc] = None
         if rc.sequential_allocation:
             router._pending_commit[cand.out_port] -= packet.size
@@ -134,7 +135,7 @@ class ReferenceModel:
                     best = (w, j, c, v)
             self._jidx[router.router_id] = jidx
         finally:
-            owner[out_vc] = packet.pid
+            owner[out_vc] = holder
             if rc.sequential_allocation:
                 router._pending_commit[cand.out_port] += packet.size
         where = f"cycle {cycle} router {router.router_id} packet {packet.pid}"
