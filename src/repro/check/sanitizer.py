@@ -71,6 +71,7 @@ Example::
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -345,13 +346,14 @@ class Sanitizer:
         edges = {}
         for r in self.network.routers:
             rid = r.router_id
-            for port, unit in enumerate(r.inputs):
-                for vc, route in enumerate(unit.routes):
-                    if route is None:
-                        continue
-                    down = self._down_of.get((rid, route.out_port))
-                    if down is not None:  # ejection hops leave the graph
-                        edges[(rid, port, vc)] = (down[0], down[1], route.out_vc)
+            nv = r.num_vcs
+            for key, route in enumerate(r.routes):
+                if route is None:
+                    continue
+                down = self._down_of.get((rid, route.out_port))
+                if down is not None:  # ejection hops leave the graph
+                    port, vc = divmod(key, nv)
+                    edges[(rid, port, vc)] = (down[0], down[1], route.out_vc)
         # Iterative DFS with tri-colouring over the (out-degree <= 1) graph:
         # follow each chain until it terminates, repeats, or hits a settled
         # node.
@@ -377,9 +379,10 @@ class Sanitizer:
 
     def _describe_node(self, node, cycle: int) -> str:
         rid, port, vc = node
-        unit = self.network.routers[rid].inputs[port]
-        route = unit.routes[vc]
-        fifo = unit.fifos[vc]
+        r = self.network.routers[rid]
+        key = port * r.num_vcs + vc
+        route = r.routes[key]
+        fifo = r.fifos[key]
         head = fifo[0] if fifo else None
         if head is not None:
             pkt = head.packet
@@ -401,16 +404,13 @@ class Sanitizer:
                 + "\n  ".join(lines),
             )
         # No wait cycle: a stall (e.g. a starved resource), still fatal.
-        blocked = []
-        for r in self.network.routers:
-            for port, unit in enumerate(r.inputs):
-                for vc, fifo in enumerate(unit.fifos):
-                    if fifo:
-                        blocked.append(
-                            self._describe_node((r.router_id, port, vc), cycle)
-                        )
-                    if len(blocked) >= 10:
-                        break
+        heads = (
+            (r.router_id, *divmod(key, r.num_vcs))
+            for r in self.network.routers
+            for key, fifo in enumerate(r.fifos)
+            if fifo
+        )
+        blocked = [self._describe_node(n, cycle) for n in islice(heads, 10)]
         raise SanitizerError(
             "deadlock",
             f"cycle {cycle}: no forward progress for {stalled_for} cycles "

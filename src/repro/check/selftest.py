@@ -120,12 +120,11 @@ def canary_flit_drop() -> tuple[bool, str]:
         for _ in range(100):  # run until some input FIFO holds a victim
             sim.run(16)
             for router in net.routers:
-                for unit in router.inputs:
-                    for fifo in unit.fifos:
-                        if len(fifo) > 1:
-                            fifo.pop()  # drop the tail-most flit
-                            sim.run(32)
-                            return
+                for fifo in router.fifos:
+                    if len(fifo) > 1:
+                        fifo.pop()  # drop the tail-most flit
+                        sim.run(32)
+                        return
         raise RuntimeError("no buffered flit found to drop")
 
     return _expect_error("conservation", seed_and_run)
@@ -144,9 +143,10 @@ def canary_wait_cycle() -> tuple[bool, str]:
     rec = next(r for r in net.links if r.kind == "rr")
     (r0, p0), (r1, p1) = rec.src, rec.dst
     pkt = Packet(src_terminal=0, dst_terminal=1, size=4, create_cycle=0)
-    net.routers[r0].inputs[p0].receive(0, Flit(pkt, 1))
-    net.routers[r0].inputs[p0].routes[0] = VcRoute(p0, 1, pkt.pid)
-    net.routers[r1].inputs[p1].routes[1] = VcRoute(p1, 0, pkt.pid)
+    a, b = net.routers[r0], net.routers[r1]
+    a.inputs[p0].receive(0, Flit(pkt, 1))
+    a.routes[p0 * a.num_vcs] = VcRoute(p0, 1)
+    b.routes[p1 * b.num_vcs + 1] = VcRoute(p1, 0)
     if san.find_wait_cycle() is None:
         return False, "wait-for graph missed the hand-built cycle"
 

@@ -1,10 +1,10 @@
 """Buffering primitives: per-VC input buffers and credit counters.
 
-An :class:`InputUnit` models the buffered input side of one router (or
-terminal) port: one FIFO per virtual channel, with per-VC routing state for
-the packet currently at the head of each VC.  A :class:`CreditTracker` counts
-the free slots the upstream side believes exist in a downstream
-:class:`InputUnit` — the essence of credit-based flow control.  Each owns
+An :class:`InputUnit` is the flit sink of one router input port: it
+buffers into its router's per-VC FIFOs, which sit beside the per-VC routing
+state of the packet at the head of each VC.  A :class:`CreditTracker` counts
+the free slots the upstream side believes exist in a downstream input port
+— the essence of credit-based flow control.  Each owns
 the method that writes it (:meth:`InputUnit.accept`, a channel's sink;
 :meth:`CreditTracker.restore`, the credit calendar's): never a closure.
 """
@@ -33,11 +33,10 @@ class VcRoute:
 
     out_port: int
     out_vc: int
-    packet_id: int
     deroute: bool = False
 
 
-#: What every queue of a built network (``InputUnit.fifos[vc]``,
+#: What every queue of a built network (``Router.fifos[key]``,
 #: ``Router.staged[port][vc]``, ``Channel._pipe``, ``Terminal.source_queue``)
 #: holds until its first item.  An empty ``deque`` pre-allocates a 64-slot
 #: block (760 B) and most queues of a large network never carry a flit, so
@@ -50,73 +49,65 @@ NEVER_USED: tuple = ()
 
 
 class InputUnit:
-    """Per-VC buffered input of a port, as two per-VC tables.
+    """The flit sink of one router input port.
 
-    ``fifos[vc]`` is :data:`NEVER_USED` until the VC's first flit arrives
-    and a ``deque`` from then on; ``routes[vc]`` is the :class:`VcRoute`
+    The port's per-VC state lives in its router's two flat tables at
+    ``base + vc`` (``base = port * num_vcs``): ``Router.fifos[key]`` is
+    :data:`NEVER_USED` until the VC's first flit arrives and a ``deque``
+    from then on, and ``Router.routes[key]`` is the :class:`VcRoute`
     committed for the packet at that VC's head (``None`` while unrouted).
-    The port's sink, the router's work entries and :meth:`receive` all
-    share these tables: one copy of each queue.  A router's unit knows its
-    ``router`` and ``port`` (its :meth:`accept` is that port's flit sink); a
-    standalone unit has neither.
+    The unit keeps no table of its own: :meth:`accept` (the channel's
+    sink), :meth:`receive` and :meth:`occupancy` read and write the
+    router's.
     """
 
-    __slots__ = ("num_vcs", "depth", "fifos", "routes", "router", "port")
+    __slots__ = ("router", "port", "base", "depth")
 
-    def __init__(self, num_vcs: int, depth: int,
-                 router: "Router | None" = None, port: int = 0):
-        if num_vcs < 1 or depth < 1:
-            raise ValueError("need >= 1 VC and >= 1 buffer slot")
-        self.num_vcs = num_vcs
-        self.depth = depth
-        self.fifos: "list[deque[Flit] | tuple]" = [NEVER_USED] * num_vcs
-        self.routes: list[VcRoute | None] = [None] * num_vcs
+    def __init__(self, router: "Router", port: int, depth: int):
         self.router = router
         self.port = port
+        self.base = port * router.num_vcs
+        self.depth = depth
 
     def accept(self, item: tuple[int, Flit]) -> None:
         """Flit sink of a router input port: buffer ``(vc, flit)``; on the
         VC's empty->busy transition make its flat key live (a non-empty FIFO
-        implies it already is) and, on its first flit, the preresolved
-        ``(routes, fifo, port, vc)`` work entry the input pass reads."""
+        implies it already is)."""
         vc, flit = item
-        fifos = self.fifos
-        fifo = fifos[vc]
+        router = self.router
+        fifos = router.fifos
+        key = self.base + vc
+        fifo = fifos[key]
         n = len(fifo)
         if n >= self.depth:
             raise RuntimeError(
                 f"buffer overflow on VC {vc}: credit protocol violated"
             )
         if n == 0:
-            router = self.router
-            key = self.port * self.num_vcs + vc
             if fifo is NEVER_USED:
-                fifo = fifos[vc] = deque()
-                router._in_ents[key] = (self.routes, fifo, self.port, vc)
+                fifo = fifos[key] = deque()
             insort(router._active_in, key)
             router._wake_registry[router] = None
         fifo.append(flit)
 
     def receive(self, vc: int, flit: Flit) -> None:
-        """Buffer one flit without waking anyone (standalone units and
-        white-box tests).  It writes the same table as the port's sink."""
-        fifos = self.fifos
-        if len(fifos[vc]) >= self.depth:
+        """Buffer one flit without waking anyone (white-box tests).  It
+        writes the same table as the port's sink."""
+        fifos = self.router.fifos
+        key = self.base + vc
+        if len(fifos[key]) >= self.depth:
             raise RuntimeError(
                 f"buffer overflow on VC {vc}: credit protocol violated"
             )
-        if fifos[vc] is NEVER_USED:
-            fifos[vc] = deque()
-        fifos[vc].append(flit)
+        if fifos[key] is NEVER_USED:
+            fifos[key] = deque()
+        fifos[key].append(flit)
 
     def occupancy(self, vc: int | None = None) -> int:
+        fifos = self.router.fifos
         if vc is not None:
-            return len(self.fifos[vc])
-        return sum(map(len, self.fifos))
-
-    @property
-    def empty(self) -> bool:
-        return not any(self.fifos)
+            return len(fifos[self.base + vc])
+        return sum(map(len, fifos[self.base:self.base + self.router.num_vcs]))
 
 
 class CreditTracker:

@@ -351,9 +351,7 @@ class Network:
         for r in self.routers:
             if r is None:
                 continue
-            for iu in r.inputs:
-                n += iu.occupancy()
-            n += sum(r._staged_count)
+            n += sum(map(len, r.fifos)) + sum(r._staged_count)
         for t in self.terminals:
             if t is not None:
                 n += t.occupancy()

@@ -101,10 +101,15 @@ class Router:
                 self.terminal_of_port[port] = peer.terminal
                 self.port_of_terminal[peer.terminal] = port
 
-        # Input side: each unit's accept() is its port's flit sink.
+        # Input side: two flat tables with one slot per input VC at the flat
+        # key ``port * num_vcs + vc``: fifos[key] (NEVER_USED until the VC's
+        # first flit, then a deque) and routes[key] (the head packet's
+        # VcRoute, None while unrouted).  Each port's InputUnit is its flit
+        # sink over them.
+        self.fifos: list = [NEVER_USED] * (self.radix * self.num_vcs)
+        self.routes: list[VcRoute | None] = [None] * len(self.fifos)
         self.inputs = [
-            InputUnit(self.num_vcs, rc.buffer_depth, self, p)
-            for p in range(self.radix)
+            InputUnit(self, p, rc.buffer_depth) for p in range(self.radix)
         ]
         self._credit_return: list[CreditTracker | None] = [None] * self.radix
 
@@ -127,18 +132,14 @@ class Router:
         self._staged_count = [0] * self.radix
 
         # Active-set bookkeeping.  _active_in is a *sorted* list of live
-        # flat input keys (``port * num_vcs + vc``); the input pass iterates
-        # it in ascending (port, vc) order and resolves each key through
-        # _in_ents, the preresolved (routes table, fifo, port, vc) entries
-        # InputUnit.accept makes on a VC's first flit (None until then, like
-        # the VC's queue).  Keeping the schedule
-        # canonical — a static property of the wiring, not of arrival
+        # flat input keys; the input pass iterates it in ascending
+        # (port, vc) order and reads fifos[key] / routes[key].  Keeping the
+        # schedule canonical — a static property of the wiring, not of arrival
         # history — makes every within-cycle delivery interleaving
         # observationally equivalent, which is what lets the sharded engine
         # (repro.network.shard) reproduce single-process arbitration
         # byte-for-byte from per-shard state alone.
         self._active_in: list[int] = []
-        self._in_ents: list[tuple | None] = [None] * (self.radix * self.num_vcs)
         # _active_out is an ordered set (dict keys) of output ports with
         # staged flits.  Insertion order is the order the input pass first
         # stages to each port — a function of the canonical input schedule,
@@ -361,7 +362,9 @@ class Router:
                     pc[p] = 0
                 ct.clear()
         active = self._active_in
-        in_ents = self._in_ents
+        fifos = self.fifos
+        routes = self.routes
+        nv = self.num_vcs
         asleep = self._asleep
         trackers = self.credit_trackers
         staged_count = self._staged_count
@@ -384,22 +387,23 @@ class Router:
         for key in active:
             if check_asleep and key in asleep:
                 continue  # blocked on credits; the credit sink wakes it
-            routes, fifo, port, vc = in_ents[key]
+            fifo = fifos[key]
             if not fifo:
                 dead.append(key)
                 continue
+            port = key // nv
             if budget[port] >= speedup:
                 continue
-            route = routes[vc]
+            route = routes[key]
             if route is None:
                 head = fifo[0]
                 if not head.is_head:
                     raise RuntimeError("non-head flit with no route: VC protocol bug")
-                route = self._compute_route(cycle, port, vc, head)
+                route = self._compute_route(cycle, port, key - port * nv, head)
                 if route is None:
                     self.route_stalls += 1
                     continue
-                routes[vc] = route
+                routes[key] = route
             # Switch allocation + crossbar traversal, inlined (this is the
             # per-flit hot path; it was a _try_forward method once).
             out_port = route.out_port
@@ -440,6 +444,7 @@ class Router:
             if budget[port] == 0:
                 touched.append(port)
             budget[port] += 1
+            vc = key - port * nv
             # Return a credit upstream for the freed input slot.
             up = credit_return[port]
             if up is not None:
@@ -448,7 +453,7 @@ class Router:
                 forward_hook(cycle, self, port, vc, out_port, out_vc, flit)
             if flit.tail:
                 self.out_vc_owner[out_port][out_vc] = None
-                routes[vc] = None
+                routes[key] = None
             if not fifo:
                 dead.append(key)
         if forwarded:
@@ -702,7 +707,7 @@ class Router:
             packet.deroutes += 1
         if hook is not None:
             hook(cycle, self, port, vc, ctx, best_cand, best_out_vc, scored)
-        return VcRoute(out_port, best_out_vc, packet.pid, best_cand.deroute)
+        return VcRoute(out_port, best_out_vc, deroute=best_cand.deroute)
 
     def _grow_jitter(self, need: int) -> None:
         """Extend the jitter ring to cover ``need`` draws (64, 128, ... up
@@ -730,34 +735,30 @@ class Router:
         number of routes revoked.
         """
         revoked = 0
-        for port, unit in enumerate(self.inputs):
-            routes, fifos = unit.routes, unit.fifos
-            for vc, route in enumerate(routes):
-                if route is None or route.out_port not in ports:
-                    continue
-                fifo = fifos[vc]
-                head = fifo[0] if fifo else None
-                if head is None or not head.is_head or head.index != 0:
-                    continue  # transfer started (or head already moved on): drain
-                flat = port * self.num_vcs + vc
-                self.out_vc_owner[route.out_port][route.out_vc] = None
-                # The revoked route may be asleep waiting on a credit that
-                # will never matter again; wake it so the re-route runs.
-                self._asleep.discard(flat)
-                routes[vc] = None
-                packet = head.packet
-                packet.hops -= 1
-                if route.deroute:
-                    packet.deroutes -= 1
-                # A revocable head implies a non-empty FIFO, so the key is
-                # already live; the re-point and the membership check are
-                # defensive (cold path; a hand-crafted route on an unwired
-                # or never-used VC has no current entry).
-                self._in_ents[flat] = (routes, fifo, port, vc)
-                if flat not in self._active_in:
-                    insort(self._active_in, flat)
-                self._wake_registry[self] = None
-                revoked += 1
+        routes, fifos = self.routes, self.fifos
+        for key, route in enumerate(routes):
+            if route is None or route.out_port not in ports:
+                continue
+            fifo = fifos[key]
+            head = fifo[0] if fifo else None
+            if head is None or not head.is_head or head.index != 0:
+                continue  # transfer started (or head already moved on): drain
+            self.out_vc_owner[route.out_port][route.out_vc] = None
+            # The revoked route may be asleep waiting on a credit that will
+            # never matter again; wake it so the re-route runs.
+            self._asleep.discard(key)
+            routes[key] = None
+            packet = head.packet
+            packet.hops -= 1
+            if route.deroute:
+                packet.deroutes -= 1
+            # A revocable head implies a non-empty FIFO, so the key is
+            # already live; the check is defensive (cold path; a
+            # hand-crafted route on a VC filled by InputUnit.receive).
+            if key not in self._active_in:
+                insort(self._active_in, key)
+            self._wake_registry[self] = None
+            revoked += 1
         return revoked
 
     def _allocate_vc(self, out_port: int, vc_class: int) -> int | None:
@@ -790,4 +791,4 @@ class Router:
         if best_vc is None:
             return None
         self.out_vc_owner[out_port][best_vc] = port * self.num_vcs + vc
-        return VcRoute(out_port, best_vc, packet.pid)
+        return VcRoute(out_port, best_vc)

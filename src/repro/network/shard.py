@@ -539,8 +539,7 @@ def shard_fallback_reason(spec: "PointSpec") -> str | None:
     return None
 
 
-def run_point_sharded(spec: "PointSpec",
-                      schedule: "FaultSchedule | None" = None) -> "PointResult":
+def run_point_sharded(spec: "PointSpec") -> "PointResult":
     """Measure one load point on the sharded engine.
 
     The schedule is ``measure_point``'s own
@@ -552,7 +551,7 @@ def run_point_sharded(spec: "PointSpec",
     from ..analysis.sweep import finalize_point, run_half_half
 
     started = time.perf_counter()
-    with ShardEngine(spec, spec.shards, schedule=schedule) as engine:
+    with ShardEngine(spec, spec.shards) as engine:
         ejected_at_half, reports = run_half_half(engine, spec.total_cycles)
     stats = PacketStats()
     for rep in reports:

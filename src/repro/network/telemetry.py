@@ -200,8 +200,7 @@ class TelemetryProbe:
         """Mean and max input-VC occupancy across the network, in flits."""
         occ = []
         for r in self.network.routers:
-            for iu in r.inputs:
-                occ.extend(map(len, iu.fifos))
+            occ.extend(map(len, r.fifos))
         if not occ:
             return {"mean": 0.0, "max": 0.0}
         return {"mean": sum(occ) / len(occ), "max": float(max(occ))}
@@ -211,7 +210,7 @@ class TelemetryProbe:
         vc_map = self.network.vc_map
         out = {k: 0 for k in range(vc_map.num_classes)}
         for r in self.network.routers:
-            for iu in r.inputs:
-                for vc_id, fifo in enumerate(iu.fifos):
-                    out[vc_map.class_of(vc_id)] += len(fifo)
+            nv = r.num_vcs
+            for key, fifo in enumerate(r.fifos):
+                out[vc_map.class_of(key % nv)] += len(fifo)
         return out

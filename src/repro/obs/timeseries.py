@@ -181,7 +181,7 @@ class TimeSeriesSampler:
         lat = self._latencies
         occupancy = tuple(
             tuple(
-                sum(len(iu.fifos[v]) for iu in r.inputs)
+                sum(map(len, r.fifos[v::r.num_vcs]))
                 for v in range(r.num_vcs)
             )
             for r in net.routers

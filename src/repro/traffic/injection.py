@@ -45,10 +45,12 @@ class _ScanningTraffic:
 
     Subclasses implement ``_scan_block(cycle) -> ndarray`` (draw exactly the
     RNG block per-cycle operation would draw for ``cycle`` and return the
-    hit sources, possibly empty) and ``_apply(cycle, srcs)`` (draw dest/size
-    and offer the packets — the only point that touches network state), and
-    may override ``_dormant()`` for configurations that provably never
-    inject (those must not consume RNG, matching per-cycle behaviour).
+    hit sources, possibly empty), may override ``current_pattern(cycle)``
+    (the destination pattern of an injection cycle; ``self.pattern`` by
+    default), and may override ``_dormant()`` for configurations that
+    provably never inject (those must not consume RNG, matching per-cycle
+    behaviour).  :meth:`_apply` draws each hit's destination and size and
+    offers the packet — the only point that touches network state.
 
     The scan cursor anchors lazily at first contact (``__call__`` or
     ``next_wakeup``), so a process attached mid-run behaves exactly like the
@@ -77,8 +79,26 @@ class _ScanningTraffic:
     def _scan_block(self, cycle: int) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def _apply(self, cycle: int, srcs: np.ndarray) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def current_pattern(self, cycle: int) -> TrafficPattern:
+        return self.pattern
+
+    def _apply(self, cycle: int, srcs: np.ndarray) -> None:
+        pattern = self.current_pattern(cycle)
+        terminals = self.network.terminals
+        for src in srcs:
+            src = int(src)
+            dst = pattern.dest(src, self.rng)
+            size = self.size_dist.sample(self.rng)
+            if terminals[src] is None:
+                # Unowned source of a partial (sharded) build: this shard
+                # replays the full RNG stream for pid/stream alignment but
+                # only its own terminals inject.  Consume the packet id the
+                # owning shard assigns so pids stay aligned across shards.
+                _next_packet_id()
+                continue
+            terminals[src].offer(Packet(src, dst, size, create_cycle=cycle))
+            self.packets_generated += 1
+            self.flits_generated += size
 
     def __call__(self, cycle: int) -> None:
         if not self.enabled or self._dormant():
@@ -184,24 +204,6 @@ class SyntheticTraffic(_ScanningTraffic):
         draws = self.rng.random(self._sources.size)
         return self._sources[draws < self._p]
 
-    def _apply(self, cycle: int, srcs: np.ndarray) -> None:
-        terminals = self.network.terminals
-        for src in srcs:
-            src = int(src)
-            dst = self.pattern.dest(src, self.rng)
-            size = self.size_dist.sample(self.rng)
-            if terminals[src] is None:
-                # Unowned source of a partial (sharded) build: this shard
-                # replays the full RNG stream for pid/stream alignment but
-                # only its own terminals inject.  Consume the packet id the
-                # owning shard assigns so pids stay aligned across shards.
-                _next_packet_id()
-                continue
-            pkt = Packet(src, dst, size, create_cycle=cycle)
-            terminals[src].offer(pkt)
-            self.packets_generated += 1
-            self.flits_generated += size
-
 
 class BurstyTraffic(_ScanningTraffic):
     """On/off (two-state Markov) injection process.
@@ -266,21 +268,6 @@ class BurstyTraffic(_ScanningTraffic):
         self._on = np.logical_xor(self._on, flips < leave)
         draws = self.rng.random(self._num_terminals)
         return np.nonzero(np.logical_and(self._on, draws < self._p_on))[0]
-
-    def _apply(self, cycle: int, srcs: np.ndarray) -> None:
-        terminals = self.network.terminals
-        for src in srcs:
-            src = int(src)
-            dst = self.pattern.dest(src, self.rng)
-            size = self.size_dist.sample(self.rng)
-            if terminals[src] is None:
-                _next_packet_id()  # unowned source: pid alignment only
-                continue
-            terminals[src].offer(
-                Packet(src, dst, size, create_cycle=cycle)
-            )
-            self.packets_generated += 1
-            self.flits_generated += size
 
     @property
     def fraction_on(self) -> float:

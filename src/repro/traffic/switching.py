@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..network.types import Packet
 from .base import TrafficPattern
 from .injection import _ScanningTraffic
 from .sizes import SizeDistribution, UniformSize
@@ -79,15 +78,3 @@ class PhasedTraffic(_ScanningTraffic):
     def _scan_block(self, cycle: int) -> np.ndarray:
         draws = self.rng.random(self._num_terminals)
         return np.nonzero(draws < self._p)[0]
-
-    def _apply(self, cycle: int, srcs: np.ndarray) -> None:
-        pattern = self.current_pattern(cycle)
-        for src in srcs:
-            src = int(src)
-            dst = pattern.dest(src, self.rng)
-            size = self.size_dist.sample(self.rng)
-            self.network.terminals[src].offer(
-                Packet(src, dst, size, create_cycle=cycle)
-            )
-            self.packets_generated += 1
-            self.flits_generated += size

@@ -129,8 +129,9 @@ def test_wait_for_graph_finds_hand_built_cycle():
     san = Sanitizer(sim)
     rec = next(r for r in net.links if r.kind == "rr")
     (r0, p0), (r1, p1) = rec.src, rec.dst
-    net.routers[r0].inputs[p0].routes[0] = VcRoute(p0, 1, 100)
-    net.routers[r1].inputs[p1].routes[1] = VcRoute(p1, 0, 101)
+    a, b = net.routers[r0], net.routers[r1]
+    a.routes[p0 * a.num_vcs] = VcRoute(p0, 1)
+    b.routes[p1 * b.num_vcs + 1] = VcRoute(p1, 0)
     cycle = san.find_wait_cycle()
     assert cycle is not None
     assert set(cycle) == {(r0, p0, 0), (r1, p1, 1)}

@@ -46,8 +46,7 @@ def _queues(net):
     for ch in net.channels:
         yield ch._pipe
     for r in net.routers:
-        for unit in r.inputs:
-            yield from unit.fifos
+        yield from r.fifos
         for per_port in r.staged:
             yield from per_port
     for t in net.terminals:
@@ -117,7 +116,7 @@ def test_append_on_a_never_used_queue_raises():
     topo, algo, _ = _scenario()
     r = Network(topo, algo, default_config()).routers[0]
     with pytest.raises(AttributeError):
-        r.inputs[0].fifos[0].append(None)
+        r.fifos[0].append(None)
     with pytest.raises(AttributeError):
         r.staged[0][0].append(None)
 
@@ -134,34 +133,32 @@ def test_loaded_run_materialises_exactly_the_used_queues():
     used = sum(1 for q in queues if q is not NEVER_USED)
     assert 0 < used < len(queues)
     for r in net.routers:
-        for key, ent in enumerate(r._in_ents):
-            port, vc = divmod(key, r.num_vcs)
-            unit = r.inputs[port]
-            if unit.fifos[vc] is NEVER_USED:
-                assert ent is None
-            else:
-                assert ent[0] is unit.routes and ent[1] is unit.fifos[vc]
-                assert ent[2:] == (port, vc)
+        for key in r._active_in:
+            assert type(r.fifos[key]) is deque
+        for fifo, route in zip(r.fifos, r.routes):
+            if fifo is NEVER_USED:
+                assert route is None
 
 
 def test_a_built_8x8x8_holds_its_state_and_nothing_else():
     """The census of a fresh 8x8x8 t=1 build (the paper's 512 routers): under
-    150k GC-tracked objects — 438,553 when every channel sink was a closure
-    over per-port cells and every input VC a ``VcState`` object, 177,677
-    while every credit path was a ``Channel`` with a bound sink, 154,939
-    while each output port kept a credit-waiter list and a preresolved
-    output-pass tuple — and no cell or function per port (11,264 router
-    ports here)."""
+    115k GC-tracked objects (109,882) — 438,553 when every channel sink was
+    a closure over per-port cells and every input VC a ``VcState`` object,
+    177,677 while every credit path was a ``Channel`` with a bound sink,
+    154,939 while each output port kept a credit-waiter list and a
+    preresolved output-pass tuple, 131,899 while each input port kept its
+    own fifo and route lists — and no cell or function per port (11,264
+    router ports here)."""
     topo = HyperX((8, 8, 8), 1)
     algo = make_algorithm("DimWAR", topo)
     census = tracked_objects(lambda: Network(topo, algo, default_config()))
-    assert census.total() < 150_000, census.most_common(8)
+    assert census.total() < 115_000, census.most_common(8)
     assert census["cell"] + census["function"] < topo.num_routers
 
 
 def test_one_queue_per_vc_whichever_way_a_flit_arrives():
-    """The wired sink and ``InputUnit.receive`` write one table, so a VC fed
-    through both reads one consistent queue."""
+    """The wired sink and ``InputUnit.receive`` write the router's one
+    table, so a VC fed through both reads one consistent queue."""
     topo = HyperX((2, 2), 1)
     net = Network(topo, make_algorithm("DimWAR", topo), default_config())
     src, dst = net.terminals[0], net.terminals[3]
@@ -173,8 +170,8 @@ def test_one_queue_per_vc_whichever_way_a_flit_arrives():
     src.inject_credits.consume(0)
     src.inject_channel._sink((0, head))  # wired sink: wakes router 0
     unit.receive(0, tail)
-    assert list(unit.fifos[0]) == [head, tail]
-    assert r._in_ents[port * r.num_vcs][1] is unit.fifos[0]
+    assert list(r.fifos[port * r.num_vcs]) == [head, tail]
+    assert r._active_in == [port * r.num_vcs]
     Simulator(net).run(200)
     assert dst.flits_ejected == 2 and pkt.eject_cycle is not None
     assert src.inject_credits.occupied_total == 0

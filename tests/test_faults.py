@@ -385,9 +385,9 @@ def _craft_unstarted_route(r, create_cycle=0):
     unit = r.inputs[0]
     unit.receive(0, Flit(pkt, 0))
     unit.receive(0, Flit(pkt, 1))
-    unit.routes[0] = VcRoute(1, 0, pkt.pid)
-    r.out_vc_owner[1][0] = 0  # held by input (0, 0), flat key 0
-    return pkt, unit.routes
+    r.routes[0] = VcRoute(1, 0)  # input (0, 0), flat key 0
+    r.out_vc_owner[1][0] = 0  # held by input (0, 0)
+    return pkt, r.routes
 
 
 def test_revoke_unstarted_routes_direct():
@@ -407,7 +407,7 @@ def test_revoke_unstarted_routes_direct():
     pkt2 = Packet(0, 3, size=2, create_cycle=0)
     pkt2.hops = 1
     r.inputs[0].receive(1, Flit(pkt2, 1))  # body flit at the FIFO head
-    routes[1] = VcRoute(1, 1, pkt2.pid)
+    routes[1] = VcRoute(1, 1)  # input (0, 1), flat key 1
     assert r.revoke_unstarted_routes({1}) == 0
     assert routes[1] is not None
     assert pkt2.hops == 1
@@ -469,8 +469,8 @@ def test_hop_log_keeps_the_decision_that_replaced_a_revoked_one():
     upstream = next(rec for rec in net.links if rec.downstream is r.inputs[0])
     upstream.tracker.consume(0)
     upstream.tracker.consume(0)
-    route = r._compute_route(0, 0, 0, r.inputs[0].fifos[0][0])
-    r.inputs[0].routes[0] = route
+    route = r._compute_route(0, 0, 0, r.fifos[0][0])
+    r.routes[0] = route
     assert hops[pkt.pid] == [(0, route.out_port, route.out_vc)]
 
     assert r.revoke_unstarted_routes({route.out_port}) == 1

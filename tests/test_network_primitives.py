@@ -9,7 +9,7 @@ import pytest
 from repro.config import RouterConfig, SimConfig, paper_scale
 from repro.core.registry import make_algorithm
 from repro.core.vcmap import VcMap
-from repro.network.buffers import CreditTracker, InputUnit
+from repro.network.buffers import CreditTracker
 from repro.network.channel import Channel
 from repro.network.network import Network
 from repro.network.simulator import Simulator
@@ -89,23 +89,28 @@ def _flit(size=1, idx=0):
 
 
 def test_input_unit_receive_and_overflow():
-    iu = InputUnit(num_vcs=2, depth=2)
+    """A port's unit buffers into its router's flat table at its own slots
+    (``port * num_vcs + vc``), refuses a flit past the buffer depth, and
+    keeps no per-port table a stale ``unit.fifos[vc]`` could read."""
+    topo = HyperX((2,), 1)
+    cfg = SimConfig(router=RouterConfig(num_vcs=2, buffer_depth=2))
+    router = Network(topo, make_algorithm("DOR", topo), cfg).routers[0]
+    iu, neighbour = router.inputs[1], router.inputs[0]
     iu.receive(0, _flit())
-    iu.receive(0, _flit())
+    iu.accept((0, _flit()))
     assert iu.occupancy(0) == 2
     assert iu.occupancy() == 2
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="overflow on VC 0"):
         iu.receive(0, _flit())
+    with pytest.raises(RuntimeError, match="overflow on VC 0"):
+        iu.accept((0, _flit()))
     iu.receive(1, _flit())
     assert iu.occupancy() == 3
-    assert not iu.empty
-
-
-def test_input_unit_validation():
-    with pytest.raises(ValueError):
-        InputUnit(0, 4)
-    with pytest.raises(ValueError):
-        InputUnit(2, 0)
+    assert [len(q) for q in router.fifos] == [0, 0, 2, 1]
+    assert neighbour.occupancy() == 0 and neighbour.occupancy(0) == 0
+    for name in ("fifos", "routes"):
+        with pytest.raises(AttributeError):
+            getattr(iu, name)
 
 
 def test_credit_tracker_protocol():

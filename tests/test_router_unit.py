@@ -78,7 +78,7 @@ def test_a_credit_wakes_the_output_vcs_owner_and_nobody_else():
     pkt = Packet(0, 2, size=1, create_cycle=0)
     pkt.hops = 1
     r0.inputs[in_port].receive(0, Flit(pkt, 0))
-    r0.inputs[in_port].routes[0] = VcRoute(port, 1, pkt.pid)
+    r0.routes[key] = VcRoute(port, 1)
     r0.out_vc_owner[port][1] = key
     tracker.consume(0)
     tracker.consume(1)
@@ -125,8 +125,7 @@ def test_every_sleeper_owns_the_output_vc_it_waits_on():
             for port, owners in enumerate(r.out_vc_owner):
                 for vc, key in enumerate(owners):
                     if key is not None:
-                        in_port, in_vc = divmod(key, r.num_vcs)
-                        route = r.inputs[in_port].routes[in_vc]
+                        route = r.routes[key]
                         assert (route.out_port, route.out_vc) == (port, vc)
                         held.add(key)
             assert r._asleep <= held

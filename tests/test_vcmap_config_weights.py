@@ -90,6 +90,9 @@ def test_config_validation_errors():
     bad = replace(cfg, router=replace(cfg.router, num_vcs=0))
     with pytest.raises(ValueError):
         bad.validated()
+    bad = replace(cfg, router=replace(cfg.router, buffer_depth=0))
+    with pytest.raises(ValueError):
+        bad.validated()
     bad = replace(cfg, network=replace(cfg.network, channel_latency_rr=0))
     with pytest.raises(ValueError):
         bad.validated()
