@@ -28,7 +28,7 @@ import os
 import statistics
 import time
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from platform import python_version
 from typing import Callable
 
@@ -37,17 +37,25 @@ from .report import format_table
 
 def tracked_objects(make: Callable[[], object]) -> Counter:
     """GC-tracked objects, by type name, that the result of ``make()``
-    holds: the census after one collection minus the census before, so
-    only what survives a collection — and the collector tracks — counts."""
-    def census() -> Counter:
-        gc.collect()
-        return Counter(type(o).__name__ for o in gc.get_objects())
-
-    before = census()
+    holds: every object it reaches that did not exist before ``make()`` ran
+    (after one collection) and that the collector tracks.  The census walks
+    references rather than listing the collector's generations, so it also
+    counts a point while its :class:`~repro.analysis.sweep.frozen_build`
+    block holds the network frozen, where ``gc.get_objects()`` sees none
+    of it."""
+    gc.collect()
+    before = gc.get_objects()  # held: no id of theirs is reused below
+    seen = set(map(id, before))
     held = make()
-    after = census()  # taken while ``held`` is alive
-    del held
-    return after - before
+    found, level = [], [held]
+    while level:
+        level = list({
+            id(o): o for o in level if id(o) not in seen and gc.is_tracked(o)
+        }.values())
+        seen.update(map(id, level))
+        found += level
+        level = gc.get_referents(*level)
+    return Counter(type(o).__name__ for o in found)
 
 
 # ----------------------------------------------------------------------
@@ -103,16 +111,17 @@ def _point_8x8x8():
 def _bench_point_assembly_8x8x8():
     """What a production point pays to be ready to step on the paper's 512
     routers: :class:`~repro.analysis.sweep.PointRun` (collector paused,
-    built graph frozen) and its thaw.  The ``network_construction*`` probes
-    time the bare constructor, which carries no collector guard."""
+    built graph frozen) and its close and thaw.  The
+    ``network_construction*`` probes time the bare constructor, which
+    carries no collector guard."""
     point = _point_8x8x8()
 
     def assemble():
-        with point() as run:
+        with point():
             pass
-        return run  # thawed, still alive: what the census counts
 
-    census = tracked_objects(assemble)
+    with ExitStack() as block:  # the census of the point, inside its block
+        census = tracked_objects(lambda: block.enter_context(point()))
     return assemble, {"rounds": 5, "iterations": 1,
                       "tracked_objects": census.total()}
 

@@ -135,8 +135,7 @@ def nearest_rank_p99(values: list[float]) -> float:
 
 class frozen_build:
     """The one owner of the cyclic collector's state around a built network
-    (docs/PERFORMANCE.md, "Construction without the collector" and "A
-    credit is a counter, not a channel")::
+    (docs/PERFORMANCE.md, "Construction without the collector")::
 
         with frozen_build(lambda: Network(topo, algo, cfg)) as net:
             ...  # run it
@@ -144,26 +143,26 @@ class frozen_build:
     A built network is ~10^5..10^6 long-lived objects, and a loaded run
     makes no cyclic garbage (``tests/test_construction.py`` holds every
     registry algorithm to that), so the collector has nothing to do for a
-    point's whole life.  The constructor (1) thaws and collects once
-    *first* — a dead predecessor is cyclic garbage (router -> channel ->
-    bound sink -> peer input unit -> peer router), and with the collector
-    paused nothing else would return it before the new network is
-    allocated beside it; (2) pauses the collector and calls ``build()``;
-    (3) ``gc.freeze()`` s what it built.  The collector stays paused until
-    the ``with`` block is left.  Leaving it, on every exit path, ages
-    everything the run allocated into the oldest generation (freeze, then
-    thaw) — otherwise the caller's first young-generation pass would walk
-    all of the run's survivors — and restores the caller's
+    point's whole life.  The constructor thaws what an earlier build left
+    frozen, pauses the collector, calls ``build()`` (which returns the
+    :class:`~repro.network.network.Network`) and ``gc.freeze()`` s what it
+    built.  The collector stays paused until the ``with`` block is left.
+    Leaving it, on every exit path, calls the network's
+    :meth:`~repro.network.network.Network.close`, which drops the wiring's
+    back-references so the network is freed by reference count once its
+    last holder lets go: the next build never has a dead predecessor
+    resident beside it, and no build pays for a full collection.  The exit
+    then ages everything the run allocated into the oldest generation
+    (freeze, then thaw) — otherwise the caller's first young-generation
+    pass would walk all of the run's survivors — and restores the caller's
     ``gc.isenabled()`` state.  A build that raises restores it too.  A
     build that is never left (a shard worker exits instead) is thawed by
     the next constructor.  The state is the process's, so one build at a
-    time per process.  ``Network.__init__`` itself carries no guard: it
-    has no lifetime owner to collect the predecessor first.
+    time per process.
     """
 
-    def __init__(self, build: Callable[[], object]):
+    def __init__(self, build: Callable[[], Network]):
         gc.unfreeze()
-        gc.collect()
         self._was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -178,10 +177,13 @@ class frozen_build:
         return self.built
 
     def __exit__(self, *exc) -> None:
-        gc.freeze()
-        gc.unfreeze()
-        if self._was_enabled:
-            gc.enable()
+        try:
+            self.built.close()
+        finally:
+            gc.freeze()
+            gc.unfreeze()
+            if self._was_enabled:
+                gc.enable()
 
 
 class PointRun:
@@ -206,8 +208,10 @@ class PointRun:
     ``diff_skip_on_off`` / ``diff_trace_on_off``).
 
     The whole assembly is one :class:`frozen_build`: built and run with
-    the collector paused, frozen for the point's lifetime, thawed and aged
-    when the ``with`` block is left.
+    the collector paused, frozen for the point's lifetime; when the
+    ``with`` block is left the network is closed, and everything is thawed
+    and aged.  Read the network inside the block: after it, router and
+    terminal state raises ``AttributeError``.
     """
 
     def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",
@@ -218,7 +222,7 @@ class PointRun:
                  owned_routers: "frozenset[int] | None" = None,
                  schedule: "FaultSchedule | None" = None,
                  sources: "list[int] | None" = None):
-        def assemble() -> None:
+        def assemble() -> Network:
             self.net = Network(
                 topology, algorithm, cfg or default_config(), owned_routers=owned_routers
             )
@@ -248,6 +252,7 @@ class PointRun:
             for t in self.net.terminals:
                 if t is not None:
                     t.delivery_listeners.append(self.stats.on_delivery)
+            return self.net
 
         self._lifetime = frozen_build(assemble)
 

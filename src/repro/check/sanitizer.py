@@ -137,7 +137,6 @@ class Sanitizer:
         self.check_vc_legality = vc_legality
 
         self._attached = False
-        self._hook = None  # bound route hook, captured once by attach()
         self._next_audit = sim.cycle
         self._last_progress = -1
         self._last_progress_cycle = sim.cycle
@@ -166,10 +165,8 @@ class Sanitizer:
             raise RuntimeError("sanitizer already attached")
         self.sim.add_process(self)
         if self.check_vc_legality:
-            # Bind once so detach() can recognise its own hook by identity.
-            self._hook = self._on_route
             for r in self.network.routers:
-                r.add_route_hook(self._hook)
+                r.add_route_hook(self._on_route)
         self._attached = True
         self._next_audit = self.sim.cycle
         return self
@@ -181,9 +178,8 @@ class Sanitizer:
         self.sim.remove_process(self)
         if self.check_vc_legality:
             for r in self.network.routers:
-                if self._hook in r._route_hooks:
-                    r.remove_route_hook(self._hook)
-            self._hook = None
+                if self._on_route in r._route_hooks:
+                    r.remove_route_hook(self._on_route)
         self._attached = False
 
     # ------------------------------------------------------------------

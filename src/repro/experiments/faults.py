@@ -150,6 +150,7 @@ def run_fault_transient(
             f"trace_fault_{algorithm}_{sc.name}",
             require_quiescent=drained and routing_error is None,
         )
+        fault_counters = probe.fault_counters()
     return FaultTransientResult(
         algorithm=algorithm,
         scale=sc.name,
@@ -163,7 +164,7 @@ def run_fault_transient(
         delivered_packets=stats.packets_delivered,
         drained=drained,
         routing_error=routing_error,
-        fault_counters=probe.fault_counters(),
+        fault_counters=fault_counters,
     )
 
 

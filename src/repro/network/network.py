@@ -294,6 +294,27 @@ class Network:
         self.boundary_out[key] = cred_out
         self.boundary_in[("c", q, q_port)] = tracker
 
+    def close(self) -> None:
+        """Drop the wiring's back-references, so that a finished network is
+        freed by reference count rather than by the cyclic collector.
+
+        The wiring is cyclic by design: router -> channel -> bound sink ->
+        peer input unit -> peer router; a component and the activity set it
+        registers in; a tracer's wrapped sink and the tracer it closes over.
+        This empties every router and terminal and nulls every channel's
+        sink and activity set, which breaks each of those cycles.  The
+        network's own attributes (``topology``, ``cfg``, ``vc_map``,
+        ``fault_state``) stay, but a late read of router or terminal state
+        raises ``AttributeError`` instead of answering a default.
+        :class:`~repro.analysis.sweep.frozen_build` calls it on every exit
+        path.
+        """
+        for component in (*self.routers, *self.terminals):
+            if component is not None:
+                vars(component).clear()
+        for ch in self.channels:
+            ch._sink = ch._active_set = None
+
     # ------------------------------------------------------------------
     # Introspection used by tests and the measurement harness
     # ------------------------------------------------------------------

@@ -104,7 +104,6 @@ class TimeSeriesSampler:
         self.window = window
         self.samples: list[WindowSample] = []
         self._attached = False
-        self._delivery_cb = self._on_delivery
         self._latencies: list[int] = []
         self._packets = 0
         self._probe = TelemetryProbe(self.network)
@@ -126,7 +125,7 @@ class TimeSeriesSampler:
             raise RuntimeError("sampler already attached")
         self.sim.add_process(self)
         for t in self.network.terminals:
-            t.delivery_listeners.append(self._delivery_cb)
+            t.delivery_listeners.append(self._on_delivery)
         self._reset_window(self.sim.cycle)
         self._attached = True
         return self
@@ -136,8 +135,8 @@ class TimeSeriesSampler:
             return
         self.sim.remove_process(self)
         for t in self.network.terminals:
-            if self._delivery_cb in t.delivery_listeners:
-                t.delivery_listeners.remove(self._delivery_cb)
+            if self._on_delivery in t.delivery_listeners:
+                t.delivery_listeners.remove(self._on_delivery)
         self._attached = False
 
     def finalize(self, cycle: int) -> None:

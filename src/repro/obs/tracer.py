@@ -96,12 +96,6 @@ class Tracer:
         self._next_tid = 0  # next trace-local id (doubles as sampled count)
         self._tids: dict[int, int] = {}  # live sampled packets: pid -> tid
         self._wrapped: list[tuple[object, object]] = []  # (channel, orig sink)
-        # Bind every callback exactly once: registration and removal work by
-        # identity, so a fresh bound method at detach time would not match.
-        self._inject_cb = self._on_inject
-        self._eject_cb = self._on_eject
-        self._route_cb = self._on_route
-        self._forward_cb = self._on_forward
 
     @property
     def attached(self) -> bool:
@@ -125,11 +119,11 @@ class Tracer:
             raise RuntimeError("tracer already attached")
         net = self.network
         for t in net.terminals:
-            t.inject_listeners.append(self._inject_cb)
-            t.delivery_listeners.append(self._eject_cb)
+            t.inject_listeners.append(self._on_inject)
+            t.delivery_listeners.append(self._on_eject)
         for r in net.routers:
-            r.add_route_hook(self._route_cb)
-            r.add_forward_hook(self._forward_cb)
+            r.add_route_hook(self._on_route)
+            r.add_forward_hook(self._on_forward)
         for rec in net.links:
             if rec.kind != "rr":
                 continue
@@ -146,15 +140,15 @@ class Tracer:
             return
         net = self.network
         for t in net.terminals:
-            if self._inject_cb in t.inject_listeners:
-                t.inject_listeners.remove(self._inject_cb)
-            if self._eject_cb in t.delivery_listeners:
-                t.delivery_listeners.remove(self._eject_cb)
+            if self._on_inject in t.inject_listeners:
+                t.inject_listeners.remove(self._on_inject)
+            if self._on_eject in t.delivery_listeners:
+                t.delivery_listeners.remove(self._on_eject)
         for r in net.routers:
-            if self._route_cb in r._route_hooks:
-                r.remove_route_hook(self._route_cb)
-            if self._forward_cb in r._forward_hooks:
-                r.remove_forward_hook(self._forward_cb)
+            if self._on_route in r._route_hooks:
+                r.remove_route_hook(self._on_route)
+            if self._on_forward in r._forward_hooks:
+                r.remove_forward_hook(self._on_forward)
         for ch, orig in self._wrapped:
             ch._sink = orig
         self._wrapped.clear()

@@ -3,8 +3,9 @@ and nothing else (channel sinks are bound methods of the per-port objects,
 ``Network.links`` is derived when read), per-VC queues exist only once a
 flit has needed them, and ``frozen_build`` (``PointRun``,
 ``run_stencil_once``) owns the cyclic collector's state around the assembly
-(docs/PERFORMANCE.md, "Construction without the collector" and "A built
-network is its state")."""
+and closes the network on exit, so that a finished point is freed by
+reference count (docs/PERFORMANCE.md, "Construction without the
+collector" and "A built network is its state")."""
 
 import gc
 import weakref
@@ -55,11 +56,13 @@ def _queues(net):
 
 @pytest.fixture
 def networks_seen(monkeypatch):
-    """Watch every ``Network`` that ``PointRun`` and ``run_stencil_once``
-    build: at each build's entry, is its predecessor still resident?  The
-    probe is a router — the ``Network`` object itself dies by reference
-    count, the graph it built (router -> channel -> bound sink -> peer input
-    unit -> peer router) only by collection."""
+    """Watch every ``Network`` that ``PointRun``, ``run_stencil_once`` and
+    a Fig 4 point build: at each build's entry, is its predecessor still
+    resident?  The probe is a router of the graph the build wired (router
+    -> channel -> bound sink -> peer input unit -> peer router).  That graph
+    is cyclic while it runs; leaving its ``frozen_build`` block calls
+    ``Network.close``, which drops the back-references, and it dies by
+    reference count once its last holder lets go."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -68,8 +71,8 @@ def networks_seen(monkeypatch):
         seen.append((weakref.ref(net.routers[0]), predecessor_alive))
         return net
 
-    monkeypatch.setattr(sweep, "Network", recording)
-    monkeypatch.setattr(fig8_stencil, "Network", recording)
+    for module in (sweep, fig8_stencil, fig4_topologies):
+        monkeypatch.setattr(module, "Network", recording)
     return seen
 
 
@@ -126,29 +129,31 @@ def test_loaded_run_materialises_exactly_the_used_queues():
     with PointRun(topo, algo, pattern, 0.5, check=True) as run:
         run.run(400)
         run.close("unused")  # the sanitizer's final audit
-    net = run.net
-    assert net.total_ejected_flits() > 0
-    queues = list(_queues(net))
-    assert all(isinstance(q, deque) for q in queues if q)
-    used = sum(1 for q in queues if q is not NEVER_USED)
-    assert 0 < used < len(queues)
-    for r in net.routers:
-        for key in r._active_in:
-            assert type(r.fifos[key]) is deque
-        for fifo, route in zip(r.fifos, r.routes):
-            if fifo is NEVER_USED:
-                assert route is None
+        net = run.net
+        assert net.total_ejected_flits() > 0
+        queues = list(_queues(net))
+        assert all(isinstance(q, deque) for q in queues if q)
+        used = sum(1 for q in queues if q is not NEVER_USED)
+        assert 0 < used < len(queues)
+        for r in net.routers:
+            for key in r._active_in:
+                assert type(r.fifos[key]) is deque
+            for fifo, route in zip(r.fifos, r.routes):
+                if fifo is NEVER_USED:
+                    assert route is None
 
 
 def test_a_built_8x8x8_holds_its_state_and_nothing_else():
     """The census of a fresh 8x8x8 t=1 build (the paper's 512 routers): under
-    115k GC-tracked objects (109,882) — 438,553 when every channel sink was
-    a closure over per-port cells and every input VC a ``VcState`` object,
-    177,677 while every credit path was a ``Channel`` with a bound sink,
-    154,939 while each output port kept a credit-waiter list and a
-    preresolved output-pass tuple, 131,899 while each input port kept its
-    own fifo and route lists — and no cell or function per port (11,264
-    router ports here)."""
+    115k GC-tracked objects (109,209 that the network reaches; the figures
+    below listed the collector's generations instead, which also counted
+    the ~680 objects numpy makes on first use, 109,882 here) — 438,553
+    when every channel sink was a closure over per-port cells and every
+    input VC a ``VcState`` object, 177,677 while every credit path was a
+    ``Channel`` with a bound sink, 154,939 while each output port kept a
+    credit-waiter list and a preresolved output-pass tuple, 131,899 while
+    each input port kept its own fifo and route lists — and no cell or
+    function per port (11,264 router ports here)."""
     topo = HyperX((8, 8, 8), 1)
     algo = make_algorithm("DimWAR", topo)
     census = tracked_objects(lambda: Network(topo, algo, default_config()))
@@ -246,6 +251,28 @@ def test_a_link_failed_mid_run_keeps_its_record():
     assert [(rec.kind, rec.src, rec.dst) for rec in net.links] == want
 
 
+@pytest.fixture
+def collector_paused():
+    """Pause the collector for the whole test, so that only reference
+    counting frees what a closed point leaves and the test's own
+    ``gc.collect()`` counts whatever is left."""
+    was = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if was:
+        gc.enable()
+
+
+def _freed_by_refcount(networks_seen):
+    """Every network built so far, closed when its block was left, is gone
+    before any collection, and the collection then finds no cyclic
+    garbage."""
+    assert networks_seen
+    assert [router() for router, _ in networks_seen] == [None] * len(networks_seen)
+    assert gc.collect() == 0
+
+
 def _no_cyclic_garbage(run):
     """Inside a point's block: collect once, ``run()``, and then the
     collector must find nothing — the precondition for keeping it paused
@@ -256,15 +283,19 @@ def _no_cyclic_garbage(run):
 
 
 @pytest.mark.parametrize("name", algorithm_names())
-def test_a_loaded_run_makes_no_cyclic_garbage(name):
+def test_a_loaded_run_makes_no_cyclic_garbage(name, networks_seen, collector_paused):
     topo = HyperX((3, 3), 2)
     pattern = UniformRandom(topo.num_terminals)
     with PointRun(topo, make_algorithm(name, topo), pattern, 0.5) as run:
         _no_cyclic_garbage(lambda: run.run(200))
+    del run
+    _freed_by_refcount(networks_seen)
 
 
 @pytest.mark.parametrize("observer", ["check", "trace", "faults"])
-def test_an_observed_or_faulted_run_makes_no_cyclic_garbage(observer, tmp_path):
+def test_an_observed_or_faulted_run_makes_no_cyclic_garbage(
+    observer, networks_seen, collector_paused, tmp_path
+):
     topo, algo, pattern = _scenario((3, 3))
     kwargs = {
         "check": {"check": True},
@@ -276,6 +307,8 @@ def test_an_observed_or_faulted_run_makes_no_cyclic_garbage(observer, tmp_path):
         algo = make_algorithm("DimWAR", topo)
     with PointRun(topo, algo, pattern, 0.5, **kwargs) as run:
         _no_cyclic_garbage(lambda: (run.run(200), run.close("garbage")))
+    del run
+    _freed_by_refcount(networks_seen)
     if observer == "faults":
         assert topo.faults.events_applied == 1
 
@@ -323,7 +356,7 @@ def probed_builds(monkeypatch):
 
 
 def test_a_stencil_bar_and_a_dragonfly_point_make_no_cyclic_garbage(
-    probed_builds, monkeypatch
+    probed_builds, networks_seen, collector_paused, monkeypatch
 ):
     log = probed_builds(_GarbageProbe)
     monkeypatch.setattr(
@@ -333,6 +366,23 @@ def test_a_stencil_bar_and_a_dragonfly_point_make_no_cyclic_garbage(
     assert run_stencil_once("DimWAR", "full", 1, "smoke") > 0
     assert fig4_topologies.run("smoke").times[("Dragonfly", 1)] > 0
     assert log == [("enter", False), ("garbage", 0), ("exit", False)] * 2
+    _freed_by_refcount(networks_seen)
+
+
+def test_a_closed_network_fails_loudly():
+    """After its block, a network's routers and terminals are empty: a late
+    read raises instead of answering zero.  Its own attributes stay."""
+    topo, _, pattern = _scenario((3, 3))
+    topo = DegradedTopology(topo)
+    with PointRun(topo, make_algorithm("DimWAR", topo), pattern, 0.5) as run:
+        run.run(100)
+        net, router = run.net, run.net.routers[0]
+        assert net.total_ejected_flits() > 0
+    with pytest.raises(AttributeError):
+        net.total_ejected_flits()
+    with pytest.raises(AttributeError):
+        router.fifos
+    assert net.fault_state is topo.faults and net.topology is topo
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])
@@ -370,7 +420,9 @@ def test_two_points_never_hold_two_networks(networks_seen):
     assert [alive for _, alive in networks_seen] == [False, False]
 
 
-def test_a_point_that_raises_leaves_no_frozen_network(networks_seen):
+def test_a_point_that_raises_leaves_no_frozen_network(
+    networks_seen, collector_paused
+):
     topo, algo, pattern = _scenario()
     broken = make_algorithm("DimWAR", topo)
 
@@ -379,8 +431,11 @@ def test_a_point_that_raises_leaves_no_frozen_network(networks_seen):
 
     broken.candidates = no_candidates
     with pytest.raises(NoRouteError):  # unbound: keeps no traceback alive
-        measure_point(topo, broken, pattern, 0.5, total_cycles=100)
+        # Traced: the tracer is never detached, so its wrapped sinks stay.
+        measure_point(topo, broken, pattern, 0.5, total_cycles=100,
+                      trace=TraceOptions())
     assert gc.get_freeze_count() == 0  # thawed on the failing exit path
+    _freed_by_refcount(networks_seen)  # closed on the failing exit path
     measure_point(topo, algo, pattern, 0.2, total_cycles=100)
     assert [alive for _, alive in networks_seen] == [False, False]
     assert gc.get_freeze_count() == 0
