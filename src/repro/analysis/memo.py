@@ -153,7 +153,7 @@ class SweepMemo:
         replaying), so an entry it finds may still be corrupt and miss in
         :meth:`get`."""
         return memoisable(spec) and os.path.exists(
-            self._path(point_key(spec, self.salt))
+            self._path(spec.memo_key(self.salt))
         )
 
     def get(self, spec: "PointSpec") -> "PointResult | None":
@@ -162,7 +162,7 @@ class SweepMemo:
 
         if not memoisable(spec):
             return None
-        key = point_key(spec, self.salt)
+        key = spec.memo_key(self.salt)
         path = self._path(key)
         try:
             with open(path) as f:
@@ -203,7 +203,7 @@ class SweepMemo:
         None when the write failed (counted in ``write_errors``)."""
         if not memoisable(spec):
             return None
-        key = point_key(spec, self.salt)
+        key = spec.memo_key(self.salt)
         payload = asdict(result)
         # Host timing is nondeterministic and excluded from sweep JSON;
         # memoised replays read it back as 0.0 by construction.

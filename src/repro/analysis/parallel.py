@@ -12,7 +12,10 @@ runs such grids on a :class:`~concurrent.futures.ProcessPoolExecutor`:
 * :func:`run_points` dispatches specs in order with a bounded speculative
   window, collects results *in submission order*, and — when asked to stop
   at the first unstable point (``sweep_load``'s ``stop_after_unstable``) —
-  cancels every not-yet-started future past it;
+  cancels every not-yet-started future past it.  It builds and shuts down a
+  pool of its own per call, unless the caller hands it one (``pool=``): the
+  service's job runner keeps one pool for its whole life
+  (:class:`repro.service.jobs.JobQueue`), and a run only submits to it;
 * determinism: each point builds a fresh ``Network`` (router rngs derived
   from ``cfg.seed``) and a fresh traffic process (rng from ``spec.seed``),
   so the results are bit-identical no matter how many workers run them —
@@ -44,7 +47,7 @@ from ..config import SimConfig
 from ..topology.hyperx import HyperX
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Executor
 
     from ..core.base import RoutingAlgorithm
     from ..obs import TraceOptions
@@ -121,6 +124,20 @@ class PointSpec:
             self.algorithm, topo, **dict(self.algorithm_kwargs)
         )
         return topo, algorithm, pattern_by_name(self.pattern, topo)
+
+    def memo_key(self, salt: str) -> str:
+        """:func:`~repro.analysis.memo.point_key` under ``salt``, derived
+        once per spec object: the service's presence probe at the door and
+        its walk's ``get`` / ``put`` share one digest.  It is kept beside
+        the fields, not as one, so equality, hashing and
+        ``dataclasses.replace`` ignore it."""
+        cached = self.__dict__.get("_memo_key")
+        if cached is None or cached[0] != salt:
+            from .memo import point_key
+
+            cached = (salt, point_key(self, salt))
+            self.__dict__["_memo_key"] = cached
+        return cached[1]
 
 
 def run_point(spec: PointSpec) -> "PointResult":
@@ -253,6 +270,7 @@ def run_points(
     stop_on_unstable: bool = False,
     progress: ProgressFn | None = None,
     memo: "SweepMemo | None" = None,
+    pool: "Callable[[], Executor] | None" = None,
 ) -> list["PointResult"]:
     """Run specs in order, optionally in parallel, collecting ordered results.
 
@@ -269,7 +287,16 @@ def run_points(
     its result exactly (the determinism the oracles enforce), so memoised
     and simulated results are interchangeable: output is identical with or
     without the memo, for any worker count.  In parallel mode cache hits
-    never occupy a worker — only misses are dispatched to the pool.
+    never occupy a worker — only misses are dispatched to the pool.  Only
+    returned points are memoised.
+
+    ``pool`` is the caller's executor, asked for on the first memo miss
+    (a zero-argument callable, so a fully memoised run forks nothing).  The
+    run submits to it and cancels its own unstarted futures on the way out,
+    but never shuts it down: a future already running past a stop or an
+    exception finishes in the caller's pool, unread.  Without ``pool`` (and
+    ``workers >= 2``) the run builds a pool of ``workers`` processes and
+    shuts it down before it returns.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -293,21 +320,25 @@ def run_points(
         return results
 
     window = workers + max(workers, MIN_SPECULATION)
-    # Built on the first memo miss: a fully memoised sweep starts no worker.
-    pool: ProcessPoolExecutor | None = None
+    # Fetched (or, without a caller's pool, built) on the first memo miss:
+    # a fully memoised sweep starts no worker.
+    executor: Executor | None = None
 
     def submit(i: int):
         """A memo hit is carried as a plain result, a miss as a future."""
-        nonlocal pool
+        nonlocal executor
         if memo is not None:
             cached = memo.get(specs[i])
             if cached is not None:
                 return (cached, None)
-        if pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+        if executor is None:
+            if pool is not None:
+                executor = pool()
+            else:
+                from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
-        return (None, pool.submit(run_point, specs[i]))
+                executor = ProcessPoolExecutor(max_workers=workers)
+        return (None, executor.submit(run_point, specs[i]))
 
     futures: dict = {}
     try:
@@ -334,8 +365,8 @@ def run_points(
         for _, fut in futures.values():
             if fut is not None:
                 fut.cancel()
-        if pool is not None:
-            pool.shutdown()
+        if pool is None and executor is not None:
+            executor.shutdown()
     return results
 
 

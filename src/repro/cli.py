@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8035,
                    help="TCP port (0 = ephemeral; default: 8035)")
     p.add_argument("--workers", type=int, default=None,
-                   help="ProcessPool workers per sweep job "
+                   help="size of the job runner's one worker pool "
                    "(0 = all cores; default: serial)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="max queued jobs before submissions get 503")

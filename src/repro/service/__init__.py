@@ -5,8 +5,8 @@ saturation ladders over (topology, algorithm, pattern, load, seed) grids —
 and every one of those points is deterministic: a canonical spec fixes its
 result byte-for-byte.  This package turns that determinism into a
 long-running experiment service: clients submit sweep jobs over HTTP, an
-async job queue fans the points over the
-:mod:`repro.analysis.parallel` ProcessPool workers, and the disk-backed
+async job queue fans the points over one worker pool it keeps for its
+life (:mod:`repro.analysis.parallel` runs them), and the disk-backed
 :class:`~repro.analysis.memo.SweepMemo` acts as a shared content-addressed
 result cache, so repeated queries — the "millions of users" path — are
 answered without simulating anything.

@@ -18,10 +18,22 @@ are failed-then-requeued on recovery).
 
 The :class:`JobQueue` is the async half: a bounded single-consumer queue
 whose runner thread executes jobs one at a time, fanning each sweep's
-points over the :mod:`repro.analysis.parallel` ProcessPool workers with
-the shared :class:`~repro.analysis.memo.SweepMemo` as a content-addressed
+points over one :class:`~concurrent.futures.ProcessPoolExecutor` with the
+shared :class:`~repro.analysis.memo.SweepMemo` as a content-addressed
 result cache.  Cancellation of a running job takes effect at the next
 point boundary via the sweep progress callback.
+
+The queue keeps that pool for its whole life.  It is built on the first
+point that needs simulating, so a server that starts, or answers only
+from the memo, forks nothing; and by then the point runner is imported,
+so the forked workers start warm.  A job hands it to
+:func:`~repro.analysis.parallel.run_points`, which never shuts it down:
+a stopped ladder's speculative tail may still run in it after its job is
+done (unread, never memoised).  A worker's death breaks the pool: the job
+it hit fails with ``BrokenProcessPool`` named in its error, and the next
+job builds a fresh pool.  :meth:`JobQueue.stop` shuts it down, and every
+worker exits on its own once the process that forked it is gone
+(:func:`_exit_with_parent`), so even a SIGKILLed server leaves no orphan.
 
 A job may be born ``done``: when every point of a submission is already in
 the memo and no job is executing, the submitting thread walks it through
@@ -53,12 +65,15 @@ import json
 import os
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .spec import SweepRequest, build_request, request_key
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..analysis.memo import SweepMemo
 
 QUEUED = "queued"
@@ -85,6 +100,9 @@ LEGAL_TRANSITIONS = frozenset({
 
 #: job-log storage format version
 JOBLOG_SCHEMA = "repro-joblog/1"
+
+#: seconds between a pool worker's checks that its parent is alive
+PARENT_POLL_S = 0.5
 
 
 class TransitionError(ValueError):
@@ -358,13 +376,34 @@ class JobStore:
             return revived
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the forking process is gone.
+
+    An idle worker blocks on its call queue forever, so a SIGKILLed server
+    would leave it behind.  A daemon thread polls ``os.getppid()`` and
+    ends the worker when it changes (the orphan was re-parented).
+    ``PR_SET_PDEATHSIG`` would not do: it fires when the *forking thread*
+    exits, and the runner thread, not the main thread, forks the pool.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 class JobQueue:
     """Bounded async queue + single runner thread over the sweep engine.
 
     One job runs at a time; *within* a job the sweep fans its points over
-    ``workers`` ProcessPool processes (see
-    :func:`repro.analysis.parallel.run_points`), and the shared ``memo``
-    serves previously-measured points without simulation.  The bound is on
+    the queue's one pool of ``workers`` processes (see
+    :func:`repro.analysis.parallel.run_points`; the module docstring has
+    the pool's lifecycle), and the shared ``memo`` serves
+    previously-measured points without simulation.  The bound is on
     *queued* jobs: :meth:`submit` raises :class:`QueueFull` past
     ``max_depth``, which the HTTP layer maps to 503.
 
@@ -389,7 +428,9 @@ class JobQueue:
         #: submitting thread alike: one job runs at a time, which is also
         #: what keeps the per-job memo accounting exact
         self._running = threading.Lock()
+        self._pool: "ProcessPoolExecutor | None" = None
         self.jobs_deduped = 0  # submissions answered by an existing job
+        self.pool_builds = 0  # worker pools forked so far
 
     # -- submission ----------------------------------------------------
 
@@ -454,16 +495,16 @@ class JobQueue:
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the runner after the in-flight job finishes."""
+        """Stop the runner after the in-flight job finishes, then shut the
+        worker pool down (work still queued in it is dropped)."""
         if self._thread is not None and self._thread.is_alive():
             self._q.put(None)
             self._thread.join(timeout=timeout)
         self._thread = None
+        self._drop_pool(wait=True)
 
     def join(self, timeout: float = 60.0) -> bool:
         """Block until the queue drains (for tests); True when idle."""
-        import time
-
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self._q.empty() and not self.store.counts()[RUNNING]:
@@ -501,10 +542,27 @@ class JobQueue:
                 job.job_id, FAILED, f"{type(exc).__name__}: {exc}"
             )
 
+    def _worker_pool(self) -> "ProcessPoolExecutor":
+        """The queue's one pool, built on the first call."""
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_exit_with_parent)
+            self.pool_builds += 1
+        return self._pool
+
+    def _drop_pool(self, wait: bool) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
+
     def _execute(self, job: Job, req: SweepRequest) -> None:
         """Run one sweep exactly as a direct ``sweep_load`` caller would,
         memo-backed: the spec path over the specs :func:`build_request`
         already built (and the door already probed)."""
+        from concurrent.futures import BrokenExecutor
+
         from ..analysis.parallel import run_points
         from ..analysis.sweep import SweepResult
 
@@ -514,11 +572,17 @@ class JobQueue:
 
         _, algorithm, pattern = req.scenario
         hits0, misses0 = self.memo.hits, self.memo.misses
-        sweep = SweepResult(algorithm.name, pattern.name, run_points(
-            req.specs, workers=1 if self.workers is None else self.workers,
-            stop_on_unstable=req.stop_after_unstable,
-            progress=on_point, memo=self.memo,
-        ))
+        try:
+            points = run_points(
+                req.specs,
+                workers=1 if self.workers is None else self.workers,
+                stop_on_unstable=req.stop_after_unstable,
+                progress=on_point, memo=self.memo, pool=self._worker_pool,
+            )
+        except BrokenExecutor:  # a worker died: the next job forks afresh
+            self._drop_pool(wait=False)
+            raise
+        sweep = SweepResult(algorithm.name, pattern.name, points)
         self.store.attach_result(
             job.job_id, sweep.to_json(),
             points_total=len(sweep.points),

@@ -239,6 +239,7 @@ class ExperimentService:
             "max_depth": self.queue.max_depth,
             "workers": self.queue.workers,
             "jobs_deduped": self.queue.jobs_deduped,
+            "pool_builds": self.queue.pool_builds,
             "throttled": self.limiter.throttled,
             "memo": {
                 "root": self.memo.root,

@@ -111,9 +111,10 @@ def test_cli_help_imports_no_numpy():
 
 
 def test_a_cold_service_job_forks_warm_workers():
-    # The pool of a cold job is built after the runner imported the point
-    # runner and build_request built the algorithm, so its forked workers
-    # import nothing: record sys.modules when the pool is constructed.
+    # The runner's one pool is built by its first cold job, after the
+    # runner imported the point runner and build_request built the
+    # algorithm, so its forked workers import nothing: record sys.modules
+    # when a pool is constructed.  A second cold job reuses that pool.
     at_pool = set(_fresh("""
         import concurrent.futures, json, sys, tempfile
 
@@ -131,14 +132,18 @@ def test_a_cold_service_job_forks_warm_workers():
         concurrent.futures.ProcessPoolExecutor = Recorder
         queue = JobQueue(JobStore(), SweepMemo(root=tempfile.mkdtemp()),
                          workers=2).start()
-        job, _ = queue.submit(build_request({
-            "widths": [2, 2], "algorithm": "OmniWAR", "rates": [0.1, 0.2],
-            "total_cycles": 200, "stop_after_unstable": False,
-        }))
-        assert queue.join(timeout=90)
+        jobs = []
+        for seed in (1, 2):
+            job, _ = queue.submit(build_request({
+                "widths": [2, 2], "algorithm": "OmniWAR", "rates": [0.1, 0.2],
+                "total_cycles": 200, "stop_after_unstable": False,
+                "seed": seed,
+            }))
+            assert queue.join(timeout=90)
+            jobs.append(job)
         queue.stop()
-        assert queue.store.get(job.job_id).state == "done"
-        assert len(at_pool) == 1
+        assert [job.state for job in jobs] == ["done", "done"]
+        assert len(at_pool) == 1 and queue.pool_builds == 1
         print(json.dumps(at_pool[0]))
     """))
     for module in ("repro.analysis.sweep", "repro.network.router",

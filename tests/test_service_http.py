@@ -11,7 +11,9 @@ queue, cancellation, and the memo-warm restart path.
 import http.client
 import io
 import json
+import os
 import socket
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -382,6 +384,142 @@ def test_cancel_over_http(tmp_path):
         assert states == {job_id: "cancelled"}
     finally:
         svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The runner's one pool: a dead worker fails one job, a dead server no worker
+# ---------------------------------------------------------------------------
+
+#: four ~1 s points on two workers: still running when a worker is killed
+SLOW_REQ = {"widths": [4, 4], "terminals_per_router": 2,
+            "rates": [0.1, 0.2, 0.3, 0.4], "total_cycles": 6000, "seed": 41,
+            "stop_after_unstable": False}
+
+
+def _wait_for(predicate, timeout_s, what):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+def test_a_killed_pool_worker_fails_one_job_and_the_next_gets_a_fresh_pool(
+        tmp_path):
+    import multiprocessing
+    import signal
+
+    before = {p.pid for p in multiprocessing.active_children()}
+    svc = _service(tmp_path, workers=2).start()
+    try:
+        _, _, body = _call(svc, "POST", "/jobs", SLOW_REQ)
+        job_id = json.loads(body)["job_id"]
+
+        def workers():
+            return [p for p in multiprocessing.active_children()
+                    if p.pid not in before]
+
+        _wait_for(lambda: len(workers()) == 2, 60, "no pool was forked")
+        os.kill(workers()[0].pid, signal.SIGKILL)
+        killed = time.monotonic()
+        snap = _wait_done(svc, job_id, timeout_s=30)
+        assert time.monotonic() - killed < 30
+        assert snap["state"] == "failed"
+        assert "BrokenProcessPool" in snap["error"], snap["error"]
+        assert _call(svc, "GET", "/healthz")[0] == 200
+
+        _, _, body = _call(svc, "POST", "/jobs", BASE_REQ)
+        snap = _wait_done(svc, json.loads(body)["job_id"])
+        assert snap["state"] == "done", snap["error"]
+        _, _, served = _call(svc, "GET", f"/jobs/{snap['job_id']}/result")
+        assert served == _direct_curve(BASE_REQ, 1).encode("utf-8")
+        stats = json.loads(_call(svc, "GET", "/stats")[2])
+        assert stats["pool_builds"] == 2
+    finally:
+        svc.shutdown()
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``, read from /proc (Linux)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as f:
+                    fields = f.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue  # exited while we looked
+            if int(fields[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _running(pid):
+    """False once ``pid`` has exited (gone, or a zombie nobody reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+def _serve_one_cold_job(tmp_path):
+    """A real ``python -m repro serve --workers 2`` that has finished one
+    cold job: ``(process, pool worker pids)``."""
+    import subprocess
+    import types
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2", "--rate-limit", "0",
+         "--memo-root", str(tmp_path / "memo"),
+         "--job-log", str(tmp_path / "jobs.jsonl")],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    # "repro service listening on <url> (...)"
+    remote = types.SimpleNamespace(url=proc.stdout.readline().split()[4])
+    try:
+        _, _, body = _call(remote, "POST", "/jobs", BASE_REQ)
+        snap = _wait_done(remote, json.loads(body)["job_id"])
+        assert snap["state"] == "done", snap["error"]
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    return proc, workers
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads parent pids from /proc")
+def test_no_pool_worker_outlives_a_killed_server(tmp_path):
+    import signal
+
+    proc, workers = _serve_one_cold_job(tmp_path)
+    proc.send_signal(signal.SIGKILL)
+    proc.wait()
+    proc.stdout.close()
+    try:
+        _wait_for(lambda: not any(map(_running, workers)), 5,
+                  f"pool workers {workers} outlived the killed server")
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads parent pids from /proc")
+def test_sigterm_exits_zero_and_leaves_no_child(tmp_path):
+    import signal
+
+    proc, workers = _serve_one_cold_job(tmp_path)
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=30) == 0
+    proc.stdout.close()
+    assert not any(map(_running, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,28 @@ def test_probe_is_not_a_replay(tmp_path):
         queue.stop()
 
 
+def test_the_door_probe_and_the_walk_share_each_specs_key(tmp_path,
+                                                         monkeypatch):
+    from repro.analysis import memo as memo_module
+
+    queue, _ = _warm_queue(tmp_path)
+    calls = []
+    real_point_key = memo_module.point_key
+
+    def counted(spec, salt=memo_module.SIM_SALT):
+        calls.append(spec)
+        return real_point_key(spec, salt)
+
+    monkeypatch.setattr(memo_module, "point_key", counted)
+    try:
+        warm, _ = queue.submit(
+            build_request({**WARM_BASE, "rates": [0.3, 0.1]}))
+    finally:
+        queue.stop()
+    assert warm.state == DONE and warm.memo_hits == 2
+    assert len(calls) == 2  # one digest per spec, for probe and lookup
+
+
 def test_door_job_journal_is_the_runners_and_replays(tmp_path):
     queue, cold = _warm_queue(tmp_path)
     try:
@@ -526,3 +548,108 @@ def test_concurrent_submitters_never_run_two_jobs_at_once(tmp_path):
     assert sum(j.memo_hits for j in jobs) == queue.memo.hits - hits0
     assert queue.memo.misses == misses0
     assert queue.store.counts()[DONE] == len(variants) + 1
+
+
+# ---------------------------------------------------------------------------
+# One pool per queue: kept across jobs, never shut down by a job
+# ---------------------------------------------------------------------------
+
+#: 3x3 DOR under bit-complement saturates at its third rate, so a
+#: stop_after_unstable ladder stops with speculative points in the pool
+LADDER = {"widths": [3, 3], "terminals_per_router": 2, "algorithm": "DOR",
+          "pattern": "BC", "rates": [0.3, 0.5, 0.7, 0.8, 0.9, 1.0],
+          "total_cycles": 300, "seed": 5}
+
+
+def _pooled_queue(tmp_path, memo=None):
+    return JobQueue(JobStore(), memo or _memo(tmp_path), workers=2).start()
+
+
+def _run(queue, raw):
+    job, created = queue.submit(build_request(raw))
+    assert created and queue.join(), job.state
+    return job
+
+
+def test_cold_jobs_share_one_pool(tmp_path):
+    queue = _pooled_queue(tmp_path)
+    try:
+        jobs = [_run(queue, {**WARM_BASE, "seed": seed}) for seed in (21, 22)]
+        assert queue.pool_builds == 1
+    finally:
+        queue.stop()
+    for job in jobs:
+        assert job.state == DONE, job.error
+        assert job.points_simulated == 3
+        assert job.result_json == _direct(build_request(job.request))
+
+
+def test_a_stopped_ladder_is_followed_at_once_and_memoises_what_it_returned(
+        tmp_path):
+    queue = _pooled_queue(tmp_path)
+    memo = queue.memo
+    try:
+        ladder = _run(queue, LADDER)
+        n = len(json.loads(ladder.result_json)["points"])
+        # the ladder stopped with rates dispatched past its stop: that
+        # speculative tail may still run in the pool, unread
+        assert n + 2 <= len(LADDER["rates"])
+        assert memo.writes == ladder.points_total == n
+        following = _run(queue, {**WARM_BASE, "seed": 23})
+        assert queue.pool_builds == 1
+    finally:
+        queue.stop()  # waits for the pool: the tail has finished by now
+    assert ladder.state == following.state == DONE
+    assert ladder.result_json == _direct(build_request(LADDER))
+    assert following.result_json == _direct(build_request(following.request))
+    assert memo.writes == n + 3
+    tail = build_request(LADDER).specs[n:]
+    assert not any(spec in memo for spec in tail)
+
+
+def test_a_cancelled_running_job_is_followed_by_direct_bytes(tmp_path):
+    from repro.analysis.memo import SweepMemo
+
+    raw = {**WARM_BASE, "seed": 24, "rates": [0.1, 0.2, 0.3, 0.4]}
+
+    class CancelOnFirstMiss(SweepMemo):
+        """Cancels the running job as its first point goes to the pool."""
+
+        def get(self, spec):
+            point = super().get(spec)
+            if point is None and spec.seed == raw["seed"]:
+                queue.cancel(request_key(build_request(raw)))
+            return point
+
+    queue = _pooled_queue(tmp_path,
+                          CancelOnFirstMiss(root=str(tmp_path / "memo")))
+    try:
+        cancelled = _run(queue, raw)
+        following = _run(queue, {**WARM_BASE, "seed": 25})
+        assert queue.pool_builds == 1
+    finally:
+        queue.stop()
+    assert cancelled.state == CANCELLED and cancelled.runs == 1
+    assert following.state == DONE, following.error
+    assert following.result_json == _direct(build_request(following.request))
+
+
+def test_stop_shuts_the_pool_and_a_restart_builds_another(tmp_path):
+    import multiprocessing
+
+    before = {p.pid for p in multiprocessing.active_children()}
+    queue = _pooled_queue(tmp_path)
+    try:
+        _run(queue, {**WARM_BASE, "seed": 26})
+        workers = [p for p in multiprocessing.active_children()
+                   if p.pid not in before]
+        assert len(workers) == 2
+    finally:
+        queue.stop()
+    assert not any(w.is_alive() for w in workers)
+    queue.start()
+    try:
+        job = _run(queue, {**WARM_BASE, "seed": 27})
+    finally:
+        queue.stop()
+    assert job.state == DONE and queue.pool_builds == 2
