@@ -168,7 +168,6 @@ class SyntheticTraffic(_ScanningTraffic):
         rate: float,
         size_dist: SizeDistribution | None = None,
         seed: int = 1,
-        warmup_mark: int = 0,
         sources: "list[int] | None" = None,
     ):
         if not 0.0 <= rate <= 1.0:

@@ -188,15 +188,14 @@ def test_module_doctests_pass(name):
 
 def test_performance_doc_covers_fallback_reasons():
     """docs/PERFORMANCE.md's fallback matrix must name every
-    ``*_fallback_reason`` attribute the engines expose (the CI docs job
-    runs the same grep as a shell guard)."""
+    ``*_fallback_reason`` attribute the engines expose."""
     attrs = set()
     src = os.path.join(ROOT, "src", "repro", "network")
-    for fn in sorted(os.listdir(src)):
-        if not fn.endswith(".py"):
-            continue
-        with open(os.path.join(src, fn)) as f:
-            attrs.update(re.findall(r"[a-z_]+_fallback_reason", f.read()))
+    for dirpath, dirnames, filenames in os.walk(src):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for fn in filenames:
+            with open(os.path.join(dirpath, fn), errors="replace") as f:
+                attrs.update(re.findall(r"[a-z_]+_fallback_reason", f.read()))
     assert attrs, "no *_fallback_reason attributes found under src/repro/network/"
     text = _read(os.path.join("docs", "PERFORMANCE.md"))
     missing = sorted(a for a in attrs if a not in text)

@@ -261,10 +261,14 @@ def test_hung_worker_raises_named_error_in_bounded_time(monkeypatch):
         engine.close()
 
 
-def test_cli_sweep_shards_flag(capsys):
+@pytest.mark.parametrize("widths,cycles", [
+    (["3", "3"], "400"),
+    (["4", "4", "4"], "600"),  # a 3-D partition
+], ids=["3x3", "4x4x4"])
+def test_cli_sweep_shards_flag(capsys, widths, cycles):
     rc = main([
-        "sweep", "--algorithm", "OmniWAR", "--widths", "3", "3",
-        "--rates", "0.1", "--cycles", "400", "--shards", "2",
+        "sweep", "--algorithm", "OmniWAR", "--widths", *widths,
+        "--rates", "0.1", "--cycles", cycles, "--shards", "2",
     ])
     assert rc == 0
     assert "OmniWAR on UR" in capsys.readouterr().out
