@@ -17,7 +17,8 @@ runners timing is noise.  The RSS ratio is stable on both.
 Run:   PYTHONPATH=src python benchmarks/check_shard_memory.py
 Table: PYTHONPATH=src python benchmarks/check_shard_memory.py --table
        (shards 1/2/4 build/run/throughput/CPU/RSS — the source of the
-       sharding table in docs/PERFORMANCE.md)
+       "Sharded engine: memory" table in docs/PERFORMANCE.md, "Honest A/B
+       numbers")
 """
 
 import json

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 from ..config import SimConfig, default_config
 from ..network.network import Network
 from ..network.simulator import Simulator
-from ..network.stats import LatencyMonitor, PacketStats, nearest_rank
+from ..network.stats import LatencyMonitor, PacketStats, accepted_rate, nearest_rank
 from ..traffic.injection import SyntheticTraffic
 from ..traffic.sizes import SizeDistribution
 
@@ -372,7 +372,7 @@ def finalize_point(
     measure_end = int(total_cycles * 0.7)
     half = total_cycles // 2
     span = total_cycles - half
-    accepted = (ejected_total - ejected_at_half) / (span * num_terminals)
+    accepted = accepted_rate(ejected_total - ejected_at_half, span, num_terminals)
     verdict = LatencyMonitor().verdict(
         stats,
         measure_start,

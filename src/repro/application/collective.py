@@ -57,8 +57,3 @@ class DisseminationCollective:
         By symmetry of the +-2^k exchange this equals the number of sends.
         """
         return len(self.sends(rank, rnd))
-
-    def total_messages_per_rank(self) -> int:
-        return sum(
-            len(self.sends(0, r)) for r in range(self.num_rounds)
-        )

@@ -191,9 +191,6 @@ class FaultState:
         """True when any fault is present."""
         return bool(self.failed_ports or self.failed_routers or self.degraded)
 
-    def port_failed(self, router: int, port: int) -> bool:
-        return (router, port) in self.failed_ports
-
     def _link_endpoints(self, router: int, port: int) -> tuple[tuple[int, int], tuple[int, int]]:
         peer = self.topology.peer(router, port)
         if not peer.is_router:

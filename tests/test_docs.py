@@ -6,6 +6,7 @@ module has a docstring.
 """
 
 import doctest
+import glob
 import importlib
 import os
 import pkgutil
@@ -200,6 +201,46 @@ def test_performance_doc_covers_fallback_reasons():
     text = _read(os.path.join("docs", "PERFORMANCE.md"))
     missing = sorted(a for a in attrs if a not in text)
     assert not missing, f"docs/PERFORMANCE.md does not document: {missing}"
+
+
+# A citation names the file (bare, in backticks or as a markdown link
+# target), then one or more double-quoted titles joined by commas or "and".
+_CITED = re.compile(
+    r'PERFORMANCE\.md`?\)?,?\s+("[^"]+"(?:(?:\s*,)?(?:\s+and)?\s+"[^"]+")*)')
+
+
+def _citing_files():
+    for pattern in ("src/**/*.py", "tests/**/*.py", "benchmarks/*.py", "docs/*.md",
+                    "DESIGN.md", "README.md", "ROADMAP.md"):
+        yield from sorted(glob.glob(os.path.join(ROOT, pattern), recursive=True))
+
+
+def _cited_titles(text):
+    """Titles cited in ``text``, read as one line of prose: adjacent Python
+    string literals joined, ``#`` comment prefixes and line wraps dropped,
+    escaped quotes unescaped."""
+    text = re.sub(r'"\s*\n\s*"', "", text).replace('\\"', '"')
+    flat = " ".join(re.sub(r"^\s*(#+\s*)?", "", line) for line in text.splitlines())
+    return [t for group in _CITED.findall(flat) for t in re.findall(r'"([^"]+)"', group)]
+
+
+def test_cited_performance_titles_are_headings():
+    """Every section title the code and the docs cite from docs/PERFORMANCE.md
+    is still one of its headings."""
+    headings = {m.strip() for m in re.findall(
+        r"^#+\s+(.+)$", _read(os.path.join("docs", "PERFORMANCE.md")), re.M)}
+    cited = {}
+    for path in _citing_files():
+        with open(path, errors="replace") as f:
+            for title in _cited_titles(f.read()):
+                cited.setdefault(title, []).append(os.path.relpath(path, ROOT))
+    # the normaliser must see through a wrapped docstring citing two titles
+    # and an escaped title inside a Python string
+    for path, title in (("tests/test_construction.py", "A built network is its state"),
+                        ("tests/test_drift_guards.py", "Construction without the collector")):
+        assert path in cited.get(title, ()), f"{path} citation of {title!r} not read"
+    missing = {t: sorted(set(p)) for t, p in cited.items() if t not in headings}
+    assert not missing, f"cited titles that are not headings of docs/PERFORMANCE.md: {missing}"
 
 
 def test_public_algorithms_documented_in_algorithms_md():
