@@ -111,9 +111,10 @@ def _point_8x8x8():
 def _bench_point_assembly_8x8x8():
     """What a production point pays to be ready to step on the paper's 512
     routers: :class:`~repro.analysis.sweep.PointRun` (collector paused,
-    built graph frozen) and its close and thaw.  The
-    ``network_construction*`` probes time the bare constructor, which
-    carries no collector guard."""
+    built graph frozen) and its exit.  Every round after the first resets
+    the network the round before left in the process's slot, as a sweep's
+    points after its first do.  The ``network_construction*`` probes time
+    the bare constructor, which carries no collector guard."""
     point = _point_8x8x8()
 
     def assemble():
@@ -129,13 +130,18 @@ def _bench_point_assembly_8x8x8():
 def _bench_cold_chunk_8x8x8():
     """The first 40 cycles of that freshly assembled point (the assembly is
     outside the timer): what first flits and first routing decisions cost —
-    queues, work entries and jitter draws are made where first needed."""
+    queues, work entries and jitter draws are made where first needed.
+    Each round builds its network: a reset one would keep its jitter
+    draws."""
+    from .sweep import _empty_network_slot
+
     point = _point_8x8x8()
     run = None
 
     @contextmanager
     def fresh_point():
         nonlocal run
+        _empty_network_slot()
         with point() as run:
             yield
 

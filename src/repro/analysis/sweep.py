@@ -16,8 +16,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..config import SimConfig, default_config
@@ -133,6 +134,68 @@ def nearest_rank_p99(values: list[float]) -> float:
     return nearest_rank(values, 0.99)
 
 
+class _NetworkSlot:
+    """One finished plain network per process, waiting for the next point
+    on an equal scenario (docs/PERFORMANCE.md, "A plain point reuses the
+    last point's wiring").
+
+    :class:`frozen_build` is its only user: it takes the network out before
+    any build and puts it back when a plain point ends cleanly.  A take
+    with another key (or none) closes what the slot holds, so at most one
+    network is resident.  The slot records the process that filled it: a
+    forked worker that inherited it forgets it, and never resets or closes
+    the parent's network.
+    """
+
+    __slots__ = ("key", "net", "pid", "reuses")
+
+    def __init__(self):
+        self.key = self.net = None
+        self.pid = 0
+        self.reuses = 0  # points that reused the network held now
+
+    def take(self, key: "tuple | None") -> Network | None:
+        net, self.net = self.net, None
+        if net is not None and self.pid == os.getpid():
+            if key is not None and key == self.key:
+                self.reuses += 1
+                return net
+            net.close()
+        self.reuses = 0
+        return None
+
+    def put(self, key: tuple, net: Network) -> None:
+        self.key, self.net, self.pid = key, net, os.getpid()
+
+
+_network_slot = _NetworkSlot()
+
+
+def _pool_key(topology: "Topology", algorithm: "RoutingAlgorithm",
+              cfg: SimConfig) -> tuple | None:
+    """What ``Network.__init__`` reads of a scenario, by value, or None
+    when the network cannot be pooled (anything but a pristine
+    :class:`~repro.topology.hyperx.HyperX`)."""
+    from ..topology.hyperx import HyperX
+
+    if type(topology) is not HyperX:
+        return None
+    return (
+        topology.widths, topology.terminals_per_router, astuple(cfg),
+        algorithm.num_classes, getattr(algorithm, "class_weights", None),
+    )
+
+
+def _empty_network_slot() -> int:
+    """Close the network the slot holds and thaw what its point left
+    frozen; returns how many points reused that network.  Internal: the
+    reuse-on-vs-off oracle and the tests call it; a run never needs to."""
+    reuses = _network_slot.reuses
+    _network_slot.take(None)
+    gc.unfreeze()
+    return reuses
+
+
 class frozen_build:
     """The one owner of the cyclic collector's state around a built network
     (docs/PERFORMANCE.md, "Construction without the collector")::
@@ -144,7 +207,8 @@ class frozen_build:
     makes no cyclic garbage (``tests/test_construction.py`` holds every
     registry algorithm to that), so the collector has nothing to do for a
     point's whole life.  The constructor thaws what an earlier build left
-    frozen, pauses the collector, calls ``build()`` (which returns the
+    frozen, pauses the collector, empties the process's network slot
+    (closing the network it held), calls ``build()`` (which returns the
     :class:`~repro.network.network.Network`) and ``gc.freeze()`` s what it
     built.  The collector stays paused until the ``with`` block is left.
     Leaving it, on every exit path, calls the network's
@@ -159,14 +223,23 @@ class frozen_build:
     build that is never left (a shard worker exits instead) is thawed by
     the next constructor.  The state is the process's, so one build at a
     time per process.
+
+    With a ``key`` (a plain point's scenario, :func:`_pool_key`) the slot
+    serves it instead: ``build`` is called with the network the slot held
+    for an equal key, or None, and a clean exit puts the network back in
+    the slot rather than closing it, leaving everything frozen (the
+    collector never walks a waiting network) until the next constructor
+    thaws it.  The built network is dropped on exit either way.
     """
 
-    def __init__(self, build: Callable[[], Network]):
+    def __init__(self, build: Callable[..., Network], key: "tuple | None" = None):
         gc.unfreeze()
         self._was_enabled = gc.isenabled()
         gc.disable()
+        self._key = key
         try:
-            self.built = build()
+            pooled = _network_slot.take(key)
+            self.built = build() if key is None else build(pooled)
         except BaseException:
             if self._was_enabled:
                 gc.enable()
@@ -176,12 +249,19 @@ class frozen_build:
     def __enter__(self):
         return self.built
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
+        net, self.built = self.built, None
+        pooled = self._key is not None and exc_type is None
         try:
-            self.built.close()
+            if pooled:
+                _network_slot.put(self._key, net)
+            else:
+                net.close()
         finally:
+            del net
             gc.freeze()
-            gc.unfreeze()
+            if not pooled:
+                gc.unfreeze()
             if self._was_enabled:
                 gc.enable()
 
@@ -210,8 +290,14 @@ class PointRun:
     The whole assembly is one :class:`frozen_build`: built and run with
     the collector paused, frozen for the point's lifetime; when the
     ``with`` block is left the network is closed, and everything is thawed
-    and aged.  Read the network inside the block: after it, router and
-    terminal state raises ``AttributeError``.
+    and aged.  A *plain* point (no observer, fault schedule or
+    ``owned_routers``, on a pristine HyperX) keys its build instead: the
+    next plain point on an equal scenario resets and rebinds its network
+    (:meth:`~repro.network.network.Network.reset`) rather than building
+    the same wiring again.  Read the network inside the block: after it,
+    the run holds no network (``net``, ``sim`` and ``traffic`` are gone),
+    and a closed network's router and terminal state raises
+    ``AttributeError``.
     """
 
     def __init__(self, topology: "Topology", algorithm: "RoutingAlgorithm",
@@ -222,10 +308,15 @@ class PointRun:
                  owned_routers: "frozenset[int] | None" = None,
                  schedule: "FaultSchedule | None" = None,
                  sources: "list[int] | None" = None):
-        def assemble() -> Network:
-            self.net = Network(
-                topology, algorithm, cfg or default_config(), owned_routers=owned_routers
-            )
+        cfg = cfg or default_config()
+        plain = not check and trace is None and schedule is None \
+            and owned_routers is None
+
+        def assemble(pooled: Network | None = None) -> Network:
+            if pooled is not None:
+                self.net = pooled.reset(topology, algorithm, cfg)
+            else:
+                self.net = Network(topology, algorithm, cfg, owned_routers=owned_routers)
             self.sim = sim = Simulator(self.net)
             self.trace = trace
             # Observers first: an audit precedes its cycle's injections.
@@ -254,13 +345,17 @@ class PointRun:
                     t.delivery_listeners.append(self.stats.on_delivery)
             return self.net
 
-        self._lifetime = frozen_build(assemble)
+        key = _pool_key(topology, algorithm, cfg) if plain else None
+        self._lifetime = frozen_build(assemble, key)
 
     def __enter__(self) -> "PointRun":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._lifetime.__exit__(*exc)
+        try:
+            self._lifetime.__exit__(*exc)
+        finally:
+            del self.net, self.sim, self.traffic
 
     def run(self, cycles: int) -> None:
         self.sim.run(cycles)
@@ -430,6 +525,14 @@ def sweep_load(
     described by picklable specs and each gets a topology/algorithm/pattern
     fresh from ``PointSpec.build``, so results are bit-identical for every
     worker count (``workers=1`` runs the same spec path serially).
+
+    The two paths are not byte-identical to each other for an algorithm
+    that draws random numbers (O1Turn, ROMM, UGAL, VAL): on the serial path
+    the caller's algorithm, and its generator, carries from one rate into
+    the next, while the spec path starts every point with a fresh one.  The
+    stateful goldens pin the serial behaviour, and a reused network serves
+    whatever algorithm object the caller passes, so both paths keep it.
+
     ``progress`` is called as ``(index, total, point)`` after each point
     completes, in rate order, on either path.
 

@@ -10,7 +10,8 @@ layer's :class:`~repro.faults.degraded.DegradedTopology` wrapper (which,
 with an *empty* fault set, must be a pure pass-through).  The HTTP
 experiment service layers more machinery on top — request canonicalisation,
 the job state machine and its JSONL journal, the shared memo cache — and
-must still serve the exact bytes a direct call returns.  Each oracle here
+must still serve the exact bytes a direct call returns.  A plain point that
+resets the last point's network must measure what a fresh build does.  Each oracle here
 replays
 an identical measurement through two such paths and compares the serialized
 results **byte for byte** — any divergence, however small, is a bug in one
@@ -394,6 +395,52 @@ def diff_trace_on_off(
     return compare_sweeps("trace-on-vs-off", off, on)
 
 
+def diff_reuse_on_off(
+    widths=(4, 4),
+    terminals_per_router: int = 1,
+    algorithm: str = "DimWAR",
+    pattern: str = "UR",
+    rates=(0.1, 0.3),
+    total_cycles: int = 1000,
+    seed: int = 1,
+) -> OracleReport:
+    """A fresh network for every point vs the reused one, byte-identical.
+
+    A plain point resets the network that the last plain point on an equal
+    scenario left in the process's slot (``Network.reset``) instead of
+    building it again (docs/PERFORMANCE.md, "A plain point reuses the last
+    point's wiring").  The off arm empties the slot before each of its
+    points, so each builds; the last one's network is left in the slot, so
+    every point of the on arm is a reuse.  A field that ``reset`` forgets
+    shifts a routing decision or a credit and shows up here; the report
+    also fails when the on arm did not reuse at every point.
+    """
+    from ..analysis.sweep import _empty_network_slot
+
+    def build_next(i, n, point) -> None:
+        if point.stable and i + 1 < n:
+            _empty_network_slot()
+
+    _empty_network_slot()
+    t1, a1, p1 = _fresh(widths, terminals_per_router, algorithm, pattern)
+    off = sweep_load(
+        t1, a1, p1, list(rates), total_cycles=total_cycles, seed=seed,
+        progress=build_next,
+    )
+    t2, a2, p2 = _fresh(widths, terminals_per_router, algorithm, pattern)
+    on = sweep_load(
+        t2, a2, p2, list(rates), total_cycles=total_cycles, seed=seed
+    )
+    reuses = _empty_network_slot()
+    report = compare_sweeps("reuse-on-vs-off", off, on)
+    if report.ok and reuses != len(on.points):
+        return OracleReport(
+            report.name, False,
+            f"the on arm reused {reuses} of {len(on.points)} networks",
+        )
+    return report
+
+
 def _tagged(report: OracleReport, algorithm: str) -> OracleReport:
     """Relabel a report so per-algorithm matrix rows stay distinguishable."""
     return OracleReport(f"{report.name}[{algorithm}]", report.ok, report.detail)
@@ -420,6 +467,7 @@ def run_all_oracles(
             widths=widths, rates=rates, total_cycles=total_cycles
         ),
         diff_trace_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
+        diff_reuse_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_shard_on_off(widths=widths, rates=rates, total_cycles=total_cycles),
         diff_shard_on_off(
             widths=widths, rates=rates, total_cycles=total_cycles, faults=faults

@@ -132,6 +132,11 @@ class CreditTracker:
         self.owner: list[int | None] | None = None
         self.asleep: set[int] | None = None
 
+    def reset(self) -> None:
+        """Every credit home; ``owner`` / ``asleep`` (wiring) are kept."""
+        self.credits = [self.depth] * len(self.credits)
+        self.occupied_total = 0
+
     def available(self, vc: int) -> int:
         return self.credits[vc]
 

@@ -58,6 +58,15 @@ class Channel:
         #: owning network; None for standalone channels driven directly.
         self._active_set: dict["Channel", None] | None = None
 
+    def reset(self) -> None:
+        """Back to the state ``__init__`` leaves, wiring kept (the sink and
+        the activity set): a reused network's channels start empty."""
+        self.min_gap = 1
+        self._pipe = NEVER_USED
+        self._last_push_cycle = -1
+        self.utilization_count = 0
+        self._next_ready = 0
+
     @property
     def name(self) -> str:
         """The channel's label (read by error messages and tests only)."""

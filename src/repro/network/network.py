@@ -194,6 +194,38 @@ class Network:
         self._wire()
         self._ports_of = []  # construction scratch; drop the peer objects
 
+    def reset(self, topology: "Topology", algorithm: "RoutingAlgorithm",
+              cfg: "SimConfig") -> "Network":
+        """Return a finished full build to the state ``__init__`` leaves,
+        rebound to ``topology``, ``algorithm`` and ``cfg``, and return it.
+
+        The wiring is kept: routers, terminals, channels, trackers, the
+        activity sets and the calendar stay the same objects, emptied.  The
+        caller's arguments must be what this network was built from, by
+        value: a pristine topology of the same widths and terminals per
+        router, an equal ``cfg``, and an algorithm with the same VcMap
+        inputs (classes, class weights).
+        :class:`~repro.analysis.sweep.PointRun` holds one finished network
+        per process to that rule (docs/PERFORMANCE.md, "A plain point
+        reuses the last point's wiring").  Route caches are cleared, since
+        the algorithm may differ.
+        """
+        self.topology = topology
+        self.algorithm = algorithm
+        self.cfg = cfg
+        self._active_channels.clear()
+        self._active_routers.clear()
+        self._active_terminals.clear()
+        for bucket in self._calendar:
+            bucket.clear()
+        for router in self.routers:
+            router.reset(topology, algorithm, cfg)
+        for terminal in self.terminals:
+            terminal.reset(algorithm)
+        for ch in self.channels:
+            ch.reset()
+        return self
+
     # ------------------------------------------------------------------
 
     def _channel(self, latency: int, sink, name: tuple) -> Channel:

@@ -275,6 +275,59 @@ class Router:
         self._wake_registry: dict["Router", None] = {}
         self._calendar: list[list] = [[]]
 
+    def reset(self, topology: "Topology", algorithm: "RoutingAlgorithm",
+              cfg: "SimConfig") -> None:
+        """Back to the state ``__init__`` leaves, wiring kept, for a point on
+        an equal scenario (:meth:`~repro.network.network.Network.reset`).
+
+        The per-port lists a tracker or a link record holds
+        (``out_vc_owner[port]``, ``staged[port]``) and ``_asleep`` are
+        cleared in place.  The jitter ring is kept and read from its start
+        again: it is a prefix of this router's one draw stream, the same
+        draws a fresh router would make, and ``rng`` stands where the ring
+        ends."""
+        self.topology = topology
+        self.algorithm = algorithm
+        self.cfg = cfg
+        nv, radix = self.num_vcs, self.radix
+        self.fifos = [NEVER_USED] * (radix * nv)
+        self.routes = [None] * (radix * nv)
+        free, never = (None,) * nv, (NEVER_USED,) * nv
+        for owner in self.out_vc_owner:
+            owner[:] = free
+        for per_port in self.staged:
+            per_port[:] = never
+        for live in self._staged_live:
+            live.clear()
+        for tracker in self.credit_trackers:
+            if tracker is not None:
+                tracker.reset()
+        self._staged_count = [0] * radix
+        self._active_in = []
+        self._active_out = {}
+        self._pending_commit = [0] * radix
+        self._rr_next = [0] * radix
+        self.flits_forwarded = 0
+        self.routes_computed = 0
+        self.route_stalls = 0
+        self._port_budget = [0] * radix
+        self._budget_touched = []
+        self._commit_touched = []
+        self._jitter_idx = 0
+        self._route_cache = {}
+        self.route_cache_hits = 0
+        self.route_cache_misses = 0
+        self.route_cache_evictions = 0
+        self._asleep.clear()
+        self._stage_ready = [0] * radix
+        self._out_wake = 0
+        self._dead_in = []
+        self._dead_out = []
+        self._route_hook = None
+        self._route_hooks = []
+        self._forward_hook = None
+        self._forward_hooks = []
+
     # ------------------------------------------------------------------
     # Wiring (called by the network builder)
     # ------------------------------------------------------------------

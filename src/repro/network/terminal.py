@@ -76,6 +76,24 @@ class Terminal:
         self._wake_registry: dict["Terminal", None] = {}
         self._calendar: list[list] = [[]]
 
+    def reset(self, algorithm: "RoutingAlgorithm") -> None:
+        """Back to the state ``__init__`` leaves, wiring kept, serving
+        ``algorithm`` (:meth:`~repro.network.network.Network.reset`)."""
+        self.algorithm = algorithm
+        self.source_queue = NEVER_USED
+        self._active_packet = None
+        self._next_flit_index = 0
+        self._active_vc = None
+        if self.inject_credits is not None:
+            self.inject_credits.reset()
+        self._arrived = None
+        self.flits_injected = 0
+        self.flits_ejected = 0
+        self.packets_delivered = 0
+        self.delivery_listeners = []
+        self.inject_listeners = []
+        self._expected_index = {}
+
     def accept(self, item: tuple[int, Flit]) -> None:
         """Flit sink of the ejection channel: hold ``(vc, flit)`` for this
         cycle's step (the injection hop's credits return to

@@ -4,8 +4,11 @@ and nothing else (channel sinks are bound methods of the per-port objects,
 flit has needed them, and ``frozen_build`` (``PointRun``,
 ``run_stencil_once``) owns the cyclic collector's state around the assembly
 and closes the network on exit, so that a finished point is freed by
-reference count (docs/PERFORMANCE.md, "Construction without the
-collector" and "A built network is its state")."""
+reference count — except a plain point's, which waits in the process's
+one-slot pool until a point on another scenario closes it
+(docs/PERFORMANCE.md, "Construction without the collector", "A built
+network is its state" and "A plain point reuses the last point's
+wiring")."""
 
 import gc
 import weakref
@@ -17,7 +20,7 @@ import repro.analysis.sweep as sweep
 import repro.experiments.fig4_topologies as fig4_topologies
 import repro.experiments.fig8_stencil as fig8_stencil
 from repro.analysis.bench import tracked_objects
-from repro.analysis.sweep import PointRun, measure_point
+from repro.analysis.sweep import PointRun, _empty_network_slot, measure_point
 from repro.config import default_config
 from repro.core.base import NoRouteError
 from repro.core.registry import algorithm_names, make_algorithm
@@ -62,7 +65,10 @@ def networks_seen(monkeypatch):
     -> channel -> bound sink -> peer input unit -> peer router).  That graph
     is cyclic while it runs; leaving its ``frozen_build`` block calls
     ``Network.close``, which drops the back-references, and it dies by
-    reference count once its last holder lets go."""
+    reference count once its last holder lets go.  A plain point's network
+    is closed when the next build on another scenario evicts it from the
+    slot, which starts (and ends) empty here."""
+    _empty_network_slot()
     seen = []
 
     def recording(*args, **kwargs):
@@ -73,7 +79,8 @@ def networks_seen(monkeypatch):
 
     for module in (sweep, fig8_stencil, fig4_topologies):
         monkeypatch.setattr(module, "Network", recording)
-    return seen
+    yield seen
+    _empty_network_slot()
 
 
 def _live_deques():
@@ -255,9 +262,11 @@ def test_a_link_failed_mid_run_keeps_its_record():
 def collector_paused():
     """Pause the collector for the whole test, so that only reference
     counting frees what a closed point leaves and the test's own
-    ``gc.collect()`` counts whatever is left."""
+    ``gc.collect()`` counts whatever is left (after a thaw, so that what an
+    earlier test's pooled point left frozen is not counted here)."""
     was = gc.isenabled()
     gc.disable()
+    _empty_network_slot()
     gc.collect()
     yield
     if was:
@@ -284,11 +293,21 @@ def _no_cyclic_garbage(run):
 
 @pytest.mark.parametrize("name", algorithm_names())
 def test_a_loaded_run_makes_no_cyclic_garbage(name, networks_seen, collector_paused):
+    """Neither does a reset: the second point reuses the first one's
+    network.  A point on another scenario then closes it, and it is freed
+    by reference count before that point builds."""
     topo = HyperX((3, 3), 2)
     pattern = UniformRandom(topo.num_terminals)
-    with PointRun(topo, make_algorithm(name, topo), pattern, 0.5) as run:
-        _no_cyclic_garbage(lambda: run.run(200))
+    for _ in range(2):
+        with PointRun(topo, make_algorithm(name, topo), pattern, 0.5) as run:
+            _no_cyclic_garbage(lambda: run.run(200))
     del run
+    assert len(networks_seen) == 1
+    other = HyperX((3, 3), 1)
+    measure_point(other, make_algorithm(name, other),
+                  UniformRandom(other.num_terminals), 0.2, total_cycles=50)
+    assert [alive for _, alive in networks_seen] == [False, False]
+    assert _empty_network_slot() == 0
     _freed_by_refcount(networks_seen)
 
 
@@ -371,13 +390,16 @@ def test_a_stencil_bar_and_a_dragonfly_point_make_no_cyclic_garbage(
 
 def test_a_closed_network_fails_loudly():
     """After its block, a network's routers and terminals are empty: a late
-    read raises instead of answering zero.  Its own attributes stay."""
+    read raises instead of answering zero.  Its own attributes stay, and
+    the run holds no network."""
     topo, _, pattern = _scenario((3, 3))
     topo = DegradedTopology(topo)
     with PointRun(topo, make_algorithm("DimWAR", topo), pattern, 0.5) as run:
         run.run(100)
         net, router = run.net, run.net.routers[0]
         assert net.total_ejected_flits() > 0
+    with pytest.raises(AttributeError):
+        run.net
     with pytest.raises(AttributeError):
         net.total_ejected_flits()
     with pytest.raises(AttributeError):
@@ -388,9 +410,11 @@ def test_a_closed_network_fails_loudly():
 @pytest.mark.parametrize("caller_enabled", [True, False])
 def test_callers_collector_state_survives(caller_enabled):
     """The collector is paused for a point's whole life, whatever the
-    caller's state; every exit path restores that state, thaws, and ages
-    the run's survivors into the oldest generation (so the caller's next
-    young-generation pass has nothing of the run's to walk)."""
+    caller's state; every exit path restores that state.  A closing exit
+    thaws and ages the run's survivors into the oldest generation; a
+    pooling one leaves them frozen with the waiting network until the slot
+    is emptied.  Either way the caller's next young-generation pass has
+    nothing of the run's to walk."""
     topo, algo, pattern = _scenario((3, 3))
     threshold = gc.get_threshold()[0]
     was = gc.isenabled()
@@ -398,8 +422,10 @@ def test_callers_collector_state_survives(caller_enabled):
         gc.enable() if caller_enabled else gc.disable()
         measure_point(topo, algo, pattern, 0.5, total_cycles=300)
         assert gc.isenabled() is caller_enabled
-        assert gc.get_freeze_count() == 0
+        assert gc.get_freeze_count() > 0  # the waiting network
         assert gc.get_count()[0] < threshold
+        _empty_network_slot()
+        assert gc.get_freeze_count() == 0
         with pytest.raises(ZeroDivisionError):
             with PointRun(topo, algo, pattern, 0.5) as run:
                 assert not gc.isenabled()
@@ -414,10 +440,11 @@ def test_callers_collector_state_survives(caller_enabled):
 
 
 def test_two_points_never_hold_two_networks(networks_seen):
-    topo, algo, pattern = _scenario()
-    for _ in range(2):
-        measure_point(topo, algo, pattern, 0.2, total_cycles=100)
-    assert [alive for _, alive in networks_seen] == [False, False]
+    """A plain point on another scenario closes the waiting network before
+    it builds; one on the same scenario builds nothing."""
+    for widths in ((4, 4), (3, 3), (3, 3), (4, 4)):
+        measure_point(*_scenario(widths), 0.2, total_cycles=100)
+    assert [alive for _, alive in networks_seen] == [False, False, False]
 
 
 def test_a_point_that_raises_leaves_no_frozen_network(
@@ -438,6 +465,7 @@ def test_a_point_that_raises_leaves_no_frozen_network(
     _freed_by_refcount(networks_seen)  # closed on the failing exit path
     measure_point(topo, algo, pattern, 0.2, total_cycles=100)
     assert [alive for _, alive in networks_seen] == [False, False]
+    _empty_network_slot()
     assert gc.get_freeze_count() == 0
 
 
@@ -455,7 +483,10 @@ def test_two_stencil_bars_never_hold_two_networks(networks_seen):
         assert run_stencil_once("DimWAR", mode, 1, "smoke") > 0
         assert gc.get_freeze_count() == 0
     measure_point(*_scenario(), 0.2, total_cycles=100)  # and across owners
-    assert [alive for _, alive in networks_seen] == [False, False, False]
+    # A bar closes the plain point's waiting network before it builds.
+    assert run_stencil_once("DimWAR", "collective", 1, "smoke") > 0
+    assert gc.get_freeze_count() == 0
+    assert [alive for _, alive in networks_seen] == [False] * 4
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])

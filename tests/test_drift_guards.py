@@ -227,6 +227,15 @@ ROWS = [
         fixed=True, count=1,
         inside=Span("src/repro/analysis/bench.py",
                     r"^def tracked_objects", r"^    return ")),
+    Row("network-slot-owner", ONLY_INSIDE, r"_network_slot|_NetworkSlot",
+        ("src/", "tests/", "benchmarks/"),
+        "One owner of the pooled network: frozen_build takes it out before a "
+        "build and puts it back after a plain point, so nothing outside "
+        "repro.analysis.sweep reads or writes the slot (the reuse oracle and "
+        "the tests empty it through _empty_network_slot).",
+        "42", Mutant("src/repro/analysis/parallel.py",
+                     "    sweep._network_slot.net = None"),
+        exempt=("test_drift_guards.py",), word=True, inside=SWEEP),
     Row("network-built-in-frozen-build", IMPLIES, "Network(",
         ("src/repro/experiments/*.py", "src/repro/cli.py"),
         "Every experiment / CLI site that builds a network to run it goes "

@@ -13,7 +13,7 @@ from repro.analysis.parallel import (
     run_point,
     run_points,
 )
-from repro.analysis.sweep import measure_point, sweep_load
+from repro.analysis.sweep import SweepResult, measure_point, sweep_load
 from repro.config import default_config
 from repro.core.registry import algorithm_names, make_algorithm
 from repro.faults.degraded import DegradedTopology
@@ -67,17 +67,18 @@ def test_run_points_rejects_bad_workers():
     assert run_points([], workers=1) == []
 
 
-def test_run_point_matches_measure_point():
-    """A spec reconstructed in-process reproduces the live-object result."""
+@pytest.mark.parametrize("name", algorithm_names())
+def test_run_point_matches_measure_point(name):
+    """A spec reconstructed in-process reproduces the live-object result,
+    and so does the same spec run again: the second run resets the
+    network the first one left in the process's slot."""
     topo, pat = _setup()
-    algo = make_algorithm("DimWAR", topo)
+    algo = make_algorithm(name, topo)
     direct = measure_point(topo, algo, pat, 0.2, total_cycles=1200, seed=3)
     (spec,) = point_specs(topo, algo, pat, [0.2], total_cycles=1200, seed=3)
-    via_spec = run_point(spec)
-    assert via_spec.mean_latency == direct.mean_latency
-    assert via_spec.packets_delivered == direct.packets_delivered
-    assert via_spec.accepted_rate == direct.accepted_rate
-    assert via_spec.routes_computed == direct.routes_computed
+    want = SweepResult(name, "UR", [direct]).to_json()
+    for _ in range(2):
+        assert SweepResult(name, "UR", [run_point(spec)]).to_json() == want
 
 
 # ---------------------------------------------------------------------------
