@@ -210,7 +210,10 @@ class frozen_build:
     frozen, pauses the collector, empties the process's network slot
     (closing the network it held), calls ``build()`` (which returns the
     :class:`~repro.network.network.Network`) and ``gc.freeze()`` s what it
-    built.  The collector stays paused until the ``with`` block is left.
+    built.  Before it thaws, it collects the young generations: cyclic
+    garbage made since the last point (the caller's, its threads') would
+    otherwise be frozen with this build.  The collector stays paused until
+    the ``with`` block is left.
     Leaving it, on every exit path, calls the network's
     :meth:`~repro.network.network.Network.close`, which drops the wiring's
     back-references so the network is freed by reference count once its
@@ -233,6 +236,10 @@ class frozen_build:
     """
 
     def __init__(self, build: Callable[..., Network], key: "tuple | None" = None):
+        # Young garbage first: after a pooling exit the old heap is frozen
+        # (or, after a closing one, aged), so this walks only what was
+        # allocated since the last point, and none of it is frozen below.
+        gc.collect(1)
         gc.unfreeze()
         self._was_enabled = gc.isenabled()
         gc.disable()

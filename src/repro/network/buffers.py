@@ -122,19 +122,19 @@ class CreditTracker:
     sleeping input keys.  ``latency`` is the hop's credit-return delay.
     """
 
-    __slots__ = ("depth", "credits", "occupied_total", "owner", "asleep", "latency")
+    __slots__ = ("num_vcs", "depth", "credits", "occupied_total", "owner", "asleep", "latency")
 
     def __init__(self, num_vcs: int, depth: int, latency: int = 1):
+        self.num_vcs = num_vcs
         self.depth = depth
-        self.credits = [depth] * num_vcs
-        self.occupied_total = 0
         self.latency = latency
         self.owner: list[int | None] | None = None
         self.asleep: set[int] | None = None
+        self.reset()
 
     def reset(self) -> None:
         """Every credit home; ``owner`` / ``asleep`` (wiring) are kept."""
-        self.credits = [self.depth] * len(self.credits)
+        self.credits = [self.depth] * self.num_vcs
         self.occupied_total = 0
 
     def available(self, vc: int) -> int:

@@ -35,11 +35,20 @@ class Channel:
         #: a label, or the ``(template, *ids)`` parts of one: the network
         #: builder passes parts and :attr:`name` formats them when read.
         self._name = name
+        self._sink = sink
+        #: activity registry (dict used as an ordered set) shared with the
+        #: owning network; None for standalone channels driven directly.
+        self._active_set: dict["Channel", None] | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        """The run state, wiring kept (the sink and the activity set):
+        ``__init__`` calls it, and a reused network's channels start empty
+        through it."""
         #: minimum cycles between pushes; > 1 models a degraded-bandwidth
         #: link (set by the fault injector).  The router's output stage
         #: checks it before arbitrating for the port.
         self.min_gap = 1
-        self._sink = sink
         #: ``(ready_cycle, item)`` pairs, oldest first; :data:`NEVER_USED`
         #: until the first push (most channels of a large network are never
         #: pushed), a ``deque`` from then on.
@@ -53,18 +62,6 @@ class Channel:
         #: Cycle skip-ahead (:mod:`repro.network.skip`) also feeds this into
         #: its global next-event bound: a stale-low value merely vetoes one
         #: jump (the engine executes the next cycle), never skips a delivery.
-        self._next_ready = 0
-        #: activity registry (dict used as an ordered set) shared with the
-        #: owning network; None for standalone channels driven directly.
-        self._active_set: dict["Channel", None] | None = None
-
-    def reset(self) -> None:
-        """Back to the state ``__init__`` leaves, wiring kept (the sink and
-        the activity set): a reused network's channels start empty."""
-        self.min_gap = 1
-        self._pipe = NEVER_USED
-        self._last_push_cycle = -1
-        self.utilization_count = 0
         self._next_ready = 0
 
     @property

@@ -219,7 +219,7 @@ class Network:
         for bucket in self._calendar:
             bucket.clear()
         for router in self.routers:
-            router.reset(topology, algorithm, cfg)
+            router.reset(algorithm, cfg)
         for terminal in self.terminals:
             terminal.reset(algorithm)
         for ch in self.channels:

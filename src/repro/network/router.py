@@ -78,10 +78,7 @@ class Router:
         ports: "list[tuple[int, object]] | None" = None,
     ):
         self.router_id = router_id
-        self.topology = topology
-        self.algorithm = algorithm
         self.vc_map = vc_map
-        self.cfg = cfg
         self.rng = rng
         rc = cfg.router
         self.num_vcs = rc.num_vcs
@@ -101,64 +98,32 @@ class Router:
                 self.terminal_of_port[port] = peer.terminal
                 self.port_of_terminal[peer.terminal] = port
 
-        # Input side: two flat tables with one slot per input VC at the flat
-        # key ``port * num_vcs + vc``: fifos[key] (NEVER_USED until the VC's
-        # first flit, then a deque) and routes[key] (the head packet's
-        # VcRoute, None while unrouted).  Each port's InputUnit is its flit
-        # sink over them.
-        self.fifos: list = [NEVER_USED] * (self.radix * self.num_vcs)
-        self.routes: list[VcRoute | None] = [None] * len(self.fifos)
+        # Input side: each port's InputUnit is its flit sink over the flat
+        # tables fifos / routes (see reset).
         self.inputs = [
             InputUnit(self, p, rc.buffer_depth) for p in range(self.radix)
         ]
         self._credit_return: list[CreditTracker | None] = [None] * self.radix
 
-        # Output side.
+        # Output side.  The per-port lists that others hold are allocated
+        # empty here and filled by reset: out_vc_owner[port] (the port's
+        # tracker holds it), staged[port] (a LinkRecord holds it) and
+        # _staged_live[port].
         self.credit_trackers: list[CreditTracker | None] = [None] * self.radix
         self.out_channels: list[Channel | None] = [None] * self.radix
-        # out_vc_owner[port][vc]: flat key (in_port * num_vcs + in_vc) of the
-        # input VC holding it head to tail, None while free; the port's
-        # tracker reads it to wake that input VC on a credit.
-        self.out_vc_owner: list[list[int | None]] = [
-            [None] * self.num_vcs for _ in range(self.radix)
-        ]
-        # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
-        # NEVER_USED until _step_inputs first stages a flit there.  Whoever
-        # needs a port's queues later (a LinkRecord) holds the
-        # staged[port] *list*, never its elements.
-        self.staged: list[list] = [
-            [NEVER_USED] * self.num_vcs for _ in range(self.radix)
-        ]
-        self._staged_count = [0] * self.radix
-
-        # Active-set bookkeeping.  _active_in is a *sorted* list of live
-        # flat input keys; the input pass iterates it in ascending
-        # (port, vc) order and reads fifos[key] / routes[key].  Keeping the
-        # schedule canonical — a static property of the wiring, not of arrival
-        # history — makes every within-cycle delivery interleaving
-        # observationally equivalent, which is what lets the sharded engine
-        # (repro.network.shard) reproduce single-process arbitration
-        # byte-for-byte from per-shard state alone.
-        self._active_in: list[int] = []
-        # _active_out is an ordered set (dict keys) of output ports with
-        # staged flits.  Insertion order is the order the input pass first
-        # stages to each port — a function of the canonical input schedule,
-        # so it is reproducible too.
-        self._active_out: dict[int, None] = {}
+        self.out_vc_owner: list[list[int | None]] = [[] for _ in range(self.radix)]
+        self.staged: list[list] = [[] for _ in range(self.radix)]
+        self._staged_live: list[list[int]] = [[] for _ in range(self.radix)]
+        # Sleeping flat input keys, as in _active_in; each sleeper owns the
+        # output VC it waits on, which is how its tracker's restore() finds
+        # it (every tracker of the router holds this set).
+        self._asleep: set[int] = set()
 
         # Sequential allocation (Section 4.1): flits committed by routing
         # decisions earlier in the SAME cycle, visible to later decisions.
         self._sequential = rc.sequential_allocation
-        self._pending_commit = [0] * self.radix
-
         # Output arbitration: age-based (the paper's choice) or round-robin.
         self._age_arbitration = rc.arbiter == "age"
-        self._rr_next = [0] * self.radix  # per-port rotating VC priority
-
-        # Telemetry.
-        self.flits_forwarded = 0
-        self.routes_computed = 0
-        self.route_stalls = 0  # cycles a head packet had no feasible candidate
 
         # Hot-path hoists: resolve config/attribute chains once instead of on
         # every cycle (profiled; the lookups dominate loaded-cycle cost).
@@ -181,12 +146,6 @@ class Router:
             topology.router_of_terminal(t) for t in range(topology.num_terminals)
         ]
 
-        # Per-cycle scratch, allocated once and reset sparsely via the
-        # touched lists (see _step_inputs).
-        self._port_budget = [0] * self.radix
-        self._budget_touched: list[int] = []
-        self._commit_touched: list[int] = []
-
         # Tie-break jitter: a ring of JITTER_RING draws from this router's
         # generator, one consumed per feasible candidate scored, wrapping.
         # _grow_jitter draws it as it is consumed (Generator.random(n) takes
@@ -194,7 +153,93 @@ class Router:
         # the chunks concatenate to rng.random(JITTER_RING)): a router pays
         # for the draws its decisions use, an idle router for none.
         self._jitter: list[float] = []
-        self._jitter_idx = 0
+        # Bound on the route cache (see reset), so paper-scale runs stay
+        # bounded.
+        self._route_cache_cap = 8192
+
+        # Scoring-loop hoists (see _choose): the configured mode's two
+        # integer terms and the port's integer slot count.
+        self._occ_term, self._stg_term = congestion_terms(rc.congestion_mode)
+        self._port_denom = self.num_vcs * rc.buffer_depth
+
+        # Simulator activity registry and credit calendar.  The owning
+        # Network replaces both with its shared ones before wiring;
+        # standalone routers (unit tests) keep private throwaway ones.
+        self._wake_registry: dict["Router", None] = {}
+        self._calendar: list[list] = [[]]
+        self.reset(algorithm, cfg)
+
+    def reset(self, algorithm: "RoutingAlgorithm", cfg: "SimConfig") -> None:
+        """The run state, wiring kept: ``__init__`` calls it, and so does
+        :meth:`~repro.network.network.Network.reset` for a point on an
+        equal scenario.
+
+        The per-port lists a tracker or a link record holds
+        (``out_vc_owner[port]``, ``staged[port]``) are filled in place, and
+        ``_asleep`` is emptied in place.  The jitter ring is kept and read from its start
+        again: it is a prefix of this router's one draw stream, the same
+        draws a fresh router would make, and ``rng`` stands where the ring
+        ends."""
+        self.algorithm = algorithm
+        self.cfg = cfg
+        nv, radix = self.num_vcs, self.radix
+        # Input side: two flat tables with one slot per input VC at the flat
+        # key ``port * num_vcs + vc``: fifos[key] (NEVER_USED until the VC's
+        # first flit, then a deque) and routes[key] (the head packet's
+        # VcRoute, None while unrouted).
+        self.fifos: list = [NEVER_USED] * (radix * nv)
+        self.routes: list[VcRoute | None] = [None] * (radix * nv)
+        # out_vc_owner[port][vc]: flat key (in_port * num_vcs + in_vc) of the
+        # input VC holding it head to tail, None while free; the port's
+        # tracker reads it to wake that input VC on a credit.
+        # staged[port][vc]: deque of (ready_cycle, flit) past the crossbar;
+        # NEVER_USED until _step_inputs first stages a flit there.  Whoever
+        # needs a port's queues later (a LinkRecord) holds the
+        # staged[port] *list*, never its elements.
+        # _staged_live[port]: the port's VCs with staged payload, sorted.
+        free, never = (None,) * nv, (NEVER_USED,) * nv
+        for owner, per_port, live in zip(self.out_vc_owner, self.staged,
+                                         self._staged_live):
+            owner[:] = free
+            per_port[:] = never
+            live.clear()
+        for tracker in self.credit_trackers:
+            if tracker is not None:
+                tracker.reset()
+        self._staged_count = [0] * radix
+
+        # Active-set bookkeeping.  _active_in is a *sorted* list of live
+        # flat input keys; the input pass iterates it in ascending
+        # (port, vc) order and reads fifos[key] / routes[key].  Keeping the
+        # schedule canonical — a static property of the wiring, not of arrival
+        # history — makes every within-cycle delivery interleaving
+        # observationally equivalent, which is what lets the sharded engine
+        # (repro.network.shard) reproduce single-process arbitration
+        # byte-for-byte from per-shard state alone.
+        self._active_in: list[int] = []
+        # _active_out is an ordered set (dict keys) of output ports with
+        # staged flits.  Insertion order is the order the input pass first
+        # stages to each port — a function of the canonical input schedule,
+        # so it is reproducible too.
+        self._active_out: dict[int, None] = {}
+
+        # Sequential allocation: flits committed per output port earlier in
+        # this cycle.
+        self._pending_commit = [0] * radix
+        self._rr_next = [0] * radix  # per-port rotating VC priority (round-robin)
+
+        # Telemetry.
+        self.flits_forwarded = 0
+        self.routes_computed = 0
+        self.route_stalls = 0  # cycles a head packet had no feasible candidate
+
+        # Per-cycle scratch, allocated once and reset sparsely via the
+        # touched lists (see _step_inputs).
+        self._port_budget = [0] * radix
+        self._budget_touched: list[int] = []
+        self._commit_touched: list[int] = []
+
+        self._jitter_idx = 0  # the next jitter draw, an index into the ring
 
         # Memoised candidate *skeletons* for stateless algorithms (see
         # RoutingAlgorithm.cache_key and _build_skeleton): each entry
@@ -202,29 +247,25 @@ class Router:
         # hops, the VC group of its class, and the output port's credit
         # tracker / VC-owner list — so a cache hit scores congestion x
         # precomputed-hops without re-deriving any of it.
-        # Bounded so paper-scale runs stay bounded; on overflow the oldest
-        # key is evicted in insertion (clock) order, O(1) and with zero
+        # Bounded by _route_cache_cap; on overflow the oldest key is
+        # evicted in insertion (clock) order, O(1) and with zero
         # bookkeeping on the hit path.  Algorithms whose cache_key is None
         # build a throwaway skeleton per decision and touch neither the
-        # cache nor its counters.
+        # cache nor its counters.  Cleared here since the algorithm may
+        # differ.
         self._route_cache: dict = {}
-        self._route_cache_cap = 8192
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self.route_cache_evictions = 0
 
-        # Scoring-loop hoists (see _choose): the configured mode's two
-        # integer terms and the port's integer slot count.
-        self._occ_term, self._stg_term = congestion_terms(rc.congestion_mode)
-        self._port_denom = self.num_vcs * rc.buffer_depth
-
         # Event-driven stage scheduling (see _step_inputs/_step_outputs):
         # an input VC whose committed route is blocked on downstream credits
-        # goes to sleep and is woken by the credit sink (CreditTracker.restore)
-        # the cycle the credit returns; per output port, only VCs with staged
-        # payload are scanned and a port whose staged heads are all still in
-        # the crossbar (or whose degraded link is in its min_gap window) is
-        # skipped until `_stage_ready`.  The output pass itself is armed, not polled:
+        # goes to sleep (_asleep) and is woken by the credit sink
+        # (CreditTracker.restore) the cycle the credit returns; per output
+        # port, only VCs with staged payload are scanned and a port whose
+        # staged heads are all still in the crossbar (or whose degraded link
+        # is in its min_gap window) is skipped until `_stage_ready`.  The
+        # output pass itself is armed, not polled:
         # `_out_wake` never exceeds the earliest `_stage_ready` over the
         # active ports, and step() enters _step_outputs only at or past it.
         # Staging onto an empty port sets that port's bound to the flit's
@@ -240,11 +281,8 @@ class Router:
         # round-robin arbiter leaves `_stage_ready` untouched on a no-grant
         # pass, keeping it <= cycle — a standing veto, so staleness is
         # conservative there too.
-        # Flat input keys, as in _active_in; each sleeper owns the output VC
-        # it waits on, which is how its tracker's restore() finds it.
-        self._asleep: set[int] = set()
-        self._staged_live: list[list[int]] = [[] for _ in range(self.radix)]
-        self._stage_ready = [0] * self.radix
+        self._asleep.clear()
+        self._stage_ready = [0] * radix
         self._out_wake = 0
         # Reusable deferred-deletion scratch for the step loops: marking dead
         # keys and deleting after the pass lets the loops iterate the active
@@ -268,65 +306,6 @@ class Router:
         # a flit crosses the crossbar into the staged output queue.
         self._forward_hook = None
         self._forward_hooks: list = []
-
-        # Simulator activity registry and credit calendar.  The owning
-        # Network replaces both with its shared ones before wiring;
-        # standalone routers (unit tests) keep private throwaway ones.
-        self._wake_registry: dict["Router", None] = {}
-        self._calendar: list[list] = [[]]
-
-    def reset(self, topology: "Topology", algorithm: "RoutingAlgorithm",
-              cfg: "SimConfig") -> None:
-        """Back to the state ``__init__`` leaves, wiring kept, for a point on
-        an equal scenario (:meth:`~repro.network.network.Network.reset`).
-
-        The per-port lists a tracker or a link record holds
-        (``out_vc_owner[port]``, ``staged[port]``) and ``_asleep`` are
-        cleared in place.  The jitter ring is kept and read from its start
-        again: it is a prefix of this router's one draw stream, the same
-        draws a fresh router would make, and ``rng`` stands where the ring
-        ends."""
-        self.topology = topology
-        self.algorithm = algorithm
-        self.cfg = cfg
-        nv, radix = self.num_vcs, self.radix
-        self.fifos = [NEVER_USED] * (radix * nv)
-        self.routes = [None] * (radix * nv)
-        free, never = (None,) * nv, (NEVER_USED,) * nv
-        for owner in self.out_vc_owner:
-            owner[:] = free
-        for per_port in self.staged:
-            per_port[:] = never
-        for live in self._staged_live:
-            live.clear()
-        for tracker in self.credit_trackers:
-            if tracker is not None:
-                tracker.reset()
-        self._staged_count = [0] * radix
-        self._active_in = []
-        self._active_out = {}
-        self._pending_commit = [0] * radix
-        self._rr_next = [0] * radix
-        self.flits_forwarded = 0
-        self.routes_computed = 0
-        self.route_stalls = 0
-        self._port_budget = [0] * radix
-        self._budget_touched = []
-        self._commit_touched = []
-        self._jitter_idx = 0
-        self._route_cache = {}
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-        self.route_cache_evictions = 0
-        self._asleep.clear()
-        self._stage_ready = [0] * radix
-        self._out_wake = 0
-        self._dead_in = []
-        self._dead_out = []
-        self._route_hook = None
-        self._route_hooks = []
-        self._forward_hook = None
-        self._forward_hooks = []
 
     # ------------------------------------------------------------------
     # Wiring (called by the network builder)

@@ -35,8 +35,22 @@ class Terminal:
         vc_map: "VcMap",
     ):
         self.terminal_id = terminal_id
-        self.algorithm = algorithm
         self.vc_map = vc_map
+        self.inject_channel: Channel | None = None
+        self.inject_credits: CreditTracker | None = None
+        self.eject_credits: CreditTracker | None = None
+        # Simulator activity registry and credit calendar.  The owning
+        # Network replaces both with its shared ones before wiring;
+        # standalone terminals (unit tests) keep private throwaway ones.
+        self._wake_registry: dict["Terminal", None] = {}
+        self._calendar: list[list] = [[]]
+        self.reset(algorithm)
+
+    def reset(self, algorithm: "RoutingAlgorithm") -> None:
+        """The run state, wiring kept, serving ``algorithm``: ``__init__``
+        calls it, and so does
+        :meth:`~repro.network.network.Network.reset` for a reused network."""
+        self.algorithm = algorithm
 
         # Injection side.
         # NEVER_USED until the first offer(), like every other queue.
@@ -47,8 +61,8 @@ class Terminal:
         # parked packet is one object, never a deque of size+1 flits).
         self._next_flit_index = 0
         self._active_vc: int | None = None
-        self.inject_channel: Channel | None = None
-        self.inject_credits: CreditTracker | None = None
+        if self.inject_credits is not None:
+            self.inject_credits.reset()
 
         # Ejection side: the one flit the ejection channel delivered this
         # cycle.  The channel carries at most one flit per cycle and a
@@ -56,7 +70,6 @@ class Terminal:
         # which consumes it, so a single slot is the whole receive buffer
         # and there is never a choice to arbitrate.
         self._arrived: tuple[int, Flit] | None = None
-        self.eject_credits: CreditTracker | None = None
 
         # Telemetry / hooks.
         self.flits_injected = 0
@@ -70,29 +83,6 @@ class Terminal:
         # control guarantees in-order per-packet delivery; this check turns a
         # violation (a simulator bug) into an immediate error.
         self._expected_index: dict[int, int] = {}
-        # Simulator activity registry and credit calendar.  The owning
-        # Network replaces both with its shared ones before wiring;
-        # standalone terminals (unit tests) keep private throwaway ones.
-        self._wake_registry: dict["Terminal", None] = {}
-        self._calendar: list[list] = [[]]
-
-    def reset(self, algorithm: "RoutingAlgorithm") -> None:
-        """Back to the state ``__init__`` leaves, wiring kept, serving
-        ``algorithm`` (:meth:`~repro.network.network.Network.reset`)."""
-        self.algorithm = algorithm
-        self.source_queue = NEVER_USED
-        self._active_packet = None
-        self._next_flit_index = 0
-        self._active_vc = None
-        if self.inject_credits is not None:
-            self.inject_credits.reset()
-        self._arrived = None
-        self.flits_injected = 0
-        self.flits_ejected = 0
-        self.packets_delivered = 0
-        self.delivery_listeners = []
-        self.inject_listeners = []
-        self._expected_index = {}
 
     def accept(self, item: tuple[int, Flit]) -> None:
         """Flit sink of the ejection channel: hold ``(vc, flit)`` for this

@@ -20,7 +20,9 @@ import repro.analysis.sweep as sweep
 import repro.experiments.fig4_topologies as fig4_topologies
 import repro.experiments.fig8_stencil as fig8_stencil
 from repro.analysis.bench import tracked_objects
-from repro.analysis.sweep import PointRun, _empty_network_slot, measure_point
+from repro.analysis.sweep import (
+    PointRun, _empty_network_slot, measure_point, sweep_load,
+)
 from repro.config import default_config
 from repro.core.base import NoRouteError
 from repro.core.registry import algorithm_names, make_algorithm
@@ -437,6 +439,20 @@ def test_callers_collector_state_survives(caller_enabled):
         assert gc.get_count()[0] < threshold
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_plain_points_leave_no_garbage_frozen():
+    """A plain point's exit leaves the heap frozen, and the next build
+    freezes again: cyclic garbage made between two plain points (here the
+    pure-Python JSON encoder's closures) is collected by that build, not
+    frozen with the waiting network until a closing exit thaws it."""
+    topo, algo, pattern = _scenario((3, 3))
+    _empty_network_slot()
+    for _ in range(5):
+        sweep_load(topo, algo, pattern, [0.1, 0.2], total_cycles=200).to_json()
+    gc.collect()
+    _empty_network_slot()
+    assert gc.collect() == 0
 
 
 def test_two_points_never_hold_two_networks(networks_seen):

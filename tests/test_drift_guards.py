@@ -218,15 +218,23 @@ ROWS = [
         "(frozen_build is its one owner).",
         "21 (all three calls: 32)", Mutant(NETWORK, "        gc.freeze()"),
         inside=SWEEP),
-    Row("census-only-collect", ONLY_INSIDE, "gc.collect(", ("src/repro",),
+    Row("census-only-collect", ONLY_INSIDE, r"gc\.collect\((?!1\))",
+        ("src/repro",),
         "A dead network is freed by Network.close(), not by collection: the "
-        "only collect under src/repro is the census's "
+        "only full collect under src/repro is the census's "
         "(repro.analysis.bench.tracked_objects), so the collect-first "
         "cannot creep back into frozen_build.",
         "36", Mutant(SWEEP, "        gc.collect()"),
-        fixed=True, count=1,
+        count=1,
         inside=Span("src/repro/analysis/bench.py",
                     r"^def tracked_objects", r"^    return ")),
+    Row("one-young-collect", ONLY_INSIDE, "gc.collect(1)", ("src/repro",),
+        "frozen_build collects the young generations once, before it thaws, "
+        "so that garbage made between two plain points is not frozen with "
+        "the next build; no other code runs a young-generation collect.",
+        "43", Mutant("src/repro/analysis/bench.py", "    gc.collect(1)"),
+        fixed=True, count=1,
+        inside=Span(SWEEP, r"^    def __init__\(self, build", r"gc\.freeze\(\)")),
     Row("network-slot-owner", ONLY_INSIDE, r"_network_slot|_NetworkSlot",
         ("src/", "tests/", "benchmarks/"),
         "One owner of the pooled network: frozen_build takes it out before a "

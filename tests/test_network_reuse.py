@@ -4,7 +4,10 @@ finished network to the state a fresh ``Network`` starts in, and
 on an equal scenario (docs/PERFORMANCE.md, "A plain point reuses the last
 point's wiring")."""
 
+import ast
+import inspect
 import multiprocessing
+import textwrap
 import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -20,8 +23,11 @@ from repro.config import default_config
 from repro.core.registry import algorithm_names, make_algorithm
 from repro.faults import DegradedTopology, FaultEvent, FaultSchedule
 from repro.network.buffers import NEVER_USED, CreditTracker
+from repro.network.channel import Channel
 from repro.network.network import Network
+from repro.network.router import Router
 from repro.network.simulator import Simulator
+from repro.network.terminal import Terminal
 from repro.obs import TraceOptions, record_hops
 from repro.topology.hyperx import HyperX
 from repro.traffic.injection import SyntheticTraffic
@@ -175,6 +181,56 @@ def test_a_reset_network_is_a_fresh_network(name, router):
     assert drawn > 0
 
 
+def _unpacked(target):
+    """The single targets of an assignment target (tuples unpacked)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _unpacked(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _unpacked(target.value)
+    else:
+        yield target
+
+
+def _self_writes(method: ast.FunctionDef) -> set[str]:
+    """The ``self.<name>`` attributes ``method`` binds (an in-place fill
+    such as ``self.staged[p][:] = ...`` binds none)."""
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in _unpacked(target):
+                if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"):
+                    names.add(t.attr)
+    return names
+
+
+@pytest.mark.parametrize("cls", [Router, Terminal, Channel, CreditTracker],
+                         ids=lambda cls: cls.__name__)
+def test_reset_is_the_one_writer_of_run_state(cls):
+    """``__init__`` builds the wiring and calls ``reset()`` once; no field is
+    written by both, so a field added to one cannot be missed by the
+    other and leak from one point into the next."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    methods = {node.name: node for node in tree.body[0].body
+               if isinstance(node, ast.FunctionDef)}
+    init, reset = methods["__init__"], methods["reset"]
+    calls = [node for node in ast.walk(init) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "reset"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "self"]
+    assert len(calls) == 1
+    assert _self_writes(init) & _self_writes(reset) == set()
+    assert _self_writes(reset)
+
+
 def _plain_or_not(kind, tmp_path):
     """One point on the 3x3 t=2 DimWAR scenario; ``kind`` picks what makes it
     something other than a plain point."""
@@ -311,9 +367,13 @@ def test_a_forked_worker_never_touches_the_inherited_network():
 
 def test_the_reuse_oracle_sees_a_forgotten_field(monkeypatch):
     """``diff_reuse_on_off`` passes on the tree and fails when a reset
-    leaves a field as the last point left it (here: consumed credits)."""
+    leaves a field as the last point left it (here: consumed credits; the
+    broken reset still fills a fresh tracker, which ``__init__`` hands to
+    it)."""
     args = {"widths": WIDTHS, "rates": (0.3, 0.6), "total_cycles": 600}
     assert diff_reuse_on_off(**args).ok
-    monkeypatch.setattr(CreditTracker, "reset", lambda self: None)
+    fill = CreditTracker.reset
+    monkeypatch.setattr(CreditTracker, "reset", lambda self: (
+        None if hasattr(self, "credits") else fill(self)))
     report = diff_reuse_on_off(**args)
     assert not report.ok and report.detail.startswith("point ")
